@@ -335,7 +335,7 @@ func TestAPIMinRequiredLSNAndArchive(t *testing.T) {
 }
 
 func TestAPIParallelRecovery(t *testing.T) {
-	db, err := Open(Options{ParallelRecovery: true, GroupCommit: GroupCommitOff})
+	db, err := Open(Options{ParallelRecovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}

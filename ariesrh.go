@@ -102,24 +102,6 @@ var (
 	ErrInDoubt = shard.ErrInDoubt
 )
 
-// GroupCommitMode selects how Commit forces the log (re-exported from the
-// engine).
-type GroupCommitMode = core.GroupCommitMode
-
-// Group-commit modes.
-const (
-	// GroupCommitAuto (the zero value) enables group commit: concurrent
-	// committers share one device sync per batch and never hold the
-	// engine latch across it.
-	GroupCommitAuto = core.GroupCommitAuto
-	// GroupCommitOn enables group commit explicitly.
-	GroupCommitOn = core.GroupCommitOn
-	// GroupCommitOff makes every commit perform its own synchronous log
-	// force under the engine latch — deterministic flush timing for
-	// crash tests.
-	GroupCommitOff = core.GroupCommitOff
-)
-
 // Options configures Open.
 type Options struct {
 	// Dir, when non-empty, makes the database file-backed: the log,
@@ -129,9 +111,6 @@ type Options struct {
 	Dir string
 	// PoolSize is the buffer-pool capacity in pages (default 128).
 	PoolSize int
-	// GroupCommit selects commit-time log forcing; the zero value
-	// enables coalesced group commit.
-	GroupCommit GroupCommitMode
 	// FaultDir, when non-nil, is used as the write-ahead log's stable
 	// directory in place of the default — typically a fault.Dir (or any
 	// other wal.Dir implementation) injecting device faults, letting
@@ -144,8 +123,7 @@ type Options struct {
 	// defers only the durability ack to the group flusher, trading lock
 	// hold time for commit-dependency tracking.  The commit ack still
 	// implies durability; see core.Options.EarlyLockRelease for the full
-	// crash contract.  Requires group commit (ignored with
-	// GroupCommitOff).
+	// crash contract.
 	EarlyLockRelease bool
 	// Shards, when >= 2, opens a sharded database: that many
 	// independent engines — each with its own write-ahead log, group
@@ -219,7 +197,6 @@ func Open(opts ...Options) (*DB, error) {
 			Shards:           o.Shards,
 			Dir:              o.Dir,
 			PoolSize:         o.PoolSize,
-			GroupCommit:      o.GroupCommit,
 			EarlyLockRelease: o.EarlyLockRelease,
 			ParallelRecovery: o.ParallelRecovery,
 			Router:           o.ShardRouter,
@@ -231,7 +208,6 @@ func Open(opts ...Options) (*DB, error) {
 	}
 	engineOpts := core.Options{
 		PoolSize:         o.PoolSize,
-		GroupCommit:      o.GroupCommit,
 		EarlyLockRelease: o.EarlyLockRelease,
 		ParallelRecovery: o.ParallelRecovery,
 	}

@@ -1,12 +1,11 @@
 // Package ariesrh benchmarks: one testing.B benchmark per experiment in
-// EXPERIMENTS.md (E1..E6, E8), exercising the primitive costs the paper's
+// EXPERIMENTS.md (E1..E6), exercising the primitive costs the paper's
 // efficiency argument (§4.2) is built on.  cmd/rhbench produces the full
 // tables; these benchmarks are the `go test -bench` entry points.
 package ariesrh_test
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"ariesrh"
@@ -333,56 +332,6 @@ func BenchmarkE5EOSRecovery(b *testing.B) {
 		if err := e.Recover(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- E8: group commit ----------------------------------------------------
-
-// BenchmarkE8GroupCommit measures parallel commit throughput with the
-// group-commit flush coalescing on vs off.  b.RunParallel supplies the
-// concurrent committers; each goroutine works a private object range so
-// only the log force is contended.  cmd/rhbench -exp e8 produces the full
-// sweep with a modelled device-sync latency; on a pure MemStore the sync
-// is free, so the delta here reflects latch-hold time, not device time.
-func BenchmarkE8GroupCommit(b *testing.B) {
-	val := []byte("bench-value-0123456789abcdef")
-	for _, mode := range []struct {
-		name string
-		gc   core.GroupCommitMode
-	}{{"group-on", core.GroupCommitOn}, {"group-off", core.GroupCommitOff}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e, err := core.New(core.Options{PoolSize: 4096, GroupCommit: mode.gc})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var worker int32
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				w := atomic.AddInt32(&worker, 1)
-				base := wal.ObjectID(1 + int(w)*1024)
-				i := 0
-				for pb.Next() {
-					tx, err := e.Begin()
-					if err != nil {
-						b.Fatal(err)
-					}
-					for j := 0; j < 4; j++ {
-						if err := e.Update(tx, base+wal.ObjectID((i*4+j)%512), val); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if err := e.Commit(tx); err != nil {
-						b.Fatal(err)
-					}
-					i++
-				}
-			})
-			b.StopTimer()
-			st := e.LogStats()
-			if st.GroupedFlushes > 0 {
-				b.ReportMetric(float64(st.FlushWaiters)/float64(st.GroupedFlushes), "waiters/flush")
-			}
-		})
 	}
 }
 

@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	rhbench                              # run everything
-//	rhbench -exp e3                      # run one experiment
-//	rhbench -quick                       # smaller sizes (CI-friendly)
-//	rhbench -exp e8 -json BENCH_E8.json  # machine-readable output
+//	rhbench                                # run everything
+//	rhbench -exp e3                        # run one experiment
+//	rhbench -quick                         # smaller sizes (CI-friendly)
+//	rhbench -exp e11 -json BENCH_E11.json  # machine-readable output
 package main
 
 import (
@@ -84,18 +84,6 @@ func main() {
 			}
 			return bench.E10Torture(seeds, steps, maxBoundaries)
 		}},
-		{"e8", func() (*bench.Table, error) {
-			// No 2-committer point: two workers pipeline-alternate behind
-			// the device (each sync covers exactly one commit record), so
-			// the curve only starts moving at 4 committers.
-			committers := []int{1, 4, 8, 16, 32, 64}
-			txnsPer, updatesPer, delay := 48, 4, 200*time.Microsecond
-			if *quick {
-				committers = []int{1, 4, 16, 64}
-				txnsPer, delay = 24, 100*time.Microsecond
-			}
-			return bench.E8GroupCommit(committers, txnsPer, updatesPer, delay)
-		}},
 		{"e11", func() (*bench.Table, error) {
 			committers := []int{1, 8, 32}
 			txnsPer, updatesPer, delay := 48, 4, 200*time.Microsecond
@@ -139,9 +127,9 @@ func main() {
 			return bench.E14InstantRestart(lengths, 8, 16)
 		}},
 		{"e15", func() (*bench.Table, error) {
-			// 64 committers against 1/2/4/8 shards: with group commit
-			// off the device is the bottleneck, so throughput tracks the
-			// number of independent per-shard force channels.
+			// 64 committers against 1/2/4/8 shards: the committer count
+			// is fixed, so what moves is how many group flushers share
+			// them.
 			counts := []int{1, 2, 4, 8}
 			committers, txnsPer, updatesPer, delay := 64, 32, 4, 200*time.Microsecond
 			if *quick {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,7 +175,31 @@ func TestE13ArchiveShape(t *testing.T) {
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5:\n%s", len(tab.Rows), tab.Format())
 	}
-	if !strings.HasPrefix(tab.Verdict, "HOLDS") {
-		t.Fatalf("verdict: %s", tab.Verdict)
+	// The verdict also weighs a latency ratio, which the printed table
+	// reports and no test asserts; the counted facts are checked here.
+	atoi := func(s string) int {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			t.Fatalf("%v in:\n%s", err, tab.Format())
+		}
+		return n
+	}
+	noArchive, windowed, sweep := tab.Rows[2], tab.Rows[3], tab.Rows[4]
+	if peak, unbounded := atoi(windowed[4]), atoi(noArchive[4]); peak >= unbounded {
+		t.Fatalf("windowed peak %d bytes not below unbounded %d", peak, unbounded)
+	}
+	if kept, all := atoi(windowed[2]), atoi(noArchive[2]); kept >= all {
+		t.Fatalf("windowed archiving kept %d of %d segments: none deleted", kept, all)
+	}
+	var boundaries, crashes, torn, rotations, archives, base int
+	if _, err := fmt.Sscanf(sweep[5], "boundaries=%d crashes=%d torn=%d rotations=%d archives=%d base=%d",
+		&boundaries, &crashes, &torn, &rotations, &archives, &base); err != nil {
+		t.Fatalf("crash-sweep note %q: %v", sweep[5], err)
+	}
+	if want := min(boundaries, 20); crashes != want {
+		t.Fatalf("crash sweep recovered %d of %d swept boundaries", crashes, want)
+	}
+	if rotations == 0 || archives == 0 {
+		t.Fatalf("crash sweep never crashed a maintenance path: rotations=%d archives=%d", rotations, archives)
 	}
 }

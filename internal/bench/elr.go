@@ -21,7 +21,7 @@ type e12Row struct {
 }
 
 // runE12Cell runs committers goroutines over a SHARED hot object set —
-// unlike E8's disjoint ranges, every transaction contends — with early
+// unlike E11's disjoint ranges, every transaction contends — with early
 // lock release on or off.  Each transaction updates updatesPer
 // consecutive objects from the hot set in ascending ID order (a global
 // acquisition order, so the workload is deadlock-free) and commits
@@ -31,7 +31,6 @@ func runE12Cell(committers, txnsPer, updatesPer, hotObjects int, syncDelay time.
 	eng, err := core.New(core.Options{
 		PoolSize:         4096,
 		LogDir:           store,
-		GroupCommit:      core.GroupCommitOn,
 		EarlyLockRelease: elr,
 	})
 	if err != nil {

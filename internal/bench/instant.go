@@ -23,7 +23,6 @@ func e14Crashed(records, updatesPerObj, losers int, parallel bool) (*core.Engine
 	objects := records / updatesPerObj
 	e, err := core.New(core.Options{
 		PoolSize:         8192,
-		GroupCommit:      core.GroupCommitOff,
 		LogSegmentBytes:  1 << 16,
 		ParallelRecovery: parallel,
 	})
@@ -58,8 +57,8 @@ func e14Crashed(records, updatesPerObj, losers int, parallel bool) (*core.Engine
 		}
 		// No Commit: a loser for the backward pass.
 	}
-	// Make the losers' tail durable too — GroupCommitOff already forced
-	// every commit — then crash.
+	// Make the losers' tail durable too — every commit was already
+	// forced — then crash.
 	if err := e.Log().Flush(e.Log().Head()); err != nil {
 		return nil, 0, nil, err
 	}

@@ -61,7 +61,7 @@ func E9MetricsInvariants(txns, updates, delegObjects int) (*Table, error) {
 	if err := runC1(base.Begin, base.Update, base.Commit, base.Log().Flush, base.Crash, base.Recover); err != nil {
 		return nil, err
 	}
-	rh, err := core.New(core.Options{PoolSize: 256, GroupCommit: core.GroupCommitOff})
+	rh, err := core.New(core.Options{PoolSize: 256})
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"ariesrh/internal/core"
 	"ariesrh/internal/shard"
 	"ariesrh/internal/wal"
 )
@@ -35,9 +34,8 @@ type e15Row struct {
 // its updates between two adjacent shards and commits through
 // two-phase commit.  Workers own disjoint object slots, so no
 // transaction ever blocks on a lock — the only contention is the
-// device, which is the point: with group commit off every force
-// serializes on its shard's device, and independent shard logs are
-// independent force channels.
+// device, which is the point: each shard's log has its own group
+// flusher, so independent shard logs are independent force channels.
 func runE15Cell(shards, committers, txnsPer, updatesPer int, syncDelay time.Duration, cross bool) (e15Row, error) {
 	dirs := make([]wal.Dir, shards)
 	delays := make([]*syncDelayDir, shards)
@@ -46,11 +44,10 @@ func runE15Cell(shards, committers, txnsPer, updatesPer int, syncDelay time.Dura
 		dirs[i] = delays[i]
 	}
 	db, err := shard.Open(shard.Options{
-		Shards:      shards,
-		LogDirs:     dirs,
-		PoolSize:    4096,
-		GroupCommit: core.GroupCommitOff,
-		Router:      benchModRouter{},
+		Shards:   shards,
+		LogDirs:  dirs,
+		PoolSize: 4096,
+		Router:   benchModRouter{},
 	})
 	if err != nil {
 		return e15Row{}, err
@@ -125,16 +122,16 @@ func runE15Cell(shards, committers, txnsPer, updatesPer int, syncDelay time.Dura
 }
 
 // E15ShardScaling measures commit throughput as the shard count grows
-// at a fixed committer count, with every commit forcing its log (group
-// commit off — the mode where the device, not the CPU, is the
-// bottleneck).  A single engine has ONE commit-force channel: N
-// committers serialize behind one device no matter how many there are.
-// N shards have N channels — their forces overlap in time — so
-// single-shard throughput scales with the shard count until committers
-// run out.  The cross cells price what two-phase commit costs when
-// every transaction spans two shards: roughly 4 forced syncs per
-// commit (participant prepare, coordinator prepare, decision, phase-2
-// commit) against the local cells' 1, paid on two channels.
+// at a fixed committer count.  A single engine has ONE commit-force
+// channel: its group flusher coalesces the N committers' forces into
+// shared device syncs, but the rounds themselves run one after another.
+// N shards have N channels whose rounds overlap in time, each batching
+// 1/N of the committers.  Whether that beats one engine at the same
+// fan-in is the question; the syncs/commit column says how much each
+// configuration coalesced.  The cross cells price what two-phase commit
+// costs when every transaction spans two shards: four forces per commit
+// (participant prepare, coordinator prepare, decision, phase-2 commit)
+// against the local cells' one, paid on two channels.
 func E15ShardScaling(shardCounts []int, committers, txnsPer, updatesPer int, syncDelay time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "E15",

@@ -92,7 +92,7 @@ func runDelegationFreeWorkload(t *testing.T, e claimEngine) {
 // comparison is made in internal/obs counter units on the RH side against
 // the baseline engine's own counters.
 func TestClaimC1DelegationFreeParity(t *testing.T) {
-	rh, err := New(Options{GroupCommit: GroupCommitOff})
+	rh, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestClaimC2DelegateCostLinear(t *testing.T) {
 	}{
 		{1, 1}, {2, 6}, {4, 1}, {4, 6}, {8, 3},
 	} {
-		e, err := New(Options{GroupCommit: GroupCommitOff})
+		e, err := New(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestClaimC2DelegateCostLinear(t *testing.T) {
 // is captured from the undo.visit event stream and the at-most-once bound
 // from the undo.visited/undo.skipped counters.
 func TestClaimC3UndoVisitInvariant(t *testing.T) {
-	e, err := New(Options{GroupCommit: GroupCommitOff})
+	e, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,11 +70,12 @@ func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, e
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.writableLocked(); err != nil {
-		return 0, err
-	}
+	// As in Update: drop a stale grant before any other check can return.
 	info, err := e.activeAfterLockLocked(tx)
 	if err != nil {
+		return 0, err
+	}
+	if err := e.writableLocked(); err != nil {
 		return 0, err
 	}
 	e.noteViolationsLocked(tx, obj, lock.Increment)

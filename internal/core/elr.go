@@ -44,9 +44,9 @@ type pendingCommit struct {
 func (e *Engine) commitELR(tx wal.TxID, info *txn.Info, lsn, prevLast wal.LSN, start time.Time) error {
 	// The appended commit record is the commit point: mark Committed
 	// before unlatching so cascading aborts (Active victims only) cannot
-	// undo the updates during the wait, exactly as in the plain
-	// group-commit path — and release every lock now, which is the whole
-	// point: waiters stop paying for this transaction's device sync.
+	// undo the updates during the wait, exactly as in the plain commit
+	// path — and release every lock now, which is the whole point: waiters
+	// stop paying for this transaction's device sync.
 	info.Status = txn.Committed
 	info.LastLSN = lsn
 	e.predurable[tx] = pendingCommit{lsn: lsn, prevLast: prevLast}
@@ -84,13 +84,13 @@ func (e *Engine) commitELR(tx wal.TxID, info *txn.Info, lsn, prevLast wal.LSN, s
 			return ErrCrashed
 		}
 		// The device refused the flush past the WAL's retry budget.  But
-		// under group commit a failed round is not the last word: other
-		// queued FlushAsync waiters trigger later rounds, and one of
-		// those may have carried our record to the device before we
-		// reacquired the latch.  If so, the commit IS durable — its
-		// updates are visible and must stay — so finish it and report
-		// success; returning ErrCommitAborted here would break the
-		// "rolled back" contract and leak the txn as Committed forever.
+		// a failed round is not the last word: other queued FlushAsync
+		// waiters trigger later rounds, and one of those may have carried
+		// our record to the device before we reacquired the latch.  If so,
+		// the commit IS durable — its updates are visible and must stay —
+		// so finish it and report success; returning ErrCommitAborted here
+		// would break the "rolled back" contract and leak the txn as
+		// Committed forever.
 		// The entry still being present with lsn above the horizon is
 		// the only genuinely failed shape: the success delivery is the
 		// sole path that removes it while leaving the status Committed,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func (d *elrDev) Sync() error {
 func newELREngine(t *testing.T) (*Engine, *elrStore) {
 	t.Helper()
 	store := newELRStore()
-	e, err := New(Options{PoolSize: 16, LogDir: store, GroupCommit: GroupCommitOn, EarlyLockRelease: true})
+	e, err := New(Options{PoolSize: 16, LogDir: store, EarlyLockRelease: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +475,7 @@ func TestELRDelegateThenViolate(t *testing.T) {
 // completes, so a conflicting acquirer waits out the device sync.
 func TestELROffHoldsLocksAcrossFlush(t *testing.T) {
 	store := newELRStore()
-	e, err := New(Options{PoolSize: 16, LogDir: store, GroupCommit: GroupCommitOn})
+	e, err := New(Options{PoolSize: 16, LogDir: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,6 +550,65 @@ func TestAbortWhileBlockedReleasesStaleGrant(t *testing.T) {
 	}
 	mustCommit(t, e, t3)
 	wantValue(t, e, 1, "after")
+}
+
+// TestELRCascadeOntoLockWaiterLeaksNoGrant is the scripted form of the
+// tier-1 wedge: T builds on a pre-durable committer H and then parks in
+// the lock manager behind K.  H's flush fails; the rollback cascades onto
+// T (terminating it with its request still queued) and degrades the
+// engine.  When K then aborts, T's request is granted posthumously, and
+// the operation must drop that grant before the degraded check returns —
+// otherwise the object stays X-locked by a transaction nobody can abort.
+func TestELRCascadeOntoLockWaiterLeaksNoGrant(t *testing.T) {
+	ops := map[string]func(*Engine, wal.TxID, wal.ObjectID) error{
+		"update": func(e *Engine, tx wal.TxID, obj wal.ObjectID) error {
+			return e.Update(tx, obj, []byte("blocked"))
+		},
+		"increment": func(e *Engine, tx wal.TxID, obj wal.ObjectID) error {
+			_, err := e.Increment(tx, obj, 1)
+			return err
+		},
+	}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			e, store := newELREngine(t)
+			h := mustBegin(t, e)
+			mustUpdate(t, e, h, 1, "h-dirty")
+			k := mustBegin(t, e)
+			mustUpdate(t, e, k, 2, "k-dirty")
+			tx := mustBegin(t, e)
+
+			// H commits: locks released, commit record stuck at the device.
+			store.arm()
+			ch := commitAsync(e, h)
+			<-store.entered
+			// T violates H's released lock (abort dependency on H), then
+			// parks behind K.
+			mustUpdate(t, e, tx, 1, "t-dirty")
+			opDone := make(chan error, 1)
+			go func() { opDone <- op(e, tx, 2) }()
+			for e.Metrics().Gauge("lock.waiters") != 1 {
+				runtime.Gosched()
+			}
+
+			store.failAll()
+			close(store.gate)
+			if err := <-ch; !errors.Is(err, ErrCommitAborted) {
+				t.Fatalf("H commit error = %v, want ErrCommitAborted", err)
+			}
+			if h := e.Health(); h.State != StateDegraded {
+				t.Fatalf("health = %v, want degraded", h.State)
+			}
+			// K's abort hands object 2 to the dead T.
+			mustAbort(t, e, k)
+			if err := <-opDone; !errors.Is(err, ErrNoSuchTxn) {
+				t.Fatalf("posthumous %s error = %v, want ErrNoSuchTxn", name, err)
+			}
+			if orphans := e.LockOrphans(); len(orphans) != 0 {
+				t.Fatalf("lock table names terminated transactions %v", orphans)
+			}
+		})
+	}
 }
 
 // TestFormDependencyConcurrentNoCycle hammers dependency formation from

@@ -123,23 +123,6 @@ type Health struct {
 	Err error
 }
 
-// GroupCommitMode selects how Commit forces the log.
-type GroupCommitMode int
-
-const (
-	// GroupCommitAuto (the zero value) enables group commit: committers
-	// append their commit record under the engine latch, release it, and
-	// wait on a coalesced flush (wal.Log.FlushAsync), so concurrent
-	// commits share device syncs and never stall unrelated operations.
-	GroupCommitAuto GroupCommitMode = iota
-	// GroupCommitOn enables group commit explicitly.
-	GroupCommitOn
-	// GroupCommitOff forces the synchronous path: every commit performs
-	// its own log flush while holding the engine latch.  Deterministic
-	// crash tests and the sim oracle use it to pin down flush timing.
-	GroupCommitOff
-)
-
 // Options configures an Engine.
 type Options struct {
 	// PoolSize is the buffer-pool capacity in pages (default 128).
@@ -171,9 +154,6 @@ type Options struct {
 	// are identical; only the visit counts differ.  Ablation benchmarks
 	// only.
 	FullScanUndo bool
-	// GroupCommit selects commit-time log forcing; the zero value
-	// (GroupCommitAuto) enables coalesced group commit.
-	GroupCommit GroupCommitMode
 	// Follower opens the engine as a read-only replication follower: it
 	// catches up on whatever the local log already holds (forward pass
 	// only — losers stay live, their object lists intact), then waits for
@@ -188,7 +168,7 @@ type Options struct {
 	// then acquires a conflicting lock on a marked object has violated
 	// the pre-durable committer's lock: it forms an abort dependency on
 	// it, and a delegation of such data carries the edge to the
-	// delegatee.  Requires group commit (ignored with GroupCommitOff).
+	// delegatee.
 	//
 	// Crash contract.  Nothing weakens: the commit ack still implies
 	// durability.  A violator's own commit record necessarily follows
@@ -230,14 +210,6 @@ type Options struct {
 	// WaitRecovered reports the error and Recover may be retried.
 	ParallelRecovery bool
 }
-
-// groupCommit reports whether commits use the coalesced flush path.
-func (o Options) groupCommit() bool { return o.GroupCommit != GroupCommitOff }
-
-// elr reports whether commits use early lock release (controlled lock
-// violation); it rides on the group-commit flusher, so GroupCommitOff
-// disables it.
-func (o Options) elr() bool { return o.EarlyLockRelease && o.groupCommit() }
 
 // Stats counts engine activity.
 type Stats struct {
@@ -424,6 +396,25 @@ func (e *Engine) Health() Health {
 		return Health{State: StateDegraded, Err: e.degraded}
 	}
 	return Health{State: StateHealthy}
+}
+
+// LockOrphans returns the transactions that hold locks but are absent
+// from the transaction table.  The invariant is held ⊆ active ∪ prepared
+// ∪ predurable (all three live in the table until their end record), so
+// on a quiescent engine the result must be empty: nobody can ever release
+// an orphan's locks.  Mid-operation a waiter granted posthumously is an
+// orphan until its operation re-latches and drops the grant (see
+// activeAfterLockLocked), so only a quiescent reading is a verdict.
+func (e *Engine) LockOrphans() []wal.TxID {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out []wal.TxID
+	for _, tx := range e.locks.Holders() {
+		if e.txns.Get(tx) == nil {
+			out = append(out, tx)
+		}
+	}
+	return out
 }
 
 // writableLocked gates operations that would append (and eventually

@@ -18,7 +18,7 @@ import (
 // queryable read-only degraded mode rather than wedging or panicking.
 func TestPersistentSyncErrorReleasesAllFlushWaiters(t *testing.T) {
 	store := fault.NewDir(fault.Plan{})
-	e, err := New(Options{LogDir: store, GroupCommit: GroupCommitOn})
+	e, err := New(Options{LogDir: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +128,13 @@ func TestPersistentSyncErrorReleasesAllFlushWaiters(t *testing.T) {
 	}
 }
 
-// TestDegradedAbortWithoutForce pins the synchronous-path half of the
-// abort contract: with GroupCommitOff and a dead device, Abort still
+// TestDegradedAbortWithoutForce pins the failed-force half of the abort
+// contract: on a healthy engine whose device then dies, Abort still
 // completes (undo applied, locks released) and degrades the engine
 // instead of failing.
 func TestDegradedAbortWithoutForce(t *testing.T) {
 	store := fault.NewDir(fault.Plan{})
-	e, err := New(Options{LogDir: store, GroupCommit: GroupCommitOff})
+	e, err := New(Options{LogDir: store})
 	if err != nil {
 		t.Fatal(err)
 	}

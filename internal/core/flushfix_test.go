@@ -73,12 +73,11 @@ func (s *syncStore) syncCount() int { s.mu.Lock(); defer s.mu.Unlock(); return s
 // TestAbortRoutesThroughGroupFlusher is the regression test for the abort
 // flush bug left behind by the group-commit change: abortLocked kept
 // calling the synchronous log.Flush while holding the engine latch,
-// bypassing the coalesced flusher entirely.  Post-fix, an abort in
-// group-commit mode must register a flush waiter (wal.FlushAsync) instead
-// of performing its own latched sync; pre-fix this counter never moves
-// for aborts.
+// bypassing the coalesced flusher entirely.  An abort must register a
+// flush waiter (wal.FlushAsync) instead of performing its own latched
+// sync; pre-fix this counter never moves for aborts.
 func TestAbortRoutesThroughGroupFlusher(t *testing.T) {
-	e, err := New(Options{GroupCommit: GroupCommitOn})
+	e, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestAbortRoutesThroughGroupFlusher(t *testing.T) {
 // device sync apart and never enqueueing a single flush waiter.
 func TestConcurrentAbortsCoalesceSyncs(t *testing.T) {
 	store := newSyncStore()
-	e, err := New(Options{LogDir: store, GroupCommit: GroupCommitOn})
+	e, err := New(Options{LogDir: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestConcurrentAbortsCoalesceSyncs(t *testing.T) {
 // clean.
 func TestCommitFlushErrorRestoresBackwardChain(t *testing.T) {
 	store := newSyncStore()
-	e, err := New(Options{LogDir: store, GroupCommit: GroupCommitOn})
+	e, err := New(Options{LogDir: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func shipAll(t *testing.T, p *Engine) []*wal.Record {
 // forward pass would, and Promote — the existing backward pass — lands it
 // on exactly the state the crashed primary recovers to.
 func TestFollowerReplaysAndPromotes(t *testing.T) {
-	p, err := New(Options{GroupCommit: GroupCommitOff})
+	p, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFollowerRejectsWritesAndGaps(t *testing.T) {
 func TestFollowerCatchUpFromLocalLog(t *testing.T) {
 	logDir, master := wal.NewMemDir(), wal.NewMemStore()
 	disk := storage.NewMemDisk()
-	p, err := New(Options{LogDir: logDir, Disk: disk, MasterStore: master, GroupCommit: GroupCommitOff})
+	p, err := New(Options{LogDir: logDir, Disk: disk, MasterStore: master})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFollowerCatchUpFromLocalLog(t *testing.T) {
 // returns the LSN through which the local log is durable, and only that
 // may be acknowledged upstream.
 func TestFollowerFlushBoundsAcks(t *testing.T) {
-	p, err := New(Options{GroupCommit: GroupCommitOff})
+	p, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,16 +160,16 @@ func TestUpdateBookkeepingSurvivesWriteFailure(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrentStress hammers the restructured commit path:
-// workers on disjoint object ranges run begin → update ×2 → delegate →
-// commit/abort loops with group commit on, so commit records from many
+// TestCommitPathConcurrentStress hammers the commit path: workers on
+// disjoint object ranges run begin → update ×2 → delegate →
+// commit/abort loops, so commit records from many
 // goroutines continuously share leader flushes while updates and
 // delegations interleave through the latch windows.  Afterwards the final
 // state is verified, the engine is crashed and recovered, and verified
 // again (committed work must survive, aborted work must not).  The
 // Makefile race target runs this under -race.
-func TestGroupCommitConcurrentStress(t *testing.T) {
-	e, err := New(Options{PoolSize: 128, GroupCommit: GroupCommitOn})
+func TestCommitPathConcurrentStress(t *testing.T) {
+	e, err := New(Options{PoolSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,9 @@ const instantWorkloadObjects = 2100
 
 // instantWorkload drives a deterministic mix of updates, increments,
 // delegations, commits and aborts, leaving some transactions live so the
-// crash has losers.  GroupCommitOff keeps the durable prefix — and with
-// it the recovered state — identical across runs.  Each transaction
+// crash has losers.  The driver is single-threaded, so the durable
+// prefix — and with it the recovered state — is identical across runs.
+// Each transaction
 // updates only its own object range (counters use compatible Increment
 // locks) so the single-threaded driver never blocks on a lock.
 func instantWorkload(t *testing.T, e *Engine, seed int64) {
@@ -80,11 +81,11 @@ func instantWorkload(t *testing.T, e *Engine, seed int64) {
 // and counter must agree.
 func TestParallelRecoveryMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		seq, err := New(Options{PoolSize: 16, GroupCommit: GroupCommitOff})
+		seq, err := New(Options{PoolSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := New(Options{PoolSize: 16, GroupCommit: GroupCommitOff, ParallelRecovery: true})
+		par, err := New(Options{PoolSize: 16, ParallelRecovery: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestParallelRecoveryMatchesSequential(t *testing.T) {
 // parks the pipeline after all recovery work, giving a deterministic
 // recovering window.
 func TestParallelRecoveryWritesRejected(t *testing.T) {
-	e, err := New(Options{PoolSize: 16, GroupCommit: GroupCommitOff, ParallelRecovery: true})
+	e, err := New(Options{PoolSize: 16, ParallelRecovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestParallelRecoveryWritesRejected(t *testing.T) {
 // the engine back in the crashed state, WaitRecovered reports the error,
 // and a retried Recover completes.
 func TestParallelRecoveryFailpoint(t *testing.T) {
-	e, err := New(Options{PoolSize: 16, GroupCommit: GroupCommitOff, ParallelRecovery: true})
+	e, err := New(Options{PoolSize: 16, ParallelRecovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestParallelRecoveryFailpoint(t *testing.T) {
 // intermediate — and after WaitRecovered the engine accepts writes with
 // exactly sequential promotion's state.
 func TestParallelPromotionConcurrentReads(t *testing.T) {
-	p, err := New(Options{GroupCommit: GroupCommitOff})
+	p, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestParallelRecoveryNewOpensInstantly(t *testing.T) {
 	logDir := wal.NewMemDir()
 	master := wal.NewMemStore()
 	disk := storage.NewMemDisk()
-	e, err := New(Options{PoolSize: 16, GroupCommit: GroupCommitOff,
+	e, err := New(Options{PoolSize: 16,
 		LogDir: logDir, Disk: disk, MasterStore: master})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +342,7 @@ func TestParallelRecoveryNewOpensInstantly(t *testing.T) {
 	mustDo(t, e.Log().Flush(e.Log().Head()))
 
 	// "Restart": a second engine over the same stores, pipeline enabled.
-	re, err := New(Options{PoolSize: 16, GroupCommit: GroupCommitOff,
+	re, err := New(Options{PoolSize: 16,
 		LogDir: logDir, Disk: disk, MasterStore: master, ParallelRecovery: true})
 	if err != nil {
 		t.Fatal(err)

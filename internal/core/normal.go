@@ -128,13 +128,15 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.writableLocked(); err != nil {
-		// The tx keeps its lock grant: it is still alive and must be
-		// able to abort (which releases everything).
-		return err
-	}
+	// Revalidate before anything else can return: a transaction terminated
+	// during the wait must drop the grant it just received whatever state
+	// the engine is in.  A live one keeps its grant across the check
+	// below and can still abort (which releases everything).
 	info, err := e.activeAfterLockLocked(tx)
 	if err != nil {
+		return err
+	}
+	if err := e.writableLocked(); err != nil {
 		return err
 	}
 	e.noteViolationsLocked(tx, obj, lock.Exclusive)
@@ -339,13 +341,11 @@ func (e *Engine) ObjectsOf(tx wal.TxID) ([]wal.ObjectID, error) {
 // already on the log; a commit record is appended and the log is flushed
 // through it before the commit is acknowledged.
 //
-// With group commit (Options.GroupCommit, the default) the flush happens
-// off-latch: the commit record is appended under the latch, the latch is
-// released, and the committer waits on wal.Log.FlushAsync — one device
-// sync then covers every commit record queued meanwhile, and unrelated
-// operations (Update/Delegate/Read) proceed during the sync instead of
-// stalling behind it.  With GroupCommitOff every commit performs its own
-// synchronous flush under the latch, the pre-group-commit behavior.
+// The flush happens off-latch: the commit record is appended under the
+// latch, the latch is released, and the committer waits on
+// wal.Log.FlushAsync — one device sync then covers every commit record
+// queued meanwhile, and unrelated operations (Update/Delegate/Read)
+// proceed during the sync instead of stalling behind it.
 func (e *Engine) Commit(tx wal.TxID) error {
 	start := time.Now()
 	e.mu.Lock()
@@ -369,34 +369,19 @@ func (e *Engine) Commit(tx wal.TxID) error {
 		return err
 	}
 
-	if !e.opts.groupCommit() {
-		defer e.mu.Unlock()
-		if err := e.log.Flush(lsn); err != nil {
-			// The WAL already retried transient errors; what surfaces
-			// here is a persistent device failure.  The commit was
-			// never acknowledged (the transaction stays Active and
-			// abortable); the engine degrades to read-only.
-			e.degradeLocked(err)
-			return err
-		}
-		info.Status = txn.Committed
-		info.LastLSN = lsn
-		return e.finishCommitLocked(tx, info, lsn, start)
-	}
-
-	if e.opts.elr() {
+	if e.opts.EarlyLockRelease {
 		// Early lock release: release the locks at the commit point and
 		// defer only the durability ack.  See internal/core/elr.go.
 		return e.commitELR(tx, info, lsn, prevLast, start)
 	}
 
-	// Group commit.  The appended commit record is the commit point: mark
-	// the transaction Committed *before* releasing the latch so cascading
-	// aborts (which only victimize Active transactions) cannot undo its
-	// updates during the unlatched wait.  A dependent that observes the
-	// Committed status and commits ahead of us is safe: its commit record
-	// has a higher LSN, and flushes are prefix-ordered, so it cannot
-	// become durable unless ours does.
+	// The appended commit record is the commit point: mark the transaction
+	// Committed *before* releasing the latch so cascading aborts (which
+	// only victimize Active transactions) cannot undo its updates during
+	// the unlatched wait.  A dependent that observes the Committed status
+	// and commits ahead of us is safe: its commit record has a higher LSN,
+	// and flushes are prefix-ordered, so it cannot become durable unless
+	// ours does.
 	info.Status = txn.Committed
 	info.LastLSN = lsn
 	ch := e.log.FlushAsync(lsn)
@@ -414,11 +399,9 @@ func (e *Engine) Commit(tx wal.TxID) error {
 	}
 	if ferr != nil {
 		// The device refused the flush: the commit is not durable and
-		// was never acknowledged.  Return the transaction to Active —
-		// matching the synchronous path, where a failed flush also
-		// leaves the transaction alive (retriable, abortable,
-		// cascadable) — and rewind LastLSN past the never-flushed
-		// commit record: the transaction's backward chain must head at
+		// was never acknowledged.  Return the transaction to Active
+		// (retriable, abortable, cascadable) and rewind LastLSN past the
+		// never-flushed commit record: the backward chain must head at
 		// its last update/CLR, or a subsequent Abort would hang its
 		// CLRs off a commit record that recovery may never see.
 		if info := e.txns.Get(tx); info != nil && info.Status == txn.Committed {
@@ -466,18 +449,15 @@ func (e *Engine) finishCommitLocked(tx wal.TxID, info *txn.Info, lsn wal.LSN, st
 // undo.  Updates tx delegated away are NOT undone: they now belong to
 // their delegatee.
 //
-// With group commit (Options.GroupCommit, the default) the log force for
-// the abort record happens off-latch on the coalesced flusher
-// (wal.Log.FlushAsync), so concurrent aborts — and aborts racing commits —
-// share device syncs instead of serializing the whole engine behind one
-// sync per abort.  The abort itself (undo, abort and end records, lock
-// release, dependency cascade) still happens atomically under the latch,
-// exactly as in the synchronous path: ARIES does not require the abort
-// record to be durable before the abort completes — an abort that never
-// reaches the device is simply re-aborted idempotently by recovery — so
-// deferring the force changes only when Abort returns, not what state it
-// leaves behind.  With GroupCommitOff every abort performs its own
-// synchronous flush under the latch, the pre-group-commit behavior.
+// The log force for the abort record happens off-latch on the coalesced
+// flusher (wal.Log.FlushAsync), so concurrent aborts — and aborts racing
+// commits — share device syncs instead of serializing the whole engine
+// behind one sync per abort.  The abort itself (undo, abort and end
+// records, lock release, dependency cascade) happens atomically under the
+// latch: ARIES does not require the abort record to be durable before the
+// abort completes — an abort that never reaches the device is simply
+// re-aborted idempotently by recovery — so deferring the force changes
+// only when Abort returns, not what state it leaves behind.
 //
 // Crash-safety contract: a nil return means the abort took effect in
 // volatile state; its durability is NOT guaranteed.  If the device
@@ -490,22 +470,19 @@ func (e *Engine) finishCommitLocked(tx wal.TxID, info *txn.Info, lsn wal.LSN, st
 func (e *Engine) Abort(tx wal.TxID) error {
 	start := time.Now()
 	e.mu.Lock()
-	if e.crashed {
-		e.mu.Unlock()
-		return ErrCrashed
+	if err := e.abortAndForce(tx); err != nil {
+		return err
 	}
-	if !e.opts.groupCommit() {
-		defer e.mu.Unlock()
-		if err := e.abortLocked(tx); err != nil {
-			return err
-		}
-		e.met.abortNs.Observe(time.Since(start))
-		return nil
-	}
+	e.met.abortNs.Observe(time.Since(start))
+	return nil
+}
 
-	// Group-commit mode: complete the abort — including any cascaded
-	// aborts, whose records are appended before we read Head — then wait
-	// for one coalesced flush covering all of it with the latch released.
+// abortAndForce is the shared body of Abort and AbortPrepared.  Entered
+// with the engine latch held, it returns with the latch released: it
+// completes the abort — including any cascaded aborts, whose records are
+// appended before Head is read — then waits off-latch for one coalesced
+// flush covering all of it.
+func (e *Engine) abortAndForce(tx wal.TxID) error {
 	if err := e.abortLocked(tx); err != nil {
 		e.mu.Unlock()
 		return err
@@ -520,7 +497,6 @@ func (e *Engine) Abort(tx wal.TxID) error {
 		e.degradeLocked(ferr)
 		e.mu.Unlock()
 	}
-	e.met.abortNs.Observe(time.Since(start))
 	return nil
 }
 
@@ -537,22 +513,13 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 	if err := e.undoScopes(e.state[tx].OwnedScopes(tx), nil); err != nil {
 		return err
 	}
-	// WRITE ABORT RECORD.  In group-commit mode the force is deferred to
-	// the top-level Abort's coalesced off-latch flush (every abort —
-	// cascaded ones included — runs under exactly one top-level Abort);
-	// with GroupCommitOff the record is forced here, under the latch.
+	// WRITE ABORT RECORD.  The force is deferred to the top-level abort's
+	// coalesced off-latch flush (every abort — cascaded ones included —
+	// runs under exactly one abortAndForce).
 	info = e.txns.Get(tx) // lastLSN advanced by the CLRs
 	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN})
 	if err != nil {
 		return err
-	}
-	if !e.opts.groupCommit() {
-		if err := e.log.Flush(lsn); err != nil {
-			// See Abort's contract: the force is best-effort — the
-			// abort completes in volatile state and the device error
-			// degrades the engine rather than failing the abort.
-			e.degradeLocked(err)
-		}
 	}
 	info.Status = txn.Aborted
 	info.LastLSN = lsn

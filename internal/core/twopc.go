@@ -107,20 +107,6 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 		e.maxGID = gid
 	}
 
-	if !e.opts.groupCommit() {
-		defer e.mu.Unlock()
-		if err := e.log.Flush(lsn); err != nil {
-			info.Status = txn.Active
-			info.LastLSN = prevLast
-			delete(e.prepared, tx)
-			e.degradeLocked(err)
-			return err
-		}
-		e.met.prepares.Inc()
-		e.met.prepareNs.Observe(time.Since(start))
-		return nil
-	}
-
 	ch := e.log.FlushAsync(lsn)
 	e.mu.Unlock()
 	ferr := <-ch
@@ -185,38 +171,13 @@ func (e *Engine) CommitPrepared(tx wal.TxID) error {
 	info.Status = txn.Committed
 	info.LastLSN = lsn
 
-	finish := func() error {
-		defer e.mu.Unlock()
-		info := e.txns.Get(tx)
-		if info == nil {
-			return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
-		}
-		if pi.coord == e.opts.ShardID {
-			e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
-		}
-		delete(e.prepared, tx)
-		e.met.twopcCommits.Inc()
-		return e.finishCommitLocked(tx, info, lsn, start)
-	}
-
-	if !e.opts.groupCommit() {
-		if err := e.log.Flush(lsn); err != nil {
-			info.Status = txn.Prepared
-			info.LastLSN = prevLast
-			e.degradeLocked(err)
-			e.mu.Unlock()
-			return err
-		}
-		return finish()
-	}
-
 	ch := e.log.FlushAsync(lsn)
 	e.mu.Unlock()
 	ferr := <-ch
 
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.crashed {
-		e.mu.Unlock()
 		return ErrCrashed
 	}
 	if ferr != nil {
@@ -227,10 +188,18 @@ func (e *Engine) CommitPrepared(tx wal.TxID) error {
 			info.LastLSN = prevLast
 		}
 		e.degradeLocked(ferr)
-		e.mu.Unlock()
 		return ferr
 	}
-	return finish()
+	info = e.txns.Get(tx)
+	if info == nil {
+		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
+	}
+	if pi.coord == e.opts.ShardID {
+		e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
+	}
+	delete(e.prepared, tx)
+	e.met.twopcCommits.Inc()
+	return e.finishCommitLocked(tx, info, lsn, start)
 }
 
 // AbortPrepared rolls back a prepared transaction — the presumed-abort
@@ -256,22 +225,7 @@ func (e *Engine) AbortPrepared(tx wal.TxID) error {
 	info.Status = txn.Active
 	delete(e.prepared, tx)
 	e.met.twopcAborts.Inc()
-	if !e.opts.groupCommit() {
-		defer e.mu.Unlock()
-		return e.abortLocked(tx)
-	}
-	if err := e.abortLocked(tx); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	ch := e.log.FlushAsync(e.log.Head())
-	e.mu.Unlock()
-	if ferr := <-ch; ferr != nil {
-		e.mu.Lock()
-		e.degradeLocked(ferr)
-		e.mu.Unlock()
-	}
-	return nil
+	return e.abortAndForce(tx)
 }
 
 // InDoubt returns the prepared local transactions whose global decision

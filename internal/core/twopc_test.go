@@ -13,7 +13,7 @@ import (
 // ordinary operations, CommitPrepared finishes it and retains the
 // decision, ReleaseGlobal drops it.
 func TestPrepareCommitLifecycle(t *testing.T) {
-	e, err := New(Options{GroupCommit: GroupCommitOff})
+	e, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestPrepareCommitLifecycle(t *testing.T) {
 // Prepared after recovery — its update neither undone nor committed —
 // and AbortPrepared (presumed abort) then rolls it back.
 func TestPreparedSurvivesCrashInDoubt(t *testing.T) {
-	e, err := New(Options{GroupCommit: GroupCommitOff})
+	e, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPreparedSurvivesCrashInDoubt(t *testing.T) {
 // applies.
 func TestDecisionSurvivesCrash(t *testing.T) {
 	for _, withCkpt := range []bool{false, true} {
-		e, err := New(Options{GroupCommit: GroupCommitOff, ShardID: 1})
+		e, err := New(Options{ShardID: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestDecisionSurvivesCrash(t *testing.T) {
 // archive forever (one leaked entry per cross-shard commit).  The same
 // holds for recovery's rebuild from the prepare+commit pair.
 func TestParticipantCommitRetainsNoDecision(t *testing.T) {
-	e, err := New(Options{GroupCommit: GroupCommitOff}) // shard 0
+	e, err := New(Options{}) // shard 0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestParticipantCommitRetainsNoDecision(t *testing.T) {
 // peer recovering after the archive would otherwise presume abort on a
 // committed transaction.  ReleaseGlobal lifts the pin.
 func TestArchiveClampedBelowUnreleasedDecision(t *testing.T) {
-	e, err := New(Options{GroupCommit: GroupCommitOff, LogSegmentBytes: 256})
+	e, err := New(Options{LogSegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestArchiveClampedBelowUnreleasedDecision(t *testing.T) {
 // the object must not be granted the lock (it deadlocks against a holder
 // that never releases until resolution).
 func TestInDoubtRelockBlocksWriters(t *testing.T) {
-	e, err := New(Options{GroupCommit: GroupCommitOff})
+	e, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

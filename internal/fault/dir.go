@@ -19,8 +19,8 @@ import (
 // against the same Plan, so CrashAtSync=N freezes the whole directory
 // at the Nth sync boundary of the run, whichever device it lands on.
 //
-// Model per device: as fault.Store (working image, stable image
-// snapshotted on successful Sync, torn-tail only for pure appends).
+// Model per device: a working image, a stable image snapshotted on
+// successful Sync, and a torn tail only for pure appends.
 // Namespace model: Remove is durable immediately while the directory is
 // healthy; once the crash schedule fires (frozen), Remove fails with
 // ErrCrashPoint — files cannot disappear after the crash point — and

@@ -2,11 +2,11 @@
 // stable devices the engine writes: the log store (wal.Store) and the
 // page store (storage.DiskManager).
 //
-// The central abstraction is the dual image: a fault.Store tracks both
-// the working contents of the wrapped device (everything written) and
-// the stable image (the contents as of the last successful Sync).  A
-// simulated crash (CrashNow) rewinds the device to the stable image,
-// optionally extended by a seeded torn prefix of the unsynced tail —
+// The central abstraction is the dual image: every device of a fault.Dir
+// tracks both its working contents (everything written) and its stable
+// image (the contents as of the last successful Sync).  A simulated
+// crash (CrashNow) rewinds each device to its stable image, optionally
+// extended by a seeded torn prefix of the unsynced tail —
 // exactly the set of states a real disk can present after power loss,
 // given that the WAL appends sequentially and syncs in prefix order.
 //
@@ -20,8 +20,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"ariesrh/internal/wal"
@@ -46,9 +44,9 @@ var ErrInjectedSync = errors.New("fault: injected transient sync failure")
 // this exercises the full retry-then-degrade path.
 var ErrDeviceFailed = errors.New("fault: injected persistent device failure")
 
-// Plan describes the fault schedule of a Store.  The zero Plan injects
-// nothing: the wrapper then only tracks the stable/working split, which
-// is itself useful (StableBytes exposes exactly what a crash would
+// Plan describes the fault schedule of a Dir.  The zero Plan injects
+// nothing: the directory then only tracks the stable/working split,
+// which is itself useful (StableDir exposes exactly what a crash would
 // preserve).
 type Plan struct {
 	// Seed drives every random choice the injector makes (currently
@@ -84,268 +82,4 @@ type Plan struct {
 	// Sync sleeps SyncDelay before proceeding.  Either zero disables.
 	SyncDelay         time.Duration
 	DelayEveryNthSync uint64
-}
-
-// Store wraps a wal.Store with the Plan's fault schedule.  It is safe
-// for concurrent use and implements wal.Store.
-//
-// Crash-safety model: Store mirrors the wrapped device into a working
-// image, and snapshots it into a stable image on every successful Sync.
-// CrashNow rewinds the wrapped device to the stable image (plus an
-// optional torn tail), which is precisely the durability contract a
-// wal.Store promises — synced bytes survive, unsynced bytes may not.
-type Store struct {
-	mu    sync.Mutex
-	inner wal.Store
-	plan  Plan
-	rng   *rand.Rand
-
-	working []byte // device contents as written
-	stable  []byte // device contents as of the last successful Sync
-	// overwrote is set when an unsynced write (or truncation) touched
-	// bytes inside the stable image.  The torn-tail model only applies
-	// to pure appends; if stable bytes were overwritten, CrashNow
-	// conservatively drops the whole unsynced delta.
-	overwrote bool
-	// frozen is set once a CrashAtSync schedule fires: the stable
-	// image can no longer advance.
-	frozen bool
-
-	transientLeft int
-
-	syncs    uint64
-	writes   uint64
-	injected uint64
-	torn     uint64
-}
-
-// NewStore wraps inner with the given fault plan.  Any contents already
-// on inner are adopted as both the working and the stable image.
-func NewStore(inner wal.Store, plan Plan) (*Store, error) {
-	s := &Store{
-		inner:         inner,
-		plan:          plan,
-		rng:           rand.New(rand.NewSource(plan.Seed)),
-		transientLeft: plan.TransientSyncErrors,
-	}
-	size, err := inner.Size()
-	if err != nil {
-		return nil, fmt.Errorf("fault: size of wrapped store: %w", err)
-	}
-	if size > 0 {
-		buf := make([]byte, size)
-		if _, err := inner.ReadAt(buf, 0); err != nil {
-			return nil, fmt.Errorf("fault: read wrapped store: %w", err)
-		}
-		s.working = buf
-		s.stable = append([]byte(nil), buf...)
-	}
-	return s, nil
-}
-
-// ReadAt implements io.ReaderAt by delegating to the wrapped device.
-func (s *Store) ReadAt(p []byte, off int64) (int, error) { return s.inner.ReadAt(p, off) }
-
-// WriteAt implements io.WriterAt.  The bytes land on the wrapped device
-// and in the working image but are not durable until the next
-// successful Sync: a CrashNow before then loses them (modulo a torn
-// tail).
-func (s *Store) WriteAt(p []byte, off int64) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if off < 0 {
-		return 0, fmt.Errorf("fault: negative offset %d", off)
-	}
-	s.writes++
-	if off < int64(len(s.stable)) {
-		s.overwrote = true
-	}
-	end := off + int64(len(p))
-	if end > int64(len(s.working)) {
-		grown := make([]byte, end)
-		copy(grown, s.working)
-		s.working = grown
-	}
-	copy(s.working[off:], p)
-	return s.inner.WriteAt(p, off)
-}
-
-// Size returns the size of the wrapped device.
-func (s *Store) Size() (int64, error) { return s.inner.Size() }
-
-// Truncate shrinks the device.  Like a write, the truncation is only
-// durable after a successful Sync; truncating into the stable image
-// counts as an overwrite for the torn-tail model.
-func (s *Store) Truncate(size int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if size < int64(len(s.stable)) {
-		s.overwrote = true
-	}
-	if size >= 0 && size < int64(len(s.working)) {
-		s.working = s.working[:size]
-	}
-	return s.inner.Truncate(size)
-}
-
-// Sync implements the fault schedule.  On success the working image
-// becomes the new stable image; on injected failure nothing becomes
-// durable and the appropriate sentinel is returned.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.syncs++
-	n := s.syncs
-	if s.plan.DelayEveryNthSync > 0 && s.plan.SyncDelay > 0 && n%s.plan.DelayEveryNthSync == 0 {
-		time.Sleep(s.plan.SyncDelay)
-	}
-	if s.frozen {
-		s.injected++
-		return ErrCrashPoint
-	}
-	if s.plan.FailAllSyncs {
-		s.injected++
-		return ErrDeviceFailed
-	}
-	if s.transientLeft > 0 {
-		s.transientLeft--
-		s.injected++
-		return ErrInjectedSync
-	}
-	if s.plan.FailEveryNthSync > 0 && n%s.plan.FailEveryNthSync == 0 {
-		s.injected++
-		return ErrInjectedSync
-	}
-	if err := s.inner.Sync(); err != nil {
-		return err
-	}
-	s.stable = append(s.stable[:0], s.working...)
-	s.overwrote = false
-	if s.plan.CrashAtSync > 0 && n >= s.plan.CrashAtSync {
-		s.frozen = true
-	}
-	return nil
-}
-
-// Close closes the wrapped device.
-func (s *Store) Close() error { return s.inner.Close() }
-
-// CrashNow materializes a crash: the wrapped device is rewound to the
-// stable image, extended — if the plan asks for torn tails and the
-// unsynced delta is a pure append — by a seeded-length prefix of that
-// delta.  It returns the number of torn bytes persisted.  The crash
-// schedule (CrashAtSync freeze) is disarmed so the device works again
-// afterwards, mirroring a restart on healthy hardware; persistent
-// failure modes (FailAllSyncs) stay armed.
-func (s *Store) CrashNow() (tornBytes int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.frozen = false
-	s.plan.CrashAtSync = 0
-	img := append([]byte(nil), s.stable...)
-	if s.plan.TornTail && !s.overwrote && len(s.working) > len(s.stable) {
-		tail := s.working[len(s.stable):]
-		keep := s.rng.Intn(len(tail) + 1)
-		img = append(img, tail[:keep]...)
-		tornBytes = keep
-		if keep > 0 {
-			s.torn++
-		}
-	}
-	if err := s.inner.Truncate(0); err != nil {
-		return 0, fmt.Errorf("fault: crash truncate: %w", err)
-	}
-	if len(img) > 0 {
-		if _, err := s.inner.WriteAt(img, 0); err != nil {
-			return 0, fmt.Errorf("fault: crash rewrite: %w", err)
-		}
-	}
-	// What is on the device after the crash IS the durable state.
-	s.working = img
-	s.stable = append([]byte(nil), img...)
-	s.overwrote = false
-	return tornBytes, nil
-}
-
-// SetFailAllSyncs arms or disarms the persistent-failure mode at
-// runtime (e.g. to kill the device mid-workload and heal it later).
-func (s *Store) SetFailAllSyncs(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plan.FailAllSyncs = on
-}
-
-// SetTransientSyncErrors arms n further transient sync failures.
-func (s *Store) SetTransientSyncErrors(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.transientLeft = n
-}
-
-// Syncs returns the number of Sync attempts observed (including failed
-// ones).  A fault-free probe run's count enumerates the sync boundaries
-// of a workload.
-func (s *Store) Syncs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncs
-}
-
-// Writes returns the number of WriteAt calls observed.
-func (s *Store) Writes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writes
-}
-
-// InjectedErrors returns the number of sync errors injected so far.
-func (s *Store) InjectedErrors() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.injected
-}
-
-// TornCrashes returns the number of CrashNow calls that persisted a
-// non-empty torn tail.
-func (s *Store) TornCrashes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.torn
-}
-
-// Frozen reports whether a crash schedule has fired (the stable image
-// is pinned and syncs fail with ErrCrashPoint).
-func (s *Store) Frozen() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.frozen
-}
-
-// StableBytes returns a copy of the stable image: exactly the bytes a
-// crash at this moment would preserve.  For a segment image, decoding it
-// with wal.DecodeRecord (after skipping wal.SegmentHeaderSize) yields
-// the durable records independently of any engine state.
-func (s *Store) StableBytes() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.stable...)
-}
-
-// StableSize returns the size of the stable image in bytes.
-func (s *Store) StableSize() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.stable))
-}
-
-// StableSince returns a copy of the stable image from byte offset off
-// on — the incremental form of StableBytes for callers that decode the
-// durable log as it grows.
-func (s *Store) StableSince(off int64) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if off < 0 || off > int64(len(s.stable)) {
-		return nil
-	}
-	return append([]byte(nil), s.stable[off:]...)
 }

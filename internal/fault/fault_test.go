@@ -102,22 +102,36 @@ func TestDirStableImageSemantics(t *testing.T) {
 	}
 }
 
-// TestUnsyncedWriteLostWithoutSync makes the volatile window explicit:
-// bytes written to the store but never covered by a successful Sync are
-// gone after CrashNow.
-func TestUnsyncedWriteLostWithoutSync(t *testing.T) {
-	s, err := NewStore(wal.NewMemStore(), Plan{})
+// openDevice opens one device of a fresh fault.Dir under plan.
+func openDevice(t *testing.T, plan Plan) (*Dir, wal.Store) {
+	t.Helper()
+	d := NewDir(plan)
+	s, err := d.Open("dev")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteAt([]byte("never synced"), 0); err != nil {
+	return d, s
+}
+
+// TestUnsyncedWriteLostWithoutSync makes the volatile window explicit:
+// bytes written to a device but never covered by a successful Sync are
+// gone after CrashNow.
+func TestUnsyncedWriteLostWithoutSync(t *testing.T) {
+	d, s := openDevice(t, Plan{})
+	if _, err := s.WriteAt([]byte("synced"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CrashNow(); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.Size(); n != 0 {
-		t.Fatalf("device holds %d bytes after crash, want 0 (nothing was synced)", n)
+	if _, err := s.WriteAt([]byte(" never synced"), 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CrashNow(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := s.Size(); n != 6 {
+		t.Fatalf("device holds %d bytes after crash, want the 6 synced ones", n)
 	}
 }
 
@@ -265,10 +279,7 @@ func TestDirTornTailReopenStopsCleanly(t *testing.T) {
 // TestTransientAndPersistentSyncModes covers the error-injection plan
 // knobs the engine's retry/degrade logic is built against.
 func TestTransientAndPersistentSyncModes(t *testing.T) {
-	s, err := NewStore(wal.NewMemStore(), Plan{TransientSyncErrors: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, s := openDevice(t, Plan{TransientSyncErrors: 2})
 	if err := s.Sync(); !errors.Is(err, ErrInjectedSync) {
 		t.Fatalf("sync 1 = %v, want transient failure", err)
 	}
@@ -278,11 +289,11 @@ func TestTransientAndPersistentSyncModes(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatalf("sync 3 = %v, want success after transient budget", err)
 	}
-	if got := s.InjectedErrors(); got != 2 {
+	if got := d.InjectedErrors(); got != 2 {
 		t.Fatalf("InjectedErrors = %d, want 2", got)
 	}
 
-	s.SetFailAllSyncs(true)
+	d.SetFailAllSyncs(true)
 	for i := 0; i < 3; i++ {
 		if err := s.Sync(); !errors.Is(err, ErrDeviceFailed) {
 			t.Fatalf("persistent sync %d = %v, want ErrDeviceFailed", i, err)
@@ -291,7 +302,7 @@ func TestTransientAndPersistentSyncModes(t *testing.T) {
 	if errors.Is(ErrDeviceFailed, wal.ErrNoRetry) {
 		t.Fatal("persistent failures must look retriable so the retry-then-degrade path is exercised")
 	}
-	s.SetFailAllSyncs(false)
+	d.SetFailAllSyncs(false)
 	if err := s.Sync(); err != nil {
 		t.Fatalf("sync after healing = %v", err)
 	}
@@ -300,10 +311,7 @@ func TestTransientAndPersistentSyncModes(t *testing.T) {
 // TestFailEveryNthSync checks the periodic transient mode is absorbed
 // by a single retry (attempt n fails, attempt n+1 is off-period).
 func TestFailEveryNthSync(t *testing.T) {
-	s, err := NewStore(wal.NewMemStore(), Plan{FailEveryNthSync: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, s := openDevice(t, Plan{FailEveryNthSync: 3})
 	var failures int
 	for i := 0; i < 9; i++ {
 		if err := s.Sync(); err != nil {

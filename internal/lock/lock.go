@@ -11,6 +11,7 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -505,6 +506,22 @@ func (m *Manager) Holds(tx wal.TxID, obj wal.ObjectID) (Mode, bool) {
 	}
 	mode, ok := ls.holders[tx]
 	return mode, ok
+}
+
+// Holders returns, in ascending order, every transaction that currently
+// holds at least one lock.  The engine checks it against its transaction
+// table: a holder the table does not know can never release.
+func (m *Manager) Holders() []wal.TxID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]wal.TxID, 0, len(m.held))
+	for tx, objs := range m.held {
+		if len(objs) > 0 {
+			out = append(out, tx)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // Reset discards all lock state (crash simulation: locks are volatile).

@@ -12,7 +12,7 @@ import (
 
 func newPrimaryEngine(t *testing.T) *core.Engine {
 	t.Helper()
-	e, err := core.New(core.Options{GroupCommit: core.GroupCommitOff})
+	e, err := core.New(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,14 +93,12 @@ type Options struct {
 	LogDirs []wal.Dir
 	// PoolSize is each shard's buffer-pool capacity in pages.
 	PoolSize int
-	// GroupCommit selects commit-time log forcing for every shard.
-	GroupCommit core.GroupCommitMode
 	// LogSegmentBytes overrides each shard log's segment rotation
 	// threshold (0 means the WAL default).
 	LogSegmentBytes int64
 	// EarlyLockRelease enables controlled lock violation on each
 	// shard's single-shard commit path; cross-shard prepares and
-	// decisions always force synchronously.
+	// decisions keep their locks until their force returns.
 	EarlyLockRelease bool
 	// ParallelRecovery runs each shard's recovery as the
 	// instant-restart pipeline.  Sharded recovery waits for every
@@ -156,7 +154,6 @@ func Open(opts Options) (*DB, error) {
 		eo := core.Options{
 			ShardID:          uint32(i),
 			PoolSize:         opts.PoolSize,
-			GroupCommit:      opts.GroupCommit,
 			LogSegmentBytes:  opts.LogSegmentBytes,
 			EarlyLockRelease: opts.EarlyLockRelease,
 			ParallelRecovery: opts.ParallelRecovery,

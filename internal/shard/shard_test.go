@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"ariesrh/internal/core"
 	"ariesrh/internal/fault"
 	"ariesrh/internal/wal"
 )
@@ -18,9 +17,8 @@ func (modRouter) Route(obj wal.ObjectID, n int) uint32 { return uint32(uint64(ob
 func openTest(t *testing.T, shards int) *DB {
 	t.Helper()
 	db, err := Open(Options{
-		Shards:      shards,
-		GroupCommit: core.GroupCommitOff,
-		Router:      modRouter{},
+		Shards: shards,
+		Router: modRouter{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,10 +370,10 @@ func TestDelegationToSameShardStaysLocal(t *testing.T) {
 // record.
 func TestDecisionForceFailureLeavesInDoubt(t *testing.T) {
 	// The scenario, identical across both runs: a two-shard transaction,
-	// shard 0 coordinating.  With group commit off, shard 0's last sync
-	// is the decision force.
+	// shard 0 coordinating.  Nothing else runs, so no force shares a
+	// flush round and shard 0's last sync is the decision force.
 	run := func(dirs []wal.Dir) (*DB, error) {
-		db, err := Open(Options{Shards: 2, LogDirs: dirs, GroupCommit: core.GroupCommitOff, Router: modRouter{}})
+		db, err := Open(Options{Shards: 2, LogDirs: dirs, Router: modRouter{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,7 +591,7 @@ func TestShardedRecoveryTrace(t *testing.T) {
 // with all committed state, resolving nothing (clean shutdown).
 func TestFileBackedReopen(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Shards: 2, Dir: dir, Router: modRouter{}, GroupCommit: core.GroupCommitOff})
+	db, err := Open(Options{Shards: 2, Dir: dir, Router: modRouter{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +604,7 @@ func TestFileBackedReopen(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(Options{Shards: 2, Dir: dir, Router: modRouter{}, GroupCommit: core.GroupCommitOff})
+	db2, err := Open(Options{Shards: 2, Dir: dir, Router: modRouter{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +621,7 @@ func TestFileBackedReopen(t *testing.T) {
 // composes with in-doubt resolution — Recover returns with all shards
 // writable and the in-doubt branch settled.
 func TestParallelRecoverySharded(t *testing.T) {
-	db, err := Open(Options{Shards: 2, Router: modRouter{}, GroupCommit: core.GroupCommitOff, ParallelRecovery: true})
+	db, err := Open(Options{Shards: 2, Router: modRouter{}, ParallelRecovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -9,74 +8,22 @@ import (
 	"ariesrh/internal/wal"
 )
 
-func newCoreTargetMode(t *testing.T, mode core.GroupCommitMode) CoreTarget {
-	t.Helper()
-	e, err := core.New(core.Options{PoolSize: 64, GroupCommit: mode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return CoreTarget{e}
-}
-
-// TestCrashRecoveryGroupCommitModes re-runs the E7 crash-injection sweep
-// with group commit explicitly on and explicitly off: the commit path
-// differs (coalesced off-latch flush vs synchronous latched flush) but the
-// log contents and their recovery interpretation must be identical, so
-// both modes must match the oracle.
-func TestCrashRecoveryGroupCommitModes(t *testing.T) {
-	seeds := int64(25)
-	if testing.Short() {
-		seeds = 8
-	}
-	for _, mode := range []core.GroupCommitMode{core.GroupCommitOn, core.GroupCommitOff} {
-		name := "on"
-		if mode == core.GroupCommitOff {
-			name = "off"
-		}
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(0); seed < seeds; seed++ {
-				cfg := defaultCfg(seed)
-				trace := Generate(cfg)
-				rng := rand.New(rand.NewSource(seed*31 + 7))
-				cut := rng.Intn(len(trace) + 1)
-				target := newCoreTargetMode(t, mode)
-				rep := NewReplayer(target, trace)
-				oracle := NewOracle()
-				for _, a := range trace[:cut] {
-					if err := oracle.Apply(a); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := rep.RunTo(cut); err != nil {
-					t.Fatalf("mode %s seed %d cut %d: %v", name, seed, cut, err)
-				}
-				losers := rep.LiveSlots()
-				if err := rep.CrashRecover(); err != nil {
-					t.Fatalf("mode %s seed %d cut %d: recover: %v", name, seed, cut, err)
-				}
-				oracle.CrashRecover(losers)
-				checkAgainstOracle(t, seed, target, oracle, cfg)
-			}
-		})
-	}
-}
-
-// TestConcurrentGroupCommitMatchesOracle is the concurrency stress test
-// for the group-commit path: several workers replay independent generated
+// TestConcurrentCommitMatchesOracle is the concurrency stress test for
+// the commit path: several workers replay independent generated
 // traces — objects shifted into disjoint ranges, so there are no lock
 // conflicts and each worker's history is oracle-checkable in isolation —
-// concurrently against ONE engine with group commit on.  Committers from
-// different workers race through Commit's append/unlatch/flush-wait/relatch
-// dance and share leader flushes.  After the workers drain, the engine is
-// crashed and recovered; every worker's objects must match its oracle
-// under crash semantics (its still-live transactions are losers).
+// concurrently against ONE engine.  Committers from different workers
+// race through Commit's append/unlatch/flush-wait/relatch dance and share
+// leader flushes.  After the workers drain, the engine is crashed and
+// recovered; every worker's objects must match its oracle under crash
+// semantics (its still-live transactions are losers).
 //
 // Run under -race (the Makefile race target includes this package).
-func TestConcurrentGroupCommitMatchesOracle(t *testing.T) {
+func TestConcurrentCommitMatchesOracle(t *testing.T) {
 	const workers = 8
 	const objStride = 1 << 16 // per-worker object ranges: disjoint by construction
 
-	e, err := core.New(core.Options{PoolSize: 256, GroupCommit: core.GroupCommitOn})
+	e, err := core.New(core.Options{PoolSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,8 @@ func ScopeAudit(cfg Config) (ScopeAuditResult, error) {
 	trace := sim.Generate(cfg.simConfig())
 	store := fault.NewDir(fault.Plan{Seed: cfg.Seed})
 	eng, err := core.New(core.Options{
-		LogDir:      store,
-		GroupCommit: core.GroupCommitOff,
-		PoolSize:    cfg.PoolSize,
+		LogDir:   store,
+		PoolSize: cfg.PoolSize,
 	})
 	if err != nil {
 		return res, err
@@ -175,7 +174,7 @@ type TransientResult struct {
 	Injected uint64
 }
 
-// TransientRun replays cfg's trace (group commit ON) against a device
+// TransientRun replays cfg's trace against a device
 // that fails every failEveryNth sync attempt with a transient error, and
 // verifies the WAL's bounded-backoff retry absorbs every episode: no
 // action surfaces an error, the engine stays healthy, and the settled
@@ -193,9 +192,8 @@ func TransientRun(cfg Config, failEveryNth uint64) (TransientResult, error) {
 		FailEveryNthSync: failEveryNth,
 	})
 	eng, err := core.New(core.Options{
-		LogDir:      store,
-		GroupCommit: core.GroupCommitOn,
-		PoolSize:    cfg.PoolSize,
+		LogDir:   store,
+		PoolSize: cfg.PoolSize,
 	})
 	if err != nil {
 		return res, err

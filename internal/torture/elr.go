@@ -214,7 +214,6 @@ func ELRRun(cfg ELRConfig) (ELRResult, error) {
 func newELRTortureEngine(dir wal.Dir) (*core.Engine, error) {
 	return core.New(core.Options{
 		LogDir:           dir,
-		GroupCommit:      core.GroupCommitOn,
 		EarlyLockRelease: true,
 		PoolSize:         64,
 	})
@@ -367,8 +366,9 @@ func (cfg ELRConfig) runELRBoundary(k uint64) (elrBoundaryStats, error) {
 
 // workload drives cfg.Workers concurrent committers over the hot object
 // set until every worker finishes its rounds or stops on a crash signal.
-// It returns the first unexpected error any worker hit (nil if the run —
-// crashed or not — stayed within the fault model).
+// It returns the first unexpected error any worker hit, or a lock-table
+// leak found once they have all returned (nil if the run — crashed or
+// not — stayed within the fault model).
 func (cfg ELRConfig) workload(eng *core.Engine) error {
 	var (
 		wg     sync.WaitGroup
@@ -400,7 +400,16 @@ func (cfg ELRConfig) workload(eng *core.Engine) error {
 		}(w)
 	}
 	wg.Wait()
-	return badErr
+	if badErr != nil {
+		return badErr
+	}
+	// Every worker has returned, so every grant has been claimed or
+	// dropped: a lock still held by a transaction the table no longer
+	// knows would block its object until the next restart.
+	if orphans := eng.LockOrphans(); len(orphans) > 0 {
+		return fmt.Errorf("lock table names terminated transactions %v", orphans)
+	}
+	return nil
 }
 
 // round runs one worker transaction: update one or two hot objects (in
@@ -502,14 +511,9 @@ func (cfg ELRConfig) delegateAndCommit(eng *core.Engine, rng *rand.Rand, tx wal.
 		return settleBoth(err)
 	}
 	if err := eng.Commit(tx); err != nil {
-		_ = eng.Abort(tee)
-		if elrStop(err) {
-			return true, nil
-		}
-		if elrBenign(err) {
-			return false, nil
-		}
-		return true, err
+		// A commit refused at the door (the engine degraded meanwhile)
+		// leaves tx active and holding its locks: abort it too.
+		return settleBoth(err)
 	}
 	settleTee := func(err error) (bool, error) {
 		_ = eng.Abort(tee)

@@ -32,9 +32,8 @@ func RunReadsDuringRecovery(cfg Config) (Result, error) {
 	// trace, independent of how recovery will later be performed.
 	probe := fault.NewDir(fault.Plan{})
 	eng, err := core.New(core.Options{
-		LogDir:      probe,
-		GroupCommit: core.GroupCommitOff,
-		PoolSize:    cfg.PoolSize,
+		LogDir:   probe,
+		PoolSize: cfg.PoolSize,
 	})
 	if err != nil {
 		return Result{}, err
@@ -128,7 +127,6 @@ func (cfg Config) runBoundaryInstant(trace []sim.Action, k uint64) (boundaryStat
 	mk := func() (*core.Engine, error) {
 		return core.New(core.Options{
 			LogDir:           store,
-			GroupCommit:      core.GroupCommitOff,
 			PoolSize:         cfg.PoolSize,
 			ParallelRecovery: true,
 		})

@@ -62,9 +62,8 @@ func ReplRun(cfg Config) (ReplResult, error) {
 	// boundaries are the same pure function of the trace as in Run.
 	probe := fault.NewDir(fault.Plan{})
 	eng, err := core.New(core.Options{
-		LogDir:      probe,
-		GroupCommit: core.GroupCommitOff,
-		PoolSize:    cfg.PoolSize,
+		LogDir:   probe,
+		PoolSize: cfg.PoolSize,
 	})
 	if err != nil {
 		return ReplResult{}, err
@@ -139,9 +138,8 @@ func (cfg Config) runReplBoundary(trace []sim.Action, k uint64) (replBoundarySta
 	store := fault.NewDir(plan)
 	mkPrimary := func() (*core.Engine, error) {
 		return core.New(core.Options{
-			LogDir:      store,
-			GroupCommit: core.GroupCommitOff,
-			PoolSize:    cfg.PoolSize,
+			LogDir:   store,
+			PoolSize: cfg.PoolSize,
 		})
 	}
 	primary, err := mkPrimary()

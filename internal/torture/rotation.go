@@ -114,7 +114,6 @@ type RotationResult struct {
 func (cfg RotationConfig) newEngine(dir wal.Dir) (*core.Engine, error) {
 	return core.New(core.Options{
 		LogDir:          dir,
-		GroupCommit:     core.GroupCommitOff,
 		PoolSize:        cfg.PoolSize,
 		LogSegmentBytes: cfg.SegmentBytes,
 	})

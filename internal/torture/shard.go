@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"sync"
 
-	"ariesrh/internal/core"
 	"ariesrh/internal/fault"
 	"ariesrh/internal/shard"
 	"ariesrh/internal/wal"
@@ -138,7 +137,7 @@ type shardOp struct {
 // genTxn is the generator's view of one open global transaction.
 type genTxn struct {
 	idx    int
-	locked []wal.ObjectID       // lock-acquisition order, for deterministic picks
+	locked []wal.ObjectID        // lock-acquisition order, for deterministic picks
 	resp   map[wal.ObjectID]bool // objects with undoable updates (delegable)
 }
 
@@ -335,10 +334,11 @@ func RunShards(cfg ShardConfig) (ShardResult, error) {
 	cfg = cfg.withDefaults()
 	trace := genShardTrace(cfg)
 
-	// Probe: count each shard's sync boundaries.  With group commit off
-	// every prepare, decision and single-shard commit forces exactly one
-	// sync on its shard, so each shard's count — and with it every crash
-	// point — is a pure function of the trace and the router.
+	// Probe: count each shard's sync boundaries.  The driver is
+	// single-threaded, so every prepare, decision and single-shard commit
+	// waits out exactly one flush round on its shard, and each shard's
+	// count — with it every crash point — is a pure function of the trace
+	// and the router.
 	probeDirs := make([]wal.Dir, cfg.Shards)
 	probeFDs := make([]*fault.Dir, cfg.Shards)
 	for i := range probeDirs {
@@ -421,14 +421,13 @@ func RunShards(cfg ShardConfig) (ShardResult, error) {
 }
 
 // openCluster opens a shard.DB over the given per-shard log devices
-// with the sweep's deterministic mod router and group commit off.
+// with the sweep's deterministic mod router.
 func (cfg ShardConfig) openCluster(dirs []wal.Dir) (*shard.DB, error) {
 	return shard.Open(shard.Options{
-		Shards:      cfg.Shards,
-		LogDirs:     dirs,
-		PoolSize:    cfg.PoolSize,
-		GroupCommit: core.GroupCommitOff,
-		Router:      shardModRouter{},
+		Shards:   cfg.Shards,
+		LogDirs:  dirs,
+		PoolSize: cfg.PoolSize,
+		Router:   shardModRouter{},
 	})
 }
 

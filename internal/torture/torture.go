@@ -1,17 +1,18 @@
 // Package torture is the fault-injection torture harness for crash
 // recovery: it drives delegation-heavy randomized workloads over a
-// fault.Store, crashes the engine at every injected boundary, recovers,
+// fault.Dir, crashes the engine at every injected boundary, recovers,
 // and checks the recovered state against the sim oracle plus log-level
 // invariants.
 //
 // The central entry point is Run, the crash-point sweep.  One seed fully
 // determines a workload trace AND the set of crash points it is swept
-// over: a probe replay counts the device syncs the trace performs (with
-// group commit off, every commit and abort forces exactly one), then the
-// trace is re-run once per boundary k with a fault.Plan that freezes the
-// device after sync k — on even boundaries additionally persisting a
-// seeded torn prefix of the unsynced tail.  Every boundary is therefore
-// enumerable, reproducible and independently replayable.
+// over: a probe replay counts the device syncs the trace performs (the
+// replay is single-threaded, so every commit and abort waits out exactly
+// one flush round of its own), then the trace is re-run once per
+// boundary k with a fault.Plan that freezes the device after sync k — on
+// even boundaries additionally persisting a seeded torn prefix of the
+// unsynced tail.  Every boundary is therefore enumerable, reproducible
+// and independently replayable.
 //
 // Correctness at a boundary is judged against the durable log, not
 // against what the replay observed: post-crash state is a function of
@@ -361,15 +362,15 @@ func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	trace := sim.Generate(cfg.simConfig())
 
-	// Probe: count the sync boundaries the trace performs.  With group
-	// commit off every commit/abort forces exactly one device sync (plus
-	// the log-initialization and any rotation syncs), so the count — and
-	// with it every crash point — is a pure function of the trace.
+	// Probe: count the sync boundaries the trace performs.  The replay is
+	// single-threaded, so no two forces ever share a flush round: every
+	// commit/abort costs exactly one device sync (plus the
+	// log-initialization and any rotation syncs), and the count — with it
+	// every crash point — is a pure function of the trace.
 	probe := fault.NewDir(fault.Plan{})
 	eng, err := core.New(core.Options{
-		LogDir:      probe,
-		GroupCommit: core.GroupCommitOff,
-		PoolSize:    cfg.PoolSize,
+		LogDir:   probe,
+		PoolSize: cfg.PoolSize,
 	})
 	if err != nil {
 		return Result{}, err
@@ -446,9 +447,8 @@ func (cfg Config) runBoundary(trace []sim.Action, k uint64) (boundaryStats, erro
 	store := fault.NewDir(plan)
 	mk := func() (*core.Engine, error) {
 		return core.New(core.Options{
-			LogDir:      store,
-			GroupCommit: core.GroupCommitOff,
-			PoolSize:    cfg.PoolSize,
+			LogDir:   store,
+			PoolSize: cfg.PoolSize,
 		})
 	}
 	eng, err := mk()

@@ -116,9 +116,8 @@ func TestPersistentFailureDegradesMidTrace(t *testing.T) {
 	trace := sim.Generate(cfg.simConfig())
 	store := fault.NewDir(fault.Plan{Seed: cfg.Seed})
 	eng, err := core.New(core.Options{
-		LogDir:      store,
-		GroupCommit: core.GroupCommitOff,
-		PoolSize:    cfg.PoolSize,
+		LogDir:   store,
+		PoolSize: cfg.PoolSize,
 	})
 	if err != nil {
 		t.Fatal(err)

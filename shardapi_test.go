@@ -23,7 +23,6 @@ func TestShardedPublicAPI(t *testing.T) {
 	db, err := ariesrh.Open(ariesrh.Options{
 		Shards:      2,
 		ShardRouter: modRouter{},
-		GroupCommit: ariesrh.GroupCommitOff,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func waitStandby(t *testing.T, s *Standby, target uint64) {
 // LSN, then promote after "losing" the primary.
 func TestStandbyBootstrapFollowPromote(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, GroupCommit: GroupCommitOff})
+	db, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestStandbyRejectsWrites(t *testing.T) {
 }
 
 func TestStandbySnapshotNeededSurfaces(t *testing.T) {
-	db, err := Open(Options{GroupCommit: GroupCommitOff})
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
