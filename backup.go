@@ -21,9 +21,8 @@ import (
 // (to verify) and no writes or syncs.  The verification is a byte
 // comparison, not a name+size check — same size does not imply same
 // content: torn-tail recovery can truncate a segment and later appends
-// return it to a previously shipped size with different bytes, and the
-// naïve-baseline engines' (*wal.Log).Rewrite patches stable segment
-// bytes in place at unchanged size.  Files the source no longer has
+// return it to a previously shipped size with different bytes.  Files
+// the source no longer has
 // (archived segments, superseded manifest generations) are deleted from
 // the destination so the copy is exactly the source directory.
 func (db *DB) Backup(destDir string) error {

@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -91,6 +93,153 @@ func exportedReceiver(recv *ast.FieldList) bool {
 			return tt.IsExported()
 		default:
 			return false
+		}
+	}
+}
+
+// optionStructs names every options struct in the tree: the directory
+// that declares it, how a composite literal spells the type from another
+// package, and whether every caller lives in this tree (the public
+// structs' callers do not).
+var optionStructs = []struct {
+	dir, qualified string
+	internal       bool
+}{
+	{".", "ariesrh.Options", false},
+	{".", "ariesrh.StandbyOptions", false},
+	{"internal/core", "core.Options", true},
+	{"internal/shard", "shard.Options", true},
+	{"internal/wal", "wal.LogOptions", true},
+	{"internal/rewrite", "rewrite.Options", true},
+}
+
+// fileUses is what one non-test file declares and does with field names:
+// the fields of each struct type it declares, the names it selects (x.F)
+// and assigns through (x.F = v), and the keys it sets in composite
+// literals, as "Type.F" with the type as the literal spells it ("Options",
+// "core.Options").
+type fileUses struct {
+	dir      string
+	structs  map[string][]string
+	selected map[string]bool
+	assigned map[string]bool
+	keyed    map[string]bool
+}
+
+func parseFileUses(t *testing.T) []fileUses {
+	t.Helper()
+	var out []fileUses
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, build scratch
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		u := fileUses{dir: filepath.Dir(path), structs: map[string][]string{},
+			selected: map[string]bool{}, assigned: map[string]bool{}, keyed: map[string]bool{}}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := x.Type.(*ast.StructType); ok {
+					for _, f := range st.Fields.List {
+						for _, id := range f.Names {
+							u.structs[x.Name.Name] = append(u.structs[x.Name.Name], id.Name)
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				u.selected[x.Sel.Name] = true
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						u.assigned[sel.Sel.Name] = true
+					}
+				}
+			case *ast.CompositeLit:
+				var typ string
+				switch tt := x.Type.(type) {
+				case *ast.Ident:
+					typ = tt.Name
+				case *ast.SelectorExpr:
+					if pkg, ok := tt.X.(*ast.Ident); ok {
+						typ = pkg.Name + "." + tt.Sel.Name
+					}
+				}
+				for _, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							u.keyed[typ+"."+key.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+		out = append(out, u)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestOptionsFieldsAreRead is the dead-knob lint: an options field must
+// have a reader and, where that can be checked, a caller.
+//
+//   - Every field is selected (x.Field) by a non-test file of the package
+//     that declares it: a field nothing consults is wired to nothing.
+//   - Every field of an internal package's options — all of whose callers
+//     are in this tree — is also set by non-test code: as a key of a
+//     composite literal of that type, or assigned from another package.
+//     A field no caller sets always holds its zero value, and the branch
+//     that reads it is dead.
+//
+// The match is by name (go/ast, no type information), so it can miss a
+// dead field that shares its name with a live one; it cannot flag a live
+// field.
+func TestOptionsFieldsAreRead(t *testing.T) {
+	files := parseFileUses(t)
+	for _, o := range optionStructs {
+		local := o.qualified[strings.Index(o.qualified, ".")+1:]
+		var fields []string
+		for _, u := range files {
+			if u.dir == o.dir {
+				fields = append(fields, u.structs[local]...)
+			}
+		}
+		if len(fields) == 0 {
+			t.Fatalf("%s: struct %s not found", o.dir, local)
+		}
+		for _, field := range fields {
+			read, set := false, false
+			for _, u := range files {
+				inPkg := u.dir == o.dir
+				if inPkg && u.selected[field] {
+					read = true
+				}
+				if u.keyed[o.qualified+"."+field] || (inPkg && u.keyed[local+"."+field]) || (!inPkg && u.assigned[field]) {
+					set = true
+				}
+			}
+			if !read {
+				t.Errorf("%s.%s: no non-test file of %s reads it", o.qualified, field, o.dir)
+			}
+			if o.internal && !set {
+				t.Errorf("%s.%s: no non-test file sets it (a knob nobody turns)", o.qualified, field)
+			}
 		}
 	}
 }

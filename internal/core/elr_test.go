@@ -283,11 +283,17 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 
 	// Hold the latch so the waiter cannot act on its failure delivery
 	// until the record is durable, fail the round, then land the record
-	// with a direct flush (standing in for the later group round).
+	// with a direct flush (standing in for the later group round).  Flush
+	// queues on the same leader, so it must not arrive before the failing
+	// round is over or it is handed that round's error.
 	e.mu.Lock()
 	lsn := e.predurable[t1].lsn
+	failed := e.LogStats().FlushErrors
 	store.script <- true
 	store.reset()
+	for e.LogStats().FlushErrors == failed {
+		runtime.Gosched()
+	}
 	if err := e.log.Flush(lsn); err != nil {
 		e.mu.Unlock()
 		t.Fatalf("rescue flush: %v", err)

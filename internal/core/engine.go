@@ -145,9 +145,6 @@ type Options struct {
 	// (0 means wal.DefaultSegmentBytes).  Small values are useful to
 	// exercise rotation in tests and benchmarks.
 	LogSegmentBytes int64
-	// DisableChaining skips delegate-record backward-chain maintenance;
-	// used only by ablation benchmarks.
-	DisableChaining bool
 	// FullScanUndo replaces the cluster sweep of the recovery backward
 	// pass with the naïve alternative §3.6.2 rejects: scan every log
 	// record backwards, testing each against the loser scopes.  Results

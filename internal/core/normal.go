@@ -265,10 +265,8 @@ func (e *Engine) delegateAsLocked(tor, tee wal.TxID, obj wal.ObjectID, typ wal.R
 		}
 	}
 	// The delegate record heads both backward chains.
-	if !e.opts.DisableChaining {
-		torInfo.LastLSN = lsn
-		teeInfo.LastLSN = lsn
-	}
+	torInfo.LastLSN = lsn
+	teeInfo.LastLSN = lsn
 	e.stats.Delegations++
 	e.met.delegations.Inc()
 	e.met.delegateNs.Observe(time.Since(start))

@@ -577,21 +577,3 @@ func (e *Engine) redoApplyDelta(applied map[wal.ObjectID]wal.LSN, obj wal.Object
 	e.stats.RecRedone++
 	return nil
 }
-
-// IsCrashed reports whether the engine is between Crash and Recover.
-func (e *Engine) IsCrashed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.crashed
-}
-
-// ErrIs reports whether err matches any engine sentinel; convenience for
-// callers that treat deadlock and ill-formed delegation uniformly.
-func ErrIs(err error, sentinels ...error) bool {
-	for _, s := range sentinels {
-		if errors.Is(err, s) {
-			return true
-		}
-	}
-	return false
-}

@@ -183,13 +183,6 @@ func (d *Dir) SetFailAllSyncs(on bool) {
 	d.plan.FailAllSyncs = on
 }
 
-// SetTransientSyncErrors arms n further transient sync failures.
-func (d *Dir) SetTransientSyncErrors(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.transientLeft = n
-}
-
 // Syncs returns the number of Sync attempts observed across all devices
 // (including failed ones); a fault-free probe run's count enumerates the
 // sync boundaries of a workload.

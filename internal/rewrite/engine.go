@@ -76,9 +76,12 @@ type Stats struct {
 	CLRs        uint64
 
 	// DelegateSweepReads counts log records examined by eager delegation
-	// sweeps; Rewrites counts in-place record mutations (both modes).
+	// sweeps; Rewrites counts in-place record mutations (both modes),
+	// StableRewrites those that patched an already-durable record — a
+	// random write to the stable log.
 	DelegateSweepReads uint64
 	Rewrites           uint64
+	StableRewrites     uint64
 
 	RecForwardRecords  uint64
 	RecRedone          uint64
@@ -100,8 +103,7 @@ type opRef struct {
 type Engine struct {
 	mu    sync.Mutex
 	mode  Mode
-	log   *wal.Log
-	disk  storage.DiskManager
+	log   *Log
 	pool  *buffer.Pool
 	store *object.Store
 	locks *lock.Manager
@@ -121,8 +123,6 @@ type Engine struct {
 type Options struct {
 	Mode     Mode
 	PoolSize int
-	LogDir   wal.Dir
-	Disk     storage.DiskManager
 }
 
 // New creates a rewrite-based engine.
@@ -130,47 +130,34 @@ func New(opts Options) (*Engine, error) {
 	if opts.PoolSize <= 0 {
 		opts.PoolSize = 128
 	}
-	if opts.LogDir == nil {
-		opts.LogDir = wal.NewMemDir()
-	}
-	if opts.Disk == nil {
-		opts.Disk = storage.NewMemDisk()
-	}
-	log, err := wal.NewLog(opts.LogDir)
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		mode:     opts.Mode,
-		log:      log,
-		disk:     opts.Disk,
+		log:      &Log{},
 		locks:    lock.NewManager(),
 		txns:     txn.NewTable(),
 		ops:      make(map[wal.TxID][]opRef),
 		beginLSN: make(map[wal.TxID]wal.LSN),
 	}
-	e.pool = buffer.NewPool(opts.Disk, opts.PoolSize, func(lsn wal.LSN) error { return e.log.Flush(lsn) })
-	e.store, err = object.Open(e.pool, opts.Disk)
+	disk := storage.NewMemDisk()
+	e.pool = buffer.NewPool(disk, opts.PoolSize, func(lsn wal.LSN) error { e.log.Flush(lsn); return nil })
+	var err error
+	e.store, err = object.Open(e.pool, disk)
 	if err != nil {
 		return nil, err
-	}
-	if log.Head() > 0 {
-		e.crashed = true
-		if err := e.Recover(); err != nil {
-			return nil, err
-		}
 	}
 	return e, nil
 }
 
-// Log exposes the write-ahead log for inspection.
-func (e *Engine) Log() *wal.Log { return e.log }
+// Log exposes the log for inspection.
+func (e *Engine) Log() *Log { return e.log }
 
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.stats
+	s := e.stats
+	s.StableRewrites = e.log.Stats().StableRewrites
+	return s
 }
 
 // Begin starts a transaction.
@@ -181,10 +168,7 @@ func (e *Engine) Begin() (wal.TxID, error) {
 		return wal.NilTx, ErrCrashed
 	}
 	info := e.txns.Begin()
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeBegin, TxID: info.ID})
-	if err != nil {
-		return wal.NilTx, err
-	}
+	lsn := e.log.Append(&wal.Record{Type: wal.TypeBegin, TxID: info.ID})
 	info.LastLSN = lsn
 	e.ops[info.ID] = nil
 	e.beginLSN[info.ID] = lsn
@@ -229,7 +213,7 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 	if err != nil {
 		return err
 	}
-	lsn, err := e.log.Append(&wal.Record{
+	lsn := e.log.Append(&wal.Record{
 		Type:    wal.TypeUpdate,
 		TxID:    tx,
 		PrevLSN: info.LastLSN,
@@ -237,9 +221,6 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 		Before:  before,
 		After:   val,
 	})
-	if err != nil {
-		return err
-	}
 	if err := e.store.Write(obj, val, lsn); err != nil {
 		return err
 	}
@@ -280,7 +261,7 @@ func (e *Engine) Delegate(tor, tee wal.TxID, obj wal.ObjectID) error {
 	}
 	e.ops[tor] = kept
 	e.ops[tee] = append(e.ops[tee], moved...)
-	lsn, err := e.log.Append(&wal.Record{
+	lsn := e.log.Append(&wal.Record{
 		Type:    wal.TypeDelegate,
 		TxID:    tor,
 		PrevLSN: torInfo.LastLSN,
@@ -290,9 +271,6 @@ func (e *Engine) Delegate(tor, tee wal.TxID, obj wal.ObjectID) error {
 		TeePrev: teeInfo.LastLSN,
 		Object:  obj,
 	})
-	if err != nil {
-		return err
-	}
 	torInfo.LastLSN = lsn
 	teeInfo.LastLSN = lsn
 	if e.mode == Eager {
@@ -342,16 +320,9 @@ func (e *Engine) Commit(tx wal.TxID) error {
 	if err != nil {
 		return err
 	}
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
-	if err != nil {
-		return err
-	}
-	if err := e.log.Flush(lsn); err != nil {
-		return err
-	}
-	if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn}); err != nil {
-		return err
-	}
+	lsn := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
+	e.log.Flush(lsn)
+	e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn})
 	e.locks.ReleaseAll(tx)
 	e.txns.Remove(tx)
 	delete(e.ops, tx)
@@ -383,16 +354,9 @@ func (e *Engine) Abort(tx wal.TxID) error {
 			return err
 		}
 	}
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN})
-	if err != nil {
-		return err
-	}
-	if err := e.log.Flush(lsn); err != nil {
-		return err
-	}
-	if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn}); err != nil {
-		return err
-	}
+	lsn := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN})
+	e.log.Flush(lsn)
+	e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn})
 	e.locks.ReleaseAll(tx)
 	e.txns.Remove(tx)
 	delete(e.ops, tx)
@@ -411,10 +375,7 @@ func (e *Engine) writeCLR(info *txn.Info, rec *wal.Record) error {
 		UndoNextLSN: rec.PrevLSN,
 		Compensates: rec.LSN,
 	}
-	lsn, err := e.log.Append(clr)
-	if err != nil {
-		return err
-	}
+	lsn := e.log.Append(clr)
 	if err := e.store.Write(rec.Object, rec.Before, lsn); err != nil {
 		return err
 	}
@@ -427,9 +388,7 @@ func (e *Engine) writeCLR(info *txn.Info, rec *wal.Record) error {
 func (e *Engine) Crash() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.log.Crash(); err != nil {
-		return err
-	}
+	e.log.Crash()
 	if err := e.store.Crash(); err != nil {
 		return err
 	}

@@ -31,8 +31,7 @@ func (e *Engine) Recover() error {
 
 	applied := make(map[wal.ObjectID]wal.LSN)
 	compensated := make(map[wal.LSN]bool)
-	e.log.ResetReadCursor()
-	err := e.log.Scan(1, wal.NilLSN, func(rec *wal.Record) (bool, error) {
+	err := e.log.Scan(func(rec *wal.Record) (bool, error) {
 		e.stats.RecForwardRecords++
 		switch rec.Type {
 		case wal.TypeBegin:
@@ -128,9 +127,7 @@ func (e *Engine) Recover() error {
 	minBegin := wal.NilLSN
 	for _, info := range e.txns.Snapshot() {
 		if info.Status == txn.Committed {
-			if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: info.ID, PrevLSN: info.LastLSN}); err != nil {
-				return err
-			}
+			e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: info.ID, PrevLSN: info.LastLSN})
 			e.txns.Remove(info.ID)
 			delete(e.ops, info.ID)
 			delete(e.beginLSN, info.ID)
@@ -184,20 +181,13 @@ func (e *Engine) Recover() error {
 		if info == nil {
 			continue
 		}
-		lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: id, PrevLSN: info.LastLSN})
-		if err != nil {
-			return err
-		}
-		if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: id, PrevLSN: lsn}); err != nil {
-			return err
-		}
+		lsn := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: id, PrevLSN: info.LastLSN})
+		e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: id, PrevLSN: lsn})
 		e.txns.Remove(id)
 		delete(e.ops, id)
 		delete(e.beginLSN, id)
 	}
-	if err := e.log.Flush(e.log.Head()); err != nil {
-		return err
-	}
+	e.log.Flush(e.log.Head())
 	e.crashed = false
 	return nil
 }

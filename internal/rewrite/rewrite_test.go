@@ -130,9 +130,7 @@ func TestLazyRewritesDuringRecovery(t *testing.T) {
 	if err := e.Commit(t2); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Log().Flush(e.Log().Head()); err != nil {
-		t.Fatal(err)
-	}
+	e.Log().Flush(e.Log().Head())
 	crashRecover(t, e)
 	// Recovery rewrote the update to carry the (loser) delegatee... t2
 	// committed, so the record now carries t2 and the value survives.
@@ -192,9 +190,7 @@ func TestRecoveryDelegationWinnerLoser(t *testing.T) {
 		if err := e.Commit(t2); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Log().Flush(e.Log().Head()); err != nil {
-			t.Fatal(err)
-		}
+		e.Log().Flush(e.Log().Head())
 		crashRecover(t, e)
 		wantVal(t, e, 1, "keep")
 		wantVal(t, e, 2, "")
@@ -217,9 +213,7 @@ func TestRecoveryChain(t *testing.T) {
 		if err := e.Commit(t2); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Log().Flush(e.Log().Head()); err != nil {
-			t.Fatal(err)
-		}
+		e.Log().Flush(e.Log().Head())
 		crashRecover(t, e)
 		wantVal(t, e, 5, "chained")
 	})
@@ -264,20 +258,15 @@ func TestRewritePersistsAcrossCrash(t *testing.T) {
 	t1 := begin(t, e)
 	t2 := begin(t, e)
 	update(t, e, t1, 1, "v")
-	if err := e.Log().Flush(e.Log().Head()); err != nil {
-		t.Fatal(err)
-	}
+	e.Log().Flush(e.Log().Head())
 	if err := e.Delegate(t1, t2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Commit(t2); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Log().Flush(e.Log().Head()); err != nil {
-		t.Fatal(err)
-	}
-	logStats := e.Log().Stats()
-	if logStats.RewriteFlushes == 0 {
+	e.Log().Flush(e.Log().Head())
+	if e.Stats().StableRewrites == 0 {
 		t.Fatal("stable rewrite did not patch the device")
 	}
 	crashRecover(t, e)
@@ -319,9 +308,7 @@ func TestManyDelegationsRecovery(t *testing.T) {
 			}
 			// src stays active: loser.
 		}
-		if err := e.Log().Flush(e.Log().Head()); err != nil {
-			t.Fatal(err)
-		}
+		e.Log().Flush(e.Log().Head())
 		crashRecover(t, e)
 		for i := 0; i < 10; i++ {
 			obj := wal.ObjectID(i + 1)
@@ -333,4 +320,47 @@ func TestManyDelegationsRecovery(t *testing.T) {
 		}
 		_ = winners
 	})
+}
+
+// TestLogRewriteStableVersusVolatile pins the baseline log's cost model: a
+// rewrite of a durable record is a random stable write and survives a
+// crash; a rewrite in the volatile tail costs no I/O and is lost with the
+// tail.
+func TestLogRewriteStableVersusVolatile(t *testing.T) {
+	l := &Log{}
+	l.Append(&wal.Record{Type: wal.TypeUpdate, TxID: 1, Object: 7})
+	l.Flush(1)
+	l.Append(&wal.Record{Type: wal.TypeUpdate, TxID: 1, Object: 8})
+	for lsn := wal.LSN(1); lsn <= 2; lsn++ {
+		if err := l.Rewrite(lsn, func(r *wal.Record) { r.TxID = 9 }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Rewrite(3, func(*wal.Record) {}); !errors.Is(err, wal.ErrNoSuchLSN) {
+		t.Fatalf("rewrite past the head: err = %v, want ErrNoSuchLSN", err)
+	}
+	if got := l.Stats().StableRewrites; got != 1 {
+		t.Fatalf("stable rewrites = %d, want 1 (only LSN 1 was durable)", got)
+	}
+	if r, err := l.Get(2); err != nil || r.TxID != 9 {
+		t.Fatalf("volatile rewrite not visible before the crash: %+v, %v", r, err)
+	}
+	l.Crash()
+	if l.Head() != 1 {
+		t.Fatalf("head after crash = %d, want 1", l.Head())
+	}
+	if r, err := l.Get(1); err != nil || r.TxID != 9 {
+		t.Fatalf("stable rewrite lost by the crash: %+v, %v", r, err)
+	}
+	// The tail is re-appended from scratch: the lost rewrite does not
+	// reappear and was never counted.
+	if lsn := l.Append(&wal.Record{Type: wal.TypeUpdate, TxID: 1, Object: 8}); lsn != 2 {
+		t.Fatalf("append after crash got LSN %d, want 2", lsn)
+	}
+	if r, _ := l.Get(2); r.TxID != 1 {
+		t.Fatalf("volatile rewrite survived the crash: %+v", r)
+	}
+	if got := l.Stats(); got.StableRewrites != 1 || got.Appends != 3 {
+		t.Fatalf("stats = %+v, want 1 stable rewrite, 3 appends", got)
+	}
 }

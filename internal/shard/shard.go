@@ -93,9 +93,6 @@ type Options struct {
 	LogDirs []wal.Dir
 	// PoolSize is each shard's buffer-pool capacity in pages.
 	PoolSize int
-	// LogSegmentBytes overrides each shard log's segment rotation
-	// threshold (0 means the WAL default).
-	LogSegmentBytes int64
 	// EarlyLockRelease enables controlled lock violation on each
 	// shard's single-shard commit path; cross-shard prepares and
 	// decisions keep their locks until their force returns.
@@ -154,7 +151,6 @@ func Open(opts Options) (*DB, error) {
 		eo := core.Options{
 			ShardID:          uint32(i),
 			PoolSize:         opts.PoolSize,
-			LogSegmentBytes:  opts.LogSegmentBytes,
 			EarlyLockRelease: opts.EarlyLockRelease,
 			ParallelRecovery: opts.ParallelRecovery,
 		}
@@ -353,15 +349,6 @@ func (db *DB) Health() core.Health {
 		}
 	}
 	return worst
-}
-
-// ShardHealth returns each shard's individual availability.
-func (db *DB) ShardHealth() []core.Health {
-	out := make([]core.Health, len(db.engs))
-	for i, e := range db.engs {
-		out[i] = e.Health()
-	}
-	return out
 }
 
 // ReadCommitted returns the current committed/buffered value of obj

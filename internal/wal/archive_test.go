@@ -163,32 +163,6 @@ func TestArchiveThenScanStartsAfterBase(t *testing.T) {
 	}
 }
 
-func TestArchiveRewriteOfArchivedRejected(t *testing.T) {
-	l := newMemLog(t)
-	mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 1})
-	mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 2})
-	if err := l.Flush(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Archive(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rewrite(1, func(r *Record) { r.TxID = 2 }); !errors.Is(err, ErrArchived) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := l.Rewrite(2, func(r *Record) { r.TxID = 2 }); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: the rewritten stable record keeps the patch.
-	if err := l.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := l.Get(2)
-	if err != nil || r.TxID != 2 {
-		t.Fatalf("Get(2) = %+v, %v", r, err)
-	}
-}
-
 // TestArchiveMidSegmentIsLogical pins the archive's logical-first
 // contract: with every record in one big segment, Archive moves the base
 // exactly to upTo (records at or below it answer ErrArchived) even

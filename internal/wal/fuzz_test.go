@@ -113,6 +113,7 @@ func FuzzDecodeSegmentHeader(f *testing.F) {
 	f.Add(encodeSegmentHeader(segmentHeader{num: 1<<40 + 3, firstLSN: 9999}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, segmentHeaderSize+8))
+	f.Add([]byte("WSG100000000000000000000")) // good magic, reserved field not zero
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := decodeSegmentHeader(data)
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 type AccessStats struct {
 	// Appends is the number of records appended.
 	Appends uint64
-	// Flushes is the number of Flush calls that reached the device;
+	// Flushes is the number of flush rounds that reached the device;
 	// FlushedBytes the bytes they wrote.
 	Flushes      uint64
 	FlushedBytes uint64
@@ -25,15 +25,11 @@ type AccessStats struct {
 	Reads           uint64
 	SequentialReads uint64
 	RandomReads     uint64
-	// Rewrites counts in-place record mutations (naïve baselines only);
-	// RewriteFlushes those that had to patch already-stable bytes.
-	Rewrites       uint64
-	RewriteFlushes uint64
 	// GroupedFlushes counts device write+sync rounds performed by the
-	// group-commit leader (each also counts in Flushes); FlushWaiters the
-	// FlushAsync requests that queued behind one.  FlushWaiters /
-	// GroupedFlushes is the coalescing ratio: how many commits each
-	// device sync amortized over.
+	// group-commit leader (every round is one, so it equals Flushes);
+	// FlushWaiters the Flush and FlushAsync requests that queued behind
+	// one.  FlushWaiters / GroupedFlushes is the coalescing ratio: how
+	// many commits each device sync amortized over.
 	GroupedFlushes uint64
 	FlushWaiters   uint64
 	// FlushRetries counts device write+sync attempts that failed with a
@@ -58,8 +54,6 @@ func (s AccessStats) Sub(o AccessStats) AccessStats {
 		Reads:           s.Reads - o.Reads,
 		SequentialReads: s.SequentialReads - o.SequentialReads,
 		RandomReads:     s.RandomReads - o.RandomReads,
-		Rewrites:        s.Rewrites - o.Rewrites,
-		RewriteFlushes:  s.RewriteFlushes - o.RewriteFlushes,
 		GroupedFlushes:  s.GroupedFlushes - o.GroupedFlushes,
 		FlushWaiters:    s.FlushWaiters - o.FlushWaiters,
 		FlushRetries:    s.FlushRetries - o.FlushRetries,
@@ -72,7 +66,7 @@ func (s AccessStats) Sub(o AccessStats) AccessStats {
 // ErrNoSuchLSN is returned by Get for LSNs that name no record.
 var ErrNoSuchLSN = errors.New("wal: no such LSN")
 
-// ErrArchived is returned by Get/Scan/Rewrite for LSNs that were
+// ErrArchived is returned by Get and Scan for LSNs that were
 // discarded by Archive.  Every path wraps it through errArchived, so the
 // message shape is uniform: "wal: record archived: lsn N <= base M".
 var ErrArchived = errors.New("wal: record archived")
@@ -82,11 +76,6 @@ var ErrArchived = errors.New("wal: record archived")
 func errArchived(lsn, base LSN) error {
 	return fmt.Errorf("%w: lsn %d <= base %d", ErrArchived, lsn, base)
 }
-
-// ErrRewriteSizeChanged is returned by Rewrite when the mutated record does
-// not re-encode to exactly its original size (in-place patching would
-// corrupt the frame stream).
-var ErrRewriteSizeChanged = errors.New("wal: rewrite changed record size")
 
 // ErrNoRetry marks a device error that the flush retry loop must not
 // retry.  A Store whose Sync failure is known to be permanent for the
@@ -146,8 +135,8 @@ type Log struct {
 	// Group-flush state (see FlushAsync).  flushQ holds pending waiters;
 	// flushLeader is true while a leader goroutine is draining the queue;
 	// flushInFlight is true while the leader has released mu for device
-	// I/O — every other device writer (Flush, Rewrite, Archive, Crash via
-	// loadFromDir) must wait for it via flushIdle.
+	// I/O — Archive (which deletes segment files) and Crash (which re-reads
+	// them via loadFromDir) must wait for it via flushIdle.
 	flushQ        []flushWaiter
 	flushLeader   bool
 	flushInFlight bool
@@ -157,12 +146,6 @@ type Log struct {
 	// durableCBs holds OnDurable registrations not yet covered by the
 	// durable horizon; each fires exactly once (see OnDurable).
 	durableCBs []durableCB
-
-	// Flush retry policy: a failed device write+Sync is retried up to
-	// retryMax times with exponential backoff starting at retryBackoff,
-	// unless the error is marked ErrNoRetry.  See SetFlushRetryPolicy.
-	retryMax     int
-	retryBackoff time.Duration
 
 	// Tail subscriptions (see Subscribe): tailCond is broadcast whenever
 	// the durable horizon advances (or a subscription closes), waking
@@ -229,7 +212,6 @@ type logMetrics struct {
 	archives       *obs.Counter
 	rotations      *obs.Counter
 	segments       *obs.Gauge
-	rewrites       *obs.Counter
 	flushNs        *obs.Histogram
 }
 
@@ -248,7 +230,6 @@ func bindLogMetrics(r *obs.Registry) logMetrics {
 		archives:       r.Counter("wal.archives"),
 		rotations:      r.Counter("wal.rotations"),
 		segments:       r.Gauge("wal.segments"),
-		rewrites:       r.Counter("wal.rewrites"),
 		flushNs:        r.Histogram("wal.flush_ns"),
 	}
 }
@@ -289,11 +270,9 @@ func NewLogWith(dir Dir, o LogOptions) (*Log, error) {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
 	l := &Log{
-		dir:          dir,
-		segCap:       o.SegmentBytes,
-		met:          bindLogMetrics(obs.NewRegistry()),
-		retryMax:     defaultFlushRetries,
-		retryBackoff: defaultFlushBackoff,
+		dir:    dir,
+		segCap: o.SegmentBytes,
+		met:    bindLogMetrics(obs.NewRegistry()),
 	}
 	l.flushIdle = sync.NewCond(&l.mu)
 	l.tailCond = sync.NewCond(&l.mu)
@@ -304,39 +283,23 @@ func NewLogWith(dir Dir, o LogOptions) (*Log, error) {
 	return l, nil
 }
 
-// Default flush retry policy: three retries, 200µs initial backoff
-// doubling each attempt — at most ~1.4ms of added latency before a
-// persistent device error is surfaced to the committer.
+// Flush retry policy: a failed device write+Sync is retried up to
+// retryMax times, sleeping retryBackoff before the first retry and
+// doubling it for each subsequent one — at most ~1.4ms of added latency
+// before a persistent device error is surfaced to the committer.
 const (
-	defaultFlushRetries = 3
-	defaultFlushBackoff = 200 * time.Microsecond
+	retryMax     = 3
+	retryBackoff = 200 * time.Microsecond
 )
-
-// SetFlushRetryPolicy configures how flushes respond to device errors:
-// up to retries re-attempts of the write+Sync, sleeping backoff before
-// the first retry and doubling it for each subsequent one.  retries = 0
-// disables retrying.  Call it at setup time; it waits out any in-flight
-// group flush before taking effect.
-func (l *Log) SetFlushRetryPolicy(retries int, backoff time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.waitFlushIdleLocked()
-	if retries < 0 {
-		retries = 0
-	}
-	l.retryMax = retries
-	l.retryBackoff = backoff
-}
 
 // writeSyncRetry performs a device write+Sync for a flush, retrying
 // transient failures per the retry policy.  It returns the number of
 // retries performed and the final error (nil on success).  Errors
-// wrapping ErrNoRetry are surfaced immediately.  The caller must hold
-// the device (either l.mu on the synchronous path, or the flushInFlight
-// fence on the group path); sleeping inside the loop is bounded by the
-// policy.
+// wrapping ErrNoRetry are surfaced immediately.  The caller holds the
+// device through the flushInFlight fence; sleeping inside the loop is
+// bounded by the policy.
 func (l *Log) writeSyncRetry(dev Store, buf []byte, off int64) (retries int, err error) {
-	backoff := l.retryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		_, err = dev.WriteAt(buf, off)
 		if err == nil {
@@ -345,7 +308,7 @@ func (l *Log) writeSyncRetry(dev Store, buf []byte, off int64) (retries int, err
 		if err == nil {
 			return attempt, nil
 		}
-		if errors.Is(err, ErrNoRetry) || attempt >= l.retryMax {
+		if errors.Is(err, ErrNoRetry) || attempt >= retryMax {
 			return attempt, err
 		}
 		time.Sleep(backoff)
@@ -660,55 +623,26 @@ func (l *Log) flushChunksLocked(upTo LSN) []flushChunk {
 }
 
 // Flush makes all records with LSN ≤ upTo durable.  Flushing past the head
-// flushes the whole log.  Transient device errors are retried per the
-// flush retry policy; an error return means records past the (possibly
-// advanced) durable horizon are NOT durable.  Chunks are written and
-// synced in strict LSN order — segment by segment — so the durable log
-// is always a prefix: a failure mid-way leaves earlier segments durable
-// and later ones untouched, never a gap.
+// flushes the whole log.  It performs no device I/O of its own: unless
+// the range is already durable it queues on the group flusher like any
+// other FlushAsync waiter and blocks for that round's outcome, so a Flush
+// that arrives while a round is failing gets that round's error.  An
+// error return means records past the (possibly advanced) durable horizon
+// are NOT durable.
 func (l *Log) Flush(upTo LSN) error {
+	// The buffer pool's WAL rule calls this for every page write-back and
+	// nearly always finds the log ahead of the page: answer without
+	// allocating a waiter channel.
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.waitFlushIdleLocked()
 	if head := l.headLocked(); upTo > head {
 		upTo = head
 	}
-	if upTo <= l.flushedLSN {
+	durable := upTo <= l.flushedLSN
+	l.mu.Unlock()
+	if durable {
 		return nil
 	}
-	chunks := l.flushChunksLocked(upTo)
-	start := time.Now()
-	var flushed uint64
-	var err error
-	for _, c := range chunks {
-		retries, werr := l.writeSyncRetry(c.seg.dev, c.seg.data[c.start:c.end], segmentHeaderSize+c.start)
-		l.stats.FlushRetries += uint64(retries)
-		l.met.flushRetries.Add(uint64(retries))
-		if werr != nil {
-			err = werr
-			break
-		}
-		c.seg.flushedBytes = c.end
-		l.flushedLSN = c.endLSN
-		flushed += uint64(c.end - c.start)
-	}
-	if flushed > 0 {
-		l.stats.Flushes++
-		l.stats.FlushedBytes += flushed
-		l.met.flushes.Inc()
-		l.met.flushedBytes.Add(flushed)
-		l.met.flushNs.Observe(time.Since(start))
-		l.tailCond.Broadcast()
-	}
-	if err != nil {
-		l.stats.FlushErrors++
-		l.met.flushErrors.Inc()
-		err = fmt.Errorf("wal: flush: %w", err)
-		l.runDurableCBsLocked(err)
-		return err
-	}
-	l.runDurableCBsLocked(nil)
-	return nil
+	return <-l.FlushAsync(upTo)
 }
 
 // FlushAsync makes every record with LSN ≤ upTo durable without holding the
@@ -799,11 +733,16 @@ func (l *Log) groupFlushLoop() {
 // flushRangeUnlatched makes records through upTo durable while allowing
 // appends to proceed: the unflushed chunks are copied to a scratch buffer
 // under l.mu, the mutex is released for the device writes+Syncs (with
-// flushInFlight fencing out every other device writer), then re-acquired
-// to publish the new durable horizon.  Rotation during the unlatched I/O
-// is safe — it only creates new devices, never touching the chunks being
-// written.  Called only by the group-flush leader with l.mu held and
-// upTo ≤ head.
+// flushInFlight fencing out Archive and Crash), then re-acquired to
+// publish the new durable horizon.  It is the only code that writes
+// record bytes to a segment device, and it writes each byte once: every
+// chunk starts at its segment's flushedBytes, which only a synced chunk
+// advances.  Chunks are written and synced in strict LSN order — segment
+// by segment — so the durable log is always a prefix: a failure mid-way
+// leaves earlier segments durable and later ones untouched, never a gap.
+// Rotation during the unlatched I/O is safe — it only creates new
+// devices, never touching the chunks being written.  Called only by the
+// group-flush leader with l.mu held and upTo ≤ head.
 func (l *Log) flushRangeUnlatched(upTo LSN) error {
 	chunks := l.flushChunksLocked(upTo)
 	if len(chunks) == 0 {
@@ -977,64 +916,6 @@ func (l *Log) RecordShards(from LSN) [][]*Record {
 		shards = append(shards, seg.cache[lo:hi:hi])
 	}
 	return shards
-}
-
-// Rewrite mutates the record at lsn in place via fn and patches both the
-// volatile image and (if the record was already durable) the stable
-// segment device.  This is the physical "rewriting of history" of the
-// naïve baselines; the ARIES/RH engine never calls it.  The mutated
-// record must encode to the same number of bytes.
-func (l *Log) Rewrite(lsn LSN, fn func(*Record)) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.waitFlushIdleLocked()
-	if lsn != NilLSN && lsn <= l.base {
-		return errArchived(lsn, l.base)
-	}
-	i := -1
-	if lsn != NilLSN {
-		i = l.segIndexLocked(lsn)
-	}
-	if i < 0 || int(lsn-l.segs[i].firstLSN) >= len(l.segs[i].offsets) {
-		return fmt.Errorf("%w: %d", ErrNoSuchLSN, lsn)
-	}
-	seg := l.segs[i]
-	idx := int(lsn - seg.firstLSN)
-	r := seg.cache[idx].clone()
-	fn(r)
-	if r.LSN != lsn {
-		return fmt.Errorf("wal: rewrite may not change the LSN of record %d", lsn)
-	}
-	enc, err := EncodeRecord(r)
-	if err != nil {
-		return err
-	}
-	off := seg.offsets[idx]
-	var end int
-	if idx+1 == len(seg.offsets) {
-		end = len(seg.data)
-	} else {
-		end = seg.offsets[idx+1]
-	}
-	if len(enc) != end-off {
-		return fmt.Errorf("%w: %d -> %d bytes", ErrRewriteSizeChanged, end-off, len(enc))
-	}
-	copy(seg.data[off:end], enc)
-	seg.cache[idx] = r
-	l.stats.Rewrites++
-	l.met.rewrites.Inc()
-	if int64(end) <= seg.flushedBytes {
-		// The record was already stable: patch the device in place
-		// (a random write, the cost the paper's RH design avoids).
-		if _, err := seg.dev.WriteAt(enc, segmentHeaderSize+int64(off)); err != nil {
-			return fmt.Errorf("wal: rewrite flush: %w", err)
-		}
-		if err := seg.dev.Sync(); err != nil {
-			return err
-		}
-		l.stats.RewriteFlushes++
-	}
-	return nil
 }
 
 // Crash simulates a failure: every record past the last flush is lost and

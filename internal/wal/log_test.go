@@ -193,58 +193,6 @@ func TestLogScan(t *testing.T) {
 	}
 }
 
-func TestLogRewrite(t *testing.T) {
-	l := newMemLog(t)
-	mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 7, Before: []byte("a"), After: []byte("b")})
-	if err := l.Rewrite(1, func(r *Record) { r.TxID = 2 }); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := l.Get(1)
-	if r.TxID != 2 {
-		t.Fatalf("rewrite not applied: %+v", r)
-	}
-	// Size-changing rewrites are rejected.
-	err := l.Rewrite(1, func(r *Record) { r.After = []byte("grown") })
-	if !errors.Is(err, ErrRewriteSizeChanged) {
-		t.Fatalf("err = %v, want ErrRewriteSizeChanged", err)
-	}
-	// LSN-changing rewrites are rejected.
-	if err := l.Rewrite(1, func(r *Record) { r.LSN = 99 }); err == nil {
-		t.Fatal("LSN rewrite accepted")
-	}
-}
-
-func TestLogRewriteStablePatchesDevice(t *testing.T) {
-	dir := NewMemDir()
-	l, err := NewLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 7, After: []byte("x")})
-	if err := l.Flush(1); err != nil {
-		t.Fatal(err)
-	}
-	before := l.Stats()
-	if err := l.Rewrite(1, func(r *Record) { r.TxID = 9 }); err != nil {
-		t.Fatal(err)
-	}
-	d := l.Stats().Sub(before)
-	if d.Rewrites != 1 || d.RewriteFlushes != 1 {
-		t.Fatalf("stats diff = %+v", d)
-	}
-	// The patch must survive a crash (it went to stable storage).
-	if err := l.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := l.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.TxID != 9 {
-		t.Fatalf("stable rewrite lost: %+v", r)
-	}
-}
-
 func TestLogAccessStatsSequentialVsRandom(t *testing.T) {
 	l := newMemLog(t)
 	for i := 0; i < 10; i++ {

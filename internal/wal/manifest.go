@@ -109,6 +109,9 @@ func decodeSegmentHeader(p []byte) (segmentHeader, error) {
 	if binary.LittleEndian.Uint32(p[0:]) != segmentMagic {
 		return segmentHeader{}, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
+	if binary.LittleEndian.Uint32(p[4:]) != 0 {
+		return segmentHeader{}, fmt.Errorf("%w: segment header reserved field is not zero", ErrCorrupt)
+	}
 	return segmentHeader{
 		num:      binary.LittleEndian.Uint64(p[8:]),
 		firstLSN: LSN(binary.LittleEndian.Uint64(p[16:])),

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -143,9 +144,8 @@ func TestOnDurableErrorOnFailedFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetFlushRetryPolicy(0, 0)
 	last := appendN(t, l, 2)
-	injected := errors.New("device gone")
+	injected := fmt.Errorf("device gone: %w", ErrNoRetry)
 	dir.FailSyncsWith(injected)
 	got := make(chan error, 2)
 	l.OnDurable(last, func(err error) { got <- err })

@@ -100,13 +100,6 @@ func (s *Subscription) Ack(upTo LSN) {
 	}
 }
 
-// Cursor returns the LSN the next Next call will deliver first.
-func (s *Subscription) Cursor() LSN {
-	s.l.mu.Lock()
-	defer s.l.mu.Unlock()
-	return s.cursor
-}
-
 // Pin returns the oldest LSN the subscription currently pins against
 // Archive (NilLSN once closed).
 func (s *Subscription) Pin() LSN {

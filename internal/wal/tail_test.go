@@ -216,9 +216,7 @@ func TestSubscribeDeliveredUnderGroupFlush(t *testing.T) {
 }
 
 // TestErrArchivedMessageShape pins the one wrap format every archived-LSN
-// path shares: Get (and Scan, which reads through the same path) and
-// Rewrite used to produce differently shaped messages for the same
-// condition.
+// path shares: Get, and Scan, which reads through the same path.
 func TestErrArchivedMessageShape(t *testing.T) {
 	l := newMemLog(t)
 	for i := 1; i <= 5; i++ {
@@ -232,13 +230,12 @@ func TestErrArchivedMessageShape(t *testing.T) {
 	}
 	want := fmt.Sprintf("%s: lsn 1 <= base 2", ErrArchived.Error())
 	_, getErr := l.Get(1)
-	rewriteErr := l.Rewrite(1, func(*Record) {})
 	scanErr := l.Scan(NilLSN, NilLSN, func(r *Record) (bool, error) {
 		// Archive under the scanner's feet: the next iteration reads an
 		// archived LSN through the Get path.
 		return true, l.Archive(4)
 	})
-	for name, err := range map[string]error{"Get": getErr, "Rewrite": rewriteErr, "Scan": scanErr} {
+	for name, err := range map[string]error{"Get": getErr, "Scan": scanErr} {
 		if err == nil || !errors.Is(err, ErrArchived) {
 			t.Fatalf("%s err = %v, want ErrArchived", name, err)
 		}
