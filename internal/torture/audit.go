@@ -122,7 +122,7 @@ func ScopeAudit(cfg Config) (ScopeAuditResult, error) {
 		// the stable directory image (manifest + segment frames, exactly
 		// what a crash would preserve) and apply what the LSN cursor has
 		// not seen yet.
-		_, recs, derr := wal.ReadDurable(store.StableDir())
+		recs, derr := decodeStable(store)
 		if derr != nil {
 			return res, fmt.Errorf("torture: audit decode: %w", derr)
 		}

@@ -21,13 +21,14 @@
 // directly: every violation edge (dependent, predecessor) observed at
 // runtime must satisfy "dependent durable ⇒ predecessor durable", which
 // the single prefix-flushed log is supposed to make structural.
+
 package torture
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -146,229 +147,110 @@ func elrBenign(err error) bool {
 	return errors.Is(err, lock.ErrDeadlock) || errors.Is(err, core.ErrNoSuchTxn)
 }
 
+// elrSettle ends a round on an operation error: it aborts the round's
+// transactions (best-effort; they may already be gone) and classifies
+// the error — a crash signal ends the worker, a benign casualty ends the
+// round, anything else fails the boundary.
+func elrSettle(eng *core.Engine, err error, txs ...wal.TxID) (stop bool, bad error) {
+	for _, tx := range txs {
+		_ = eng.Abort(tx)
+	}
+	if elrStop(err) {
+		return true, nil
+	}
+	if elrBenign(err) {
+		return false, nil
+	}
+	return true, err
+}
+
 // ELRRun executes the early-lock-release crash sweep and returns the
-// aggregated result.  A probe run (no crash schedule) counts the sync
-// boundaries of the workload; the workload is then re-run once per
-// boundary k with the device frozen after sync k, and each post-crash
-// image is judged by the log oracle plus the dependency invariant.
+// aggregated result.  The probe run's sync count is only a sample — the
+// interleaving decides how forces coalesce — which is why a boundary
+// past the swept run's own count may never fire.
 func ELRRun(cfg ELRConfig) (ELRResult, error) {
 	cfg = cfg.withDefaults()
-
-	probe := fault.NewDir(fault.Plan{
-		Seed:              cfg.Seed,
-		SyncDelay:         cfg.SyncDelay,
-		DelayEveryNthSync: 1,
-	})
-	eng, err := newELRTortureEngine(probe)
-	if err != nil {
-		return ELRResult{}, err
-	}
-	if err := cfg.workload(eng); err != nil {
-		return ELRResult{}, fmt.Errorf("torture: elr probe: %w", err)
-	}
-	boundaries := int(probe.Syncs())
-
-	res := ELRResult{Boundaries: boundaries}
-	sweep := boundaries
-	if cfg.MaxBoundaries > 0 && sweep > cfg.MaxBoundaries {
-		sweep = cfg.MaxBoundaries
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k := 1; k <= sweep; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := cfg.runELRBoundary(uint64(k))
-			mu.Lock()
-			defer mu.Unlock()
+	s := &sweep{
+		name:          "elr",
+		seed:          cfg.Seed,
+		maxBoundaries: cfg.MaxBoundaries,
+		tornEvery:     cfg.TornEvery,
+		objects:       cfg.Objects,
+		counters:      cfg.Counters,
+		devices:       1,
+		syncDelay:     cfg.SyncDelay,
+		open: func(dirs []*fault.Dir) (target, error) {
+			eng, err := core.New(core.Options{
+				LogDir:           dirs[0],
+				EarlyLockRelease: true,
+				PoolSize:         64,
+			})
 			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("torture: elr seed %d boundary %d: %w", cfg.Seed, k, err)
-				}
-				return
+				return nil, err
 			}
-			res.Crashes++
-			res.Fired += b.fired
-			res.TornCrashes += b.torn
-			res.Violations += b.violations
-			res.Winners += b.winners
-			res.Losers += b.losers
-			res.Records += b.records
-		}(k)
+			return &elrTarget{single: single{eng}, cfg: cfg}, nil
+		},
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
+	t, _, err := s.run()
+	return ELRResult{
+		Boundaries:  t.boundaries,
+		Crashes:     t.crashes,
+		Fired:       t.fired,
+		TornCrashes: t.torn,
+		Violations:  t.violations,
+		Winners:     t.winners,
+		Losers:      t.losers,
+		Records:     t.records,
+	}, err
 }
 
-func newELRTortureEngine(dir wal.Dir) (*core.Engine, error) {
-	return core.New(core.Options{
-		LogDir:           dir,
-		EarlyLockRelease: true,
-		PoolSize:         64,
-	})
+// elrTarget is an ELR engine under the concurrent workload; it keeps
+// every commit-dependency edge the run forms.
+type elrTarget struct {
+	single
+	cfg   ELRConfig
+	mu    sync.Mutex
+	edges []violationEdge
 }
 
-type elrBoundaryStats struct {
-	fired      int
-	torn       int
-	violations int
-	winners    int
-	losers     int
-	records    int
-}
-
-// runELRBoundary runs the concurrent workload against a device that
-// freezes after sync k, crashes, recovers, and judges the outcome.
-func (cfg ELRConfig) runELRBoundary(k uint64) (elrBoundaryStats, error) {
-	var bs elrBoundaryStats
-	plan := fault.Plan{
-		Seed:              cfg.Seed ^ int64(k*0x9E3779B97F4A7C15),
-		CrashAtSync:       k,
-		TornTail:          cfg.TornEvery > 0 && k%uint64(cfg.TornEvery) == 0,
-		SyncDelay:         cfg.SyncDelay,
-		DelayEveryNthSync: 1,
-	}
-	store := fault.NewDir(plan)
-	eng, err := newELRTortureEngine(store)
-	if err != nil {
-		if !isCrashSignal(err) {
-			return bs, err
-		}
-		// The boundary fired inside log initialization — no engine, no
-		// workload.  Settle it as a crash over the partial bootstrap.
-		torn, err := initCrashRecovery(store, func() (*core.Engine, error) {
-			return newELRTortureEngine(store)
-		})
-		if err != nil {
-			return bs, err
-		}
-		bs.fired = 1
-		if torn {
-			bs.torn = 1
-		}
-		return bs, nil
-	}
-
-	// Capture every commit-dependency edge the run forms.  The hook runs
-	// under the engine latch, so the slice needs its own lock only against
-	// the final read below.
-	var (
-		edgeMu sync.Mutex
-		edges  []violationEdge
-	)
-	eng.SetEventHook(func(ev obs.Event) {
+func (t *elrTarget) workload(context.Context) error {
+	// The hook runs under the engine latch, so the slice needs its own
+	// lock only against judge's read.
+	t.eng.SetEventHook(func(ev obs.Event) {
 		if ev.Name == "elr.violate" {
-			edgeMu.Lock()
-			edges = append(edges, violationEdge{dep: wal.TxID(ev.Tx), pred: wal.TxID(ev.Value)})
-			edgeMu.Unlock()
+			t.mu.Lock()
+			t.edges = append(t.edges, violationEdge{dep: wal.TxID(ev.Tx), pred: wal.TxID(ev.Value)})
+			t.mu.Unlock()
 		}
 	})
-	if err := cfg.workload(eng); err != nil {
-		return bs, err
-	}
-	eng.SetEventHook(nil)
-	if store.Frozen() {
-		bs.fired = 1
-	}
+	defer t.eng.SetEventHook(nil)
+	return t.cfg.workload(t.eng)
+}
 
-	// Materialize the crash and judge from the durable image.
-	tornBytes, err := store.CrashNow()
-	if err != nil {
-		return bs, err
-	}
-	if tornBytes > 0 {
-		bs.torn = 1
-	}
-	recs, err := decodeStable(store)
-	if err != nil {
-		return bs, fmt.Errorf("decode durable log: %w", err)
-	}
-	bs.records = len(recs)
-	winners := durableWinners(recs)
-
-	// The dependency invariant: a dependent's durable commit implies its
-	// predecessor's.  The dependent committed strictly after the
-	// predecessor appended its commit record, so with prefix-ordered
-	// flushing a surviving dependent commit record certifies the
-	// predecessor's — any violation here means a dependent survived a
-	// predecessor's lost commit.
-	edgeMu.Lock()
-	bs.violations = len(edges)
-	for _, e := range edges {
+// judge asserts the dependency invariant: a dependent's durable commit
+// implies its predecessor's.  The dependent committed strictly after the
+// predecessor appended its commit record, so with prefix-ordered
+// flushing a surviving dependent commit record certifies the
+// predecessor's — any violation here means a dependent survived a
+// predecessor's lost commit.
+func (t *elrTarget) judge(b *boundary) (verdict, error) {
+	winners := durableWinners(b.durable[0])
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b.violations = len(t.edges)
+	for _, e := range t.edges {
 		if winners[e.dep] && !winners[e.pred] {
-			edgeMu.Unlock()
-			return bs, fmt.Errorf("dependent %d durable but predecessor %d's commit was lost",
+			return verdict{}, fmt.Errorf("dependent %d durable but predecessor %d's commit was lost",
 				e.dep, e.pred)
 		}
 	}
-	edgeMu.Unlock()
-
-	oracle := newLogOracle()
-	for _, rec := range recs {
-		oracle.apply(rec)
-	}
-	oracle.crashUndo()
-	bs.winners = len(winners)
-
-	// Losers: transactions with a durable begin record but no durable
-	// commit.
-	began := make(map[wal.TxID]bool)
-	for _, rec := range recs {
-		if rec.Type == wal.TypeBegin {
-			began[rec.TxID] = true
-		}
-	}
-	bs.losers = len(began) - len(winners)
-
-	// Crash, recover, and require oracle agreement on every object and
-	// counter.
-	if err := eng.Crash(); err != nil {
-		return bs, err
-	}
-	if err := eng.Recover(); err != nil {
-		return bs, fmt.Errorf("recover: %w", err)
-	}
-	for obj := 1; obj <= cfg.Objects; obj++ {
-		id := wal.ObjectID(obj)
-		want := oracle.values[id]
-		got, _, err := eng.ReadObject(id)
-		if err != nil {
-			return bs, err
-		}
-		if string(got) != string(want) {
-			return bs, fmt.Errorf("object %d: engine %q, oracle %q (winners %v)",
-				obj, got, want, winners)
-		}
-	}
-	for c := cfg.Objects + 1; c <= cfg.Objects+cfg.Counters; c++ {
-		id := wal.ObjectID(c)
-		got, err := eng.CounterValue(id)
-		if err != nil {
-			return bs, err
-		}
-		if want := oracle.counters[id]; got != want {
-			return bs, fmt.Errorf("counter %d: engine %d, oracle %d", c, got, want)
-		}
-	}
-	return bs, nil
+	return t.single.judge(b)
 }
 
 // workload drives cfg.Workers concurrent committers over the hot object
 // set until every worker finishes its rounds or stops on a crash signal.
-// It returns the first unexpected error any worker hit, or a lock-table
-// leak found once they have all returned (nil if the run — crashed or
-// not — stayed within the fault model).
+// It returns the first unexpected error any worker hit (nil if the run —
+// crashed or not — stayed within the fault model).
 func (cfg ELRConfig) workload(eng *core.Engine) error {
 	var (
 		wg     sync.WaitGroup
@@ -400,16 +282,7 @@ func (cfg ELRConfig) workload(eng *core.Engine) error {
 		}(w)
 	}
 	wg.Wait()
-	if badErr != nil {
-		return badErr
-	}
-	// Every worker has returned, so every grant has been claimed or
-	// dropped: a lock still held by a transaction the table no longer
-	// knows would block its object until the next restart.
-	if orphans := eng.LockOrphans(); len(orphans) > 0 {
-		return fmt.Errorf("lock table names terminated transactions %v", orphans)
-	}
-	return nil
+	return badErr
 }
 
 // round runs one worker transaction: update one or two hot objects (in
@@ -428,19 +301,6 @@ func (cfg ELRConfig) round(eng *core.Engine, rng *rand.Rand, w, r int) (bool, er
 		}
 		return true, err
 	}
-	// settle classifies an operation error: benign casualties abort the
-	// transaction and end the round; crash signals end the worker.
-	settle := func(err error) (bool, error) {
-		_ = eng.Abort(tx) // best-effort; the tx may already be gone
-		if elrStop(err) {
-			return true, nil
-		}
-		if elrBenign(err) {
-			return false, nil
-		}
-		return true, err
-	}
-
 	first := wal.ObjectID(1 + rng.Intn(cfg.Objects))
 	objs := []wal.ObjectID{first}
 	if rng.Intn(2) == 0 {
@@ -452,22 +312,19 @@ func (cfg ELRConfig) round(eng *core.Engine, rng *rand.Rand, w, r int) (bool, er
 	for _, obj := range objs {
 		val := []byte(fmt.Sprintf("w%d.r%d.o%d", w, r, obj))
 		if err := eng.Update(tx, obj, val); err != nil {
-			return settle(err)
+			return elrSettle(eng, err, tx)
 		}
 	}
 	if rng.Float64() < 0.3 {
 		ctr := wal.ObjectID(cfg.Objects + 1 + rng.Intn(cfg.Counters))
 		if _, err := eng.Increment(tx, ctr, int64(rng.Intn(5)+1)); err != nil {
-			return settle(err)
+			return elrSettle(eng, err, tx)
 		}
 	}
 
 	if rng.Float64() < cfg.AbortFraction {
 		if err := eng.Abort(tx); err != nil {
-			if elrStop(err) || elrBenign(err) {
-				return elrStop(err), nil
-			}
-			return true, err
+			return elrSettle(eng, err)
 		}
 		return false, nil
 	}
@@ -477,7 +334,7 @@ func (cfg ELRConfig) round(eng *core.Engine, rng *rand.Rand, w, r int) (bool, er
 	}
 
 	if err := eng.Commit(tx); err != nil {
-		return settle(err)
+		return elrSettle(eng, err, tx)
 	}
 	return false, nil
 }
@@ -496,40 +353,19 @@ func (cfg ELRConfig) delegateAndCommit(eng *core.Engine, rng *rand.Rand, tx wal.
 		}
 		return true, err
 	}
-	settleBoth := func(err error) (bool, error) {
-		_ = eng.Abort(tee)
-		_ = eng.Abort(tx)
-		if elrStop(err) {
-			return true, nil
-		}
-		if elrBenign(err) {
-			return false, nil
-		}
-		return true, err
-	}
 	if err := eng.Delegate(tx, tee, obj); err != nil {
-		return settleBoth(err)
+		return elrSettle(eng, err, tee, tx)
 	}
 	if err := eng.Commit(tx); err != nil {
 		// A commit refused at the door (the engine degraded meanwhile)
 		// leaves tx active and holding its locks: abort it too.
-		return settleBoth(err)
-	}
-	settleTee := func(err error) (bool, error) {
-		_ = eng.Abort(tee)
-		if elrStop(err) {
-			return true, nil
-		}
-		if elrBenign(err) {
-			return false, nil
-		}
-		return true, err
+		return elrSettle(eng, err, tee, tx)
 	}
 	if err := eng.Update(tee, obj, []byte(fmt.Sprintf("w%d.r%d.tee", w, r))); err != nil {
-		return settleTee(err)
+		return elrSettle(eng, err, tee)
 	}
 	if err := eng.Commit(tee); err != nil {
-		return settleTee(err)
+		return elrSettle(eng, err, tee)
 	}
 	return false, nil
 }

@@ -24,14 +24,13 @@
 // must never mutate a record it retains — and the expected post-recovery
 // state is the log oracle replayed over the capture prefix up to the
 // boundary's durable head.
+
 package torture
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"ariesrh/internal/core"
 	"ariesrh/internal/fault"
@@ -178,9 +177,10 @@ func (cfg RotationConfig) workload(eng *core.Engine, doArchive bool) error {
 }
 
 // RotationRun executes the rotation/archive crash sweep.  A capture run
-// (fault-free, archiving disabled) records the full record sequence; a
-// probe run (fault-free, archiving on) counts the sync boundaries and
-// proves rotation and archive really fire; then every boundary is swept.
+// (fault-free, archiving disabled) records the full record sequence; the
+// driver's probe run (fault-free, archiving on) counts the sync
+// boundaries and proves rotation and archive really fire; then every
+// boundary is swept.
 func RotationRun(cfg RotationConfig) (RotationResult, error) {
 	cfg = cfg.withDefaults()
 
@@ -202,193 +202,77 @@ func RotationRun(cfg RotationConfig) (RotationResult, error) {
 		fullRecs[lsn-1] = rec
 	}
 
-	// Probe: count the sync boundaries of the real (archiving) workload.
-	probe := fault.NewDir(fault.Plan{})
-	probeEng, err := cfg.newEngine(probe)
-	if err != nil {
-		return RotationResult{}, err
-	}
-	if err := cfg.workload(probeEng, true); err != nil {
-		return RotationResult{}, fmt.Errorf("torture: rotation probe: %w", err)
-	}
-	stats := probeEng.Log().Stats()
-	res := RotationResult{
-		Boundaries:   int(probe.Syncs()),
-		Rotations:    stats.Rotations,
-		Archives:     stats.Archives,
-		ArchivedBase: probeEng.Log().Base(),
-	}
-
-	sweep := res.Boundaries
-	if cfg.MaxBoundaries > 0 && sweep > cfg.MaxBoundaries {
-		sweep = cfg.MaxBoundaries
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k := 1; k <= sweep; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := cfg.runRotationBoundary(fullRecs, uint64(k))
-			mu.Lock()
-			defer mu.Unlock()
+	s := &sweep{
+		name:          "rotation",
+		seed:          cfg.Seed,
+		maxBoundaries: cfg.MaxBoundaries,
+		tornEvery:     cfg.TornEvery,
+		objects:       cfg.Objects,
+		counters:      cfg.Counters,
+		devices:       1,
+		open: func(dirs []*fault.Dir) (target, error) {
+			eng, err := cfg.newEngine(dirs[0])
 			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("torture: rotation seed %d boundary %d: %w", cfg.Seed, k, err)
-				}
-				return
+				return nil, err
 			}
-			res.Crashes++
-			res.TornCrashes += b.torn
-			res.Winners += b.winners
-			res.Losers += b.losers
-			res.Records += b.records
-		}(k)
+			return &rotationTarget{single: single{eng}, cfg: cfg, fullRecs: fullRecs}, nil
+		},
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return res, firstErr
+	t, probed, err := s.run()
+	res := RotationResult{
+		Boundaries:  t.boundaries,
+		Crashes:     t.crashes,
+		TornCrashes: t.torn,
+		Winners:     t.winners,
+		Losers:      t.losers,
+		Records:     t.records,
 	}
-	return res, nil
+	if probed != nil {
+		log := probed.engines()[0].Log()
+		stats := log.Stats()
+		res.Rotations, res.Archives, res.ArchivedBase = stats.Rotations, stats.Archives, log.Base()
+	}
+	return res, err
 }
 
-type rotationBoundaryStats struct {
-	torn    int
-	winners int
-	losers  int
-	records int
+// rotationTarget is an engine under the archiving workload, judged
+// against the capture.
+type rotationTarget struct {
+	single
+	cfg      RotationConfig
+	fullRecs []*wal.Record
 }
 
-// runRotationBoundary runs the archiving workload against a device frozen
-// after sync k, crashes, and judges the durable image against the capture
-// sequence: every surviving record byte-identical to the capture at its
-// LSN, recovered state equal to the oracle over the capture prefix up to
-// the durable head.
-func (cfg RotationConfig) runRotationBoundary(fullRecs []*wal.Record, k uint64) (rotationBoundaryStats, error) {
-	var bs rotationBoundaryStats
-	plan := fault.Plan{
-		Seed:        cfg.Seed ^ int64(k*0x9E3779B97F4A7C15),
-		CrashAtSync: k,
-		TornTail:    cfg.TornEvery > 0 && k%uint64(cfg.TornEvery) == 0,
+func (t *rotationTarget) workload(context.Context) error {
+	if err := t.cfg.workload(t.eng, true); err != nil && !isCrashSignal(err) {
+		return fmt.Errorf("unexpected workload error: %w", err)
 	}
-	store := fault.NewDir(plan)
-	eng, err := cfg.newEngine(store)
-	if err != nil {
-		if !isCrashSignal(err) {
-			return bs, err
-		}
-		// The boundary fired inside log initialization — settle it as a
-		// crash over the partial bootstrap.
-		torn, err := initCrashRecovery(store, func() (*core.Engine, error) {
-			return cfg.newEngine(store)
-		})
-		if err != nil {
-			return bs, err
-		}
-		if torn {
-			bs.torn = 1
-		}
-		return bs, nil
-	}
-	if err := cfg.workload(eng, true); err != nil && !isCrashSignal(err) {
-		return bs, fmt.Errorf("unexpected workload error: %w", err)
-	}
+	return nil
+}
 
-	// Materialize the crash and judge from the durable image.
-	tornBytes, err := store.CrashNow()
-	if err != nil {
-		return bs, err
-	}
-	if tornBytes > 0 {
-		bs.torn = 1
-	}
-	base, recs, err := wal.ReadDurable(store.StableDir())
-	if err != nil {
-		return bs, fmt.Errorf("decode durable log: %w", err)
-	}
-	bs.records = len(recs)
-
-	// Retained-record identity: archive commits a manifest and deletes
-	// whole files; it must never rewrite a surviving record, so every
-	// durable record equals the capture at its LSN.
-	durableHead := base
-	for _, rec := range recs {
-		if rec.LSN < 1 || int(rec.LSN) > len(fullRecs) {
-			return bs, fmt.Errorf("durable record at LSN %d outside the captured trace (len %d)", rec.LSN, len(fullRecs))
+// judge asserts retained-record identity — archive commits a manifest and
+// deletes whole files; it must never rewrite a surviving record, so every
+// durable record equals the capture at its LSN — and expects the oracle
+// over the capture prefix up to the durable head: the archived records
+// plus the surviving suffix.
+func (t *rotationTarget) judge(b *boundary) (verdict, error) {
+	durableHead := b.base[0]
+	for _, rec := range b.durable[0] {
+		if rec.LSN < 1 || int(rec.LSN) > len(t.fullRecs) {
+			return verdict{}, fmt.Errorf("durable record at LSN %d outside the captured trace (len %d)", rec.LSN, len(t.fullRecs))
 		}
-		want, err := wal.EncodeRecord(fullRecs[rec.LSN-1])
-		if err != nil {
-			return bs, err
-		}
-		got, err := wal.EncodeRecord(rec)
-		if err != nil {
-			return bs, err
-		}
-		if !bytes.Equal(got, want) {
-			return bs, fmt.Errorf("durable record at LSN %d diverges from the capture", rec.LSN)
+		if same, err := sameBytes(rec, t.fullRecs[rec.LSN-1]); err != nil {
+			return verdict{}, err
+		} else if !same {
+			return verdict{}, fmt.Errorf("durable record at LSN %d diverges from the capture", rec.LSN)
 		}
 		if rec.LSN > durableHead {
 			durableHead = rec.LSN
 		}
 	}
-	if int(durableHead) > len(fullRecs) {
-		return bs, fmt.Errorf("durable head %d beyond captured trace (len %d)", durableHead, len(fullRecs))
+	if int(durableHead) > len(t.fullRecs) {
+		return verdict{}, fmt.Errorf("durable head %d beyond captured trace (len %d)", durableHead, len(t.fullRecs))
 	}
-
-	// Expected state: the oracle over the capture prefix — the archived
-	// records plus the surviving suffix — then undo the losers.
-	prefix := fullRecs[:durableHead]
-	oracle := newLogOracle()
-	for _, rec := range prefix {
-		oracle.apply(rec)
-	}
-	oracle.crashUndo()
-	winners := durableWinners(prefix)
-	began := make(map[wal.TxID]bool)
-	for _, rec := range prefix {
-		if rec.Type == wal.TypeBegin {
-			began[rec.TxID] = true
-		}
-	}
-	bs.winners = len(winners)
-	bs.losers = len(began) - len(winners)
-
-	// Crash, recover, and require oracle agreement on every object and
-	// counter.
-	if err := eng.Crash(); err != nil {
-		return bs, err
-	}
-	if err := eng.Recover(); err != nil {
-		return bs, fmt.Errorf("recover: %w", err)
-	}
-	for obj := 1; obj <= cfg.Objects; obj++ {
-		id := wal.ObjectID(obj)
-		want := oracle.values[id]
-		got, _, err := eng.ReadObject(id)
-		if err != nil {
-			return bs, err
-		}
-		if string(got) != string(want) {
-			return bs, fmt.Errorf("object %d: engine %q, oracle %q (base %d, head %d)",
-				obj, got, want, base, durableHead)
-		}
-	}
-	for c := cfg.Objects + 1; c <= cfg.Objects+cfg.Counters; c++ {
-		id := wal.ObjectID(c)
-		got, err := eng.CounterValue(id)
-		if err != nil {
-			return bs, err
-		}
-		if want := oracle.counters[id]; got != want {
-			return bs, fmt.Errorf("counter %d: engine %d, oracle %d", c, got, want)
-		}
-	}
-	return bs, nil
+	prefix := t.fullRecs[:durableHead]
+	return verdict{expect: [][]*wal.Record{prefix}, began: durableBegins(prefix)}, nil
 }

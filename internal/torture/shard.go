@@ -23,11 +23,11 @@ package torture
 // left in doubt.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"ariesrh/internal/core"
 	"ariesrh/internal/fault"
 	"ariesrh/internal/shard"
 	"ariesrh/internal/wal"
@@ -327,252 +327,101 @@ func durableDecisions(perShard [][]*wal.Record) (map[uint64]bool, error) {
 	return committed, nil
 }
 
-// RunShards executes the cross-shard crash sweep for cfg.  Boundaries
-// are independent (each gets a fresh cluster and devices) and are
-// swept concurrently; the first failure aborts the sweep.
+// RunShards executes the cross-shard crash sweep for cfg.  The replay is
+// single-threaded, so every prepare, decision and single-shard commit
+// waits out exactly one flush round on its shard, and each shard's sync
+// count — with it every crash point — is a pure function of the trace
+// and the router.
 func RunShards(cfg ShardConfig) (ShardResult, error) {
 	cfg = cfg.withDefaults()
 	trace := genShardTrace(cfg)
-
-	// Probe: count each shard's sync boundaries.  The driver is
-	// single-threaded, so every prepare, decision and single-shard commit
-	// waits out exactly one flush round on its shard, and each shard's
-	// count — with it every crash point — is a pure function of the trace
-	// and the router.
-	probeDirs := make([]wal.Dir, cfg.Shards)
-	probeFDs := make([]*fault.Dir, cfg.Shards)
-	for i := range probeDirs {
-		probeFDs[i] = fault.NewDir(fault.Plan{})
-		probeDirs[i] = probeFDs[i]
-	}
-	db, err := cfg.openCluster(probeDirs)
-	if err != nil {
-		return ShardResult{}, fmt.Errorf("torture: shard probe open: %w", err)
-	}
-	if err := replayShardTrace(db, trace); err != nil {
-		return ShardResult{}, fmt.Errorf("torture: shard probe replay: %w", err)
-	}
-	syncs := make([]uint64, cfg.Shards)
-	for i, fd := range probeFDs {
-		syncs[i] = fd.Syncs()
-	}
-	db.Close()
-
-	// Enumerate (shard, k) crash points boundary-first, so a capped
-	// sweep still exercises every shard's early boundaries.
-	type point struct {
-		shard int
-		k     uint64
-	}
-	var pts []point
-	var maxK uint64
-	for _, n := range syncs {
-		if n > maxK {
-			maxK = n
-		}
-	}
-	for k := uint64(1); k <= maxK; k++ {
-		for s := 0; s < cfg.Shards; s++ {
-			if k <= syncs[s] {
-				pts = append(pts, point{shard: s, k: k})
+	s := &sweep{
+		name:          "shard",
+		seed:          cfg.Seed,
+		maxBoundaries: cfg.MaxBoundaries,
+		tornEvery:     cfg.TornEvery,
+		objects:       cfg.Objects,
+		devices:       cfg.Shards,
+		open: func(dirs []*fault.Dir) (target, error) {
+			logDirs := make([]wal.Dir, len(dirs))
+			for i, d := range dirs {
+				logDirs[i] = d
 			}
-		}
-	}
-	res := ShardResult{Boundaries: len(pts)}
-	sweep := pts
-	if cfg.MaxBoundaries > 0 && len(sweep) > cfg.MaxBoundaries {
-		sweep = sweep[:cfg.MaxBoundaries]
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, p := range sweep {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p point) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := cfg.runShardBoundary(trace, p.shard, p.k)
-			mu.Lock()
-			defer mu.Unlock()
+			db, err := shard.Open(shard.Options{
+				Shards:   cfg.Shards,
+				LogDirs:  logDirs,
+				PoolSize: cfg.PoolSize,
+				Router:   shardModRouter{},
+			})
 			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("torture: seed %d shard %d boundary %d: %w",
-						cfg.Seed, p.shard, p.k, err)
-				}
-				return
+				return nil, err
 			}
-			res.Crashes++
-			res.TornCrashes += b.torn
-			res.GlobalCommits += b.commits
-			res.Resolved += b.resolved
-			res.Records += b.records
-		}(p)
+			return &clusterTarget{db: db, trace: trace}, nil
+		},
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
+	t, _, err := s.run()
+	return ShardResult{
+		Boundaries:    t.boundaries,
+		Crashes:       t.crashes,
+		TornCrashes:   t.torn,
+		GlobalCommits: t.globalCommits,
+		Resolved:      t.indoubtResolved,
+		Records:       t.records,
+	}, err
 }
 
-// openCluster opens a shard.DB over the given per-shard log devices
-// with the sweep's deterministic mod router.
-func (cfg ShardConfig) openCluster(dirs []wal.Dir) (*shard.DB, error) {
-	return shard.Open(shard.Options{
-		Shards:   cfg.Shards,
-		LogDirs:  dirs,
-		PoolSize: cfg.PoolSize,
-		Router:   shardModRouter{},
-	})
+// clusterTarget is a shard.DB replaying a cross-shard trace; the whole
+// cluster crashes when one shard's device freezes.
+type clusterTarget struct {
+	db    *shard.DB
+	trace []shardOp
 }
 
-type shardBoundaryStats struct {
-	torn     int
-	commits  int
-	resolved int
-	records  int
-}
-
-// runShardBoundary replays trace against a cluster whose shard s
-// freezes after its sync k, crashes the whole cluster at that point,
-// recovers, and checks every shard against the decision-settled log
-// oracle.
-func (cfg ShardConfig) runShardBoundary(trace []shardOp, s int, k uint64) (shardBoundaryStats, error) {
-	var bs shardBoundaryStats
-	dirs := make([]wal.Dir, cfg.Shards)
-	fds := make([]*fault.Dir, cfg.Shards)
-	for i := range dirs {
-		plan := fault.Plan{}
-		if i == s {
-			plan = fault.Plan{
-				Seed:        cfg.Seed ^ int64(uint64(s)<<32) ^ int64(uint64(k)*0x9E3779B97F4A7C15),
-				CrashAtSync: k,
-				TornTail:    cfg.TornEvery > 0 && k%uint64(cfg.TornEvery) == 0,
-			}
-		}
-		fds[i] = fault.NewDir(plan)
-		dirs[i] = fds[i]
+func (t *clusterTarget) engines() []*core.Engine {
+	engs := make([]*core.Engine, t.db.Shards())
+	for i := range engs {
+		engs[i] = t.db.Engine(i)
 	}
+	return engs
+}
 
-	db, err := cfg.openCluster(dirs)
+func (t *clusterTarget) workload(context.Context) error { return replayShardTrace(t.db, t.trace) }
+
+// judge applies the protocol's own atomicity rule to the durable bytes:
+// which global ids are committed, everywhere or nowhere — and no durable
+// abort may contradict a durable decision.  Every shard expects its own
+// durable records with prepared branches settled by those decisions, so
+// the per-object comparison IS the atomicity check: one decision set
+// applied across all shards.
+func (t *clusterTarget) judge(b *boundary) (verdict, error) {
+	committed, err := durableDecisions(b.durable)
 	if err != nil {
-		if !isCrashSignal(err) {
-			return bs, err
-		}
-		// The boundary fired inside shard s's log bootstrap — no
-		// cluster, no workload.  Settle it like any crash: materialize
-		// every device's stable image (only shard s was armed; the
-		// others just lose their unsynced tails), require the partial
-		// bootstrap to decode to zero records, and require a reopened
-		// cluster to come up empty.
-		for _, fd := range fds {
-			if _, err := fd.CrashNow(); err != nil {
-				return bs, err
-			}
-		}
-		recs, err := decodeStable(fds[s])
-		if err != nil {
-			return bs, fmt.Errorf("decode shard %d after init-time crash: %w", s, err)
-		}
-		if len(recs) != 0 {
-			return bs, fmt.Errorf("init-time crash left %d durable records on shard %d, want 0", len(recs), s)
-		}
-		db, err := cfg.openCluster(dirs)
-		if err != nil {
-			return bs, fmt.Errorf("reopen after init-time crash: %w", err)
-		}
-		defer db.Close()
-		if v, ok, err := db.ReadCommitted(1); err != nil {
-			return bs, err
-		} else if ok {
-			return bs, fmt.Errorf("object 1 = %q after init-time crash, want empty", v)
-		}
-		return bs, nil
+		return verdict{}, err
 	}
-
-	// Replay until shard s's frozen device surfaces through a force (or
-	// the trace ends, for boundaries at or past s's last sync).
-	if err := replayShardTrace(db, trace); err != nil {
-		return bs, err
+	b.globalCommits = len(committed)
+	began := 0
+	for _, recs := range b.durable {
+		began += durableBegins(recs)
 	}
-
-	// Materialize the whole-cluster crash: every shard rewinds to its
-	// stable image — shard s at its frozen boundary (plus the plan's
-	// torn tail), the others simply losing unsynced bytes.
-	for i, fd := range fds {
-		tornBytes, err := fd.CrashNow()
-		if err != nil {
-			return bs, err
-		}
-		if i == s && tornBytes > 0 {
-			bs.torn = 1
-		}
-	}
-	perShard := make([][]*wal.Record, cfg.Shards)
-	for i, fd := range fds {
-		recs, err := decodeStable(fd)
-		if err != nil {
-			return bs, fmt.Errorf("decode shard %d durable log: %w", i, err)
-		}
-		perShard[i] = recs
-		bs.records += len(recs)
-	}
-
-	// The protocol's own atomicity rule, applied to the durable bytes:
-	// which global ids are committed, everywhere or nowhere — and no
-	// durable abort may contradict a durable decision.
-	committed, err := durableDecisions(perShard)
-	if err != nil {
-		return bs, err
-	}
-	bs.commits = len(committed)
-
-	// Expected per-shard state: each shard's durable records through the
-	// log oracle, prepared branches settled by the global decisions,
-	// remaining losers undone.
-	oracles := make([]*logOracle, cfg.Shards)
-	for i, recs := range perShard {
-		oracles[i] = newLogOracle()
-		for _, rec := range recs {
-			oracles[i].apply(rec)
-		}
-		oracles[i].settle(committed)
-	}
-
-	// Crash and recover the cluster; Recover resolves every in-doubt
-	// participant from the coordinator's durable decision.
-	if err := db.Crash(); err != nil {
-		return bs, err
-	}
-	if err := db.Recover(); err != nil {
-		return bs, fmt.Errorf("recover: %w", err)
-	}
-	bs.resolved = int(db.Metrics().Counter("router.indoubt_resolved"))
-	for i := 0; i < cfg.Shards; i++ {
-		if d := db.Engine(i).InDoubt(); len(d) != 0 {
-			return bs, fmt.Errorf("shard %d: %d transactions still in doubt after Recover", i, len(d))
-		}
-	}
-
-	// State check: every shard must agree with its settled oracle on
-	// every object it is home to — this IS the atomicity check, since
-	// the oracles applied one global decision set across all shards.
-	for obj := wal.ObjectID(1); obj <= wal.ObjectID(cfg.Objects); obj++ {
-		home := int(uint64(obj) % uint64(cfg.Shards))
-		want := oracles[home].values[obj]
-		got, _, err := db.Engine(home).ReadObject(obj)
-		if err != nil {
-			return bs, err
-		}
-		if string(got) != string(want) {
-			return bs, fmt.Errorf("object %d (shard %d): engine %q, oracle %q (committed gids %v)",
-				obj, home, got, want, committed)
-		}
-	}
-	return bs, db.Close()
+	return verdict{expect: b.durable, committed: committed, began: began}, nil
 }
+
+// comeBack recovers the cluster; Recover resolves every in-doubt
+// participant from the coordinator's durable decision.
+func (t *clusterTarget) comeBack(b *boundary) error {
+	if err := t.db.Crash(); err != nil {
+		return err
+	}
+	if err := t.db.Recover(); err != nil {
+		return err
+	}
+	b.indoubtResolved = int(t.db.Metrics().Counter("router.indoubt_resolved"))
+	for i, e := range b.engines {
+		if d := e.InDoubt(); len(d) != 0 {
+			return fmt.Errorf("shard %d: %d transactions still in doubt after Recover", i, len(d))
+		}
+	}
+	return nil
+}
+
+func (t *clusterTarget) close() error { return t.db.Close() }

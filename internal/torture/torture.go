@@ -1,34 +1,53 @@
 // Package torture is the fault-injection torture harness for crash
-// recovery: it drives delegation-heavy randomized workloads over a
-// fault.Dir, crashes the engine at every injected boundary, recovers,
-// and checks the recovered state against the sim oracle plus log-level
-// invariants.
+// recovery: it drives delegation-heavy randomized workloads over
+// fault.Dirs, crashes the target at every injected boundary, brings it
+// back, and checks the recovered state against an oracle computed from
+// the durable log, plus log-level invariants.
 //
-// The central entry point is Run, the crash-point sweep.  One seed fully
-// determines a workload trace AND the set of crash points it is swept
-// over: a probe replay counts the device syncs the trace performs (the
-// replay is single-threaded, so every commit and abort waits out exactly
-// one flush round of its own), then the trace is re-run once per
-// boundary k with a fault.Plan that freezes the device after sync k — on
-// even boundaries additionally persisting a seeded torn prefix of the
-// unsynced tail.  Every boundary is therefore enumerable, reproducible
-// and independently replayable.
+// There is one driver, (*sweep).run in driver.go, and six crash sweeps,
+// each a value handed to it: how to open the target over one or N
+// devices, the workload to run until a device freezes, the sweep's own
+// invariants over the durable bytes, and the way back.
+//
+//	Run                     one engine, sim trace replay        Recover
+//	RunReadsDuringRecovery  the same                            Recover + mid-pipeline readers + WaitRecovered
+//	ReplRun                 primary + live replica, same trace  Promote the replica
+//	ELRRun                  ELR engine, concurrent committers   Recover
+//	RotationRun             tiny segments, archiving workload   Recover
+//	RunShards               shard.DB, cross-shard 2PC trace     cluster Recover + in-doubt resolution
+//
+// The driver owns everything else.  A fault-free probe run counts the
+// syncs each device performs; the workload is then re-run once per
+// (device, k) with a fault.Plan that freezes that device after its sync
+// k — at every TornEvery-th boundary additionally persisting a seeded
+// torn prefix of the unsynced tail.  The serial workloads make the count,
+// and with it every crash point, a pure function of the seed: enumerable,
+// reproducible and independently replayable.  Crash points fan out over
+// GOMAXPROCS goroutines, the first failure wins and is prefixed with
+// sweep, seed and boundary.  At each one the driver settles a freeze that
+// landed inside log bootstrap, asserts the lock table names no terminated
+// transaction (after the workload and again after the way back, on every
+// engine), bounds workload and recovery by one hang deadline that reports
+// each engine's lock orphans and health, requires recovery's undo visits
+// to be one strictly decreasing duplicate-free sweep, and compares every
+// object and counter with the oracle.
 //
 // Correctness at a boundary is judged against the durable log, not
-// against what the replay observed: post-crash state is a function of
+// against what the workload observed: post-crash state is a function of
 // the bytes on the device alone.  A commit whose ack never returned may
 // still be durable (its record landed in the torn tail) and is then a
 // winner — the classic commit-ack ambiguity — while an abort that ran
 // to completion in memory may have left no durable CLRs and so never
-// happened.  The harness therefore decodes the post-crash device image
+// happened.  The driver therefore decodes the post-crash device image
 // and replays the record sequence through an independent record-level
 // oracle (responsibility moved by delegate records, extinguished by
-// commit records and CLRs, losers undone in reverse LSN order), and
-// requires the recovered engine to agree with it on every object and
-// counter.  The sim package's trace-level oracle judges the no-crash
-// modes (TransientRun), where volatile execution and durable log agree.
+// commit records and CLRs, prepared branches settled by the durable 2PC
+// decisions, losers undone in reverse LSN order), and requires the
+// returning engines to agree with it.  The sim package's trace-level
+// oracle judges the no-crash modes (TransientRun), where volatile
+// execution and durable log agree.
 //
-// Two further modes complement the sweep: ScopeAudit replays a trace
+// Two further modes complement the sweeps: ScopeAudit replays a trace
 // while re-deriving every live transaction's Op_List from the raw
 // durable log bytes after each action (checking the engine's scope
 // bookkeeping against a second, scope-free formulation), and
@@ -38,15 +57,14 @@
 package torture
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"ariesrh/internal/core"
 	"ariesrh/internal/fault"
-	"ariesrh/internal/obs"
 	"ariesrh/internal/sim"
 	"ariesrh/internal/wal"
 )
@@ -170,36 +188,17 @@ func decodeStable(dir *fault.Dir) ([]*wal.Record, error) {
 	return recs, err
 }
 
-// initCrashRecovery settles a boundary that fired inside log
-// initialization: the segmented log takes its own syncs to come up (the
-// first segment header, then manifest generation 1), so the earliest
-// boundaries freeze the device before the engine ever exists.  The
-// crash contract is the same as at any other point — the durable image
-// (a partial bootstrap: possibly a segment header with no manifest)
-// must decode to zero records, and a fresh engine opened over it must
-// come up empty.  Reports whether a torn tail was persisted.
-func initCrashRecovery(store *fault.Dir, open func() (*core.Engine, error)) (bool, error) {
-	tornBytes, err := store.CrashNow()
+// sameBytes reports whether two records encode to the same bytes.
+func sameBytes(a, b *wal.Record) (bool, error) {
+	ab, err := wal.EncodeRecord(a)
 	if err != nil {
 		return false, err
 	}
-	recs, err := decodeStable(store)
+	bb, err := wal.EncodeRecord(b)
 	if err != nil {
-		return false, fmt.Errorf("decode durable log after init-time crash: %w", err)
-	}
-	if len(recs) != 0 {
-		return false, fmt.Errorf("init-time crash left %d durable records, want 0", len(recs))
-	}
-	eng, err := open()
-	if err != nil {
-		return false, fmt.Errorf("reopen after init-time crash: %w", err)
-	}
-	if got, _, err := eng.ReadObject(1); err != nil {
 		return false, err
-	} else if len(got) != 0 {
-		return false, fmt.Errorf("object 1 = %q after init-time crash, want empty", got)
 	}
-	return tornBytes > 0, nil
+	return bytes.Equal(ab, bb), nil
 }
 
 // durableWinners returns the transactions with a durable commit record —
@@ -213,6 +212,17 @@ func durableWinners(recs []*wal.Record) map[wal.TxID]bool {
 		}
 	}
 	return winners
+}
+
+// durableBegins counts the transactions with a durable begin record.
+func durableBegins(recs []*wal.Record) int {
+	n := 0
+	for _, rec := range recs {
+		if rec.Type == wal.TypeBegin {
+			n++
+		}
+	}
+	return n
 }
 
 // logOp is one undoable durable record still attributable to a live
@@ -356,224 +366,98 @@ func (o *logOracle) crashUndo() {
 }
 
 // Run executes the crash-point sweep for cfg and returns the aggregated
-// result.  Boundaries are independent (each gets a fresh engine and
-// device) and are swept concurrently; the first failure aborts the sweep.
+// result.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
+	t, _, err := cfg.replaySweep("base", false, func(rt *replayTarget) (target, error) { return rt, nil }).run()
+	return t.result(), err
+}
+
+func (t tally) result() Result {
+	return Result{
+		Boundaries:    t.boundaries,
+		Crashes:       t.crashes,
+		TornCrashes:   t.torn,
+		AmbiguousWins: t.ambiguous,
+		Winners:       t.winners,
+		Losers:        t.losers,
+		Records:       t.records,
+		UndoVisits:    t.undoVisits,
+	}
+}
+
+// replaySweep is what Run, RunReadsDuringRecovery and ReplRun share: one
+// engine over one device, driven by cfg's seeded trace.  The replay is
+// single-threaded, so no two forces ever share a flush round: every
+// commit/abort costs exactly one device sync (plus the log-initialization
+// and any rotation syncs), and the boundary count — with it every crash
+// point — is a pure function of the trace.  wrap turns the replaying
+// engine into the sweep's target.
+func (cfg Config) replaySweep(name string, parallel bool, wrap func(*replayTarget) (target, error)) *sweep {
 	trace := sim.Generate(cfg.simConfig())
-
-	// Probe: count the sync boundaries the trace performs.  The replay is
-	// single-threaded, so no two forces ever share a flush round: every
-	// commit/abort costs exactly one device sync (plus the
-	// log-initialization and any rotation syncs), and the count — with it
-	// every crash point — is a pure function of the trace.
-	probe := fault.NewDir(fault.Plan{})
-	eng, err := core.New(core.Options{
-		LogDir:   probe,
-		PoolSize: cfg.PoolSize,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if err := sim.NewReplayer(sim.CoreTarget{Engine: eng}, trace).RunTo(-1); err != nil {
-		return Result{}, fmt.Errorf("torture: probe replay: %w", err)
-	}
-	boundaries := int(probe.Syncs())
-
-	res := Result{Boundaries: boundaries}
-	sweep := boundaries
-	if cfg.MaxBoundaries > 0 && sweep > cfg.MaxBoundaries {
-		sweep = cfg.MaxBoundaries
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k := 1; k <= sweep; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := cfg.runBoundary(trace, uint64(k))
-			mu.Lock()
-			defer mu.Unlock()
+	return &sweep{
+		name:          name,
+		seed:          cfg.Seed,
+		maxBoundaries: cfg.MaxBoundaries,
+		tornEvery:     cfg.TornEvery,
+		objects:       cfg.Objects,
+		counters:      cfg.Counters,
+		devices:       1,
+		open: func(dirs []*fault.Dir) (target, error) {
+			eng, err := core.New(core.Options{
+				LogDir:           dirs[0],
+				PoolSize:         cfg.PoolSize,
+				ParallelRecovery: parallel,
+			})
 			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("torture: seed %d boundary %d: %w", cfg.Seed, k, err)
-				}
-				return
+				return nil, err
 			}
-			res.Crashes++
-			res.TornCrashes += b.torn
-			res.AmbiguousWins += b.ambiguous
-			res.Winners += b.winners
-			res.Losers += b.losers
-			res.Records += b.records
-			res.UndoVisits += b.undoVisits
-		}(k)
+			return wrap(&replayTarget{
+				single:    single{eng},
+				trace:     trace,
+				r:         sim.NewReplayer(sim.CoreTarget{Engine: eng}, trace),
+				failedIdx: -1,
+			})
+		},
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
 }
 
-type boundaryStats struct {
-	torn       int
-	ambiguous  int
-	winners    int
-	losers     int
-	records    int
-	undoVisits int
+// replayTarget is an engine replaying a sim trace.
+type replayTarget struct {
+	single
+	trace []sim.Action
+	r     *sim.Replayer
+	// failedIdx is the index of the one action that observed the device
+	// error, -1 if none did.
+	failedIdx int
 }
 
-// runBoundary replays trace against a device that freezes after sync k,
-// crashes at the frozen boundary, recovers, and checks the recovered
-// state against the oracle and the undo-pass invariants.
-func (cfg Config) runBoundary(trace []sim.Action, k uint64) (boundaryStats, error) {
-	var bs boundaryStats
-	plan := fault.Plan{
-		// Decorrelate the torn-tail length choice across boundaries
-		// while keeping each boundary individually reproducible.
-		Seed:        cfg.Seed ^ int64(uint64(k)*0x9E3779B97F4A7C15),
-		CrashAtSync: k,
-		TornTail:    cfg.TornEvery > 0 && k%uint64(cfg.TornEvery) == 0,
-	}
-	store := fault.NewDir(plan)
-	mk := func() (*core.Engine, error) {
-		return core.New(core.Options{
-			LogDir:   store,
-			PoolSize: cfg.PoolSize,
-		})
-	}
-	eng, err := mk()
-	if err != nil {
-		if !isCrashSignal(err) {
-			return bs, err
-		}
-		// The boundary fired inside log initialization — no engine, no
-		// workload.  Settle it as a crash over the partial bootstrap.
-		torn, err := initCrashRecovery(store, mk)
-		if err != nil {
-			return bs, err
-		}
-		if torn {
-			bs.torn = 1
-		}
-		return bs, nil
-	}
-	r := sim.NewReplayer(sim.CoreTarget{Engine: eng}, trace)
-
-	// Replay until the crash schedule surfaces (or the trace ends, for
-	// boundaries at or past the last sync).  failedIdx is the index of
-	// the one action that observed the device error, -1 if none did.
-	failedIdx := -1
+// workload replays until the crash schedule surfaces (or the trace ends,
+// for boundaries at or past the last sync).
+func (t *replayTarget) workload(context.Context) error {
 	for {
-		ok, err := r.Step()
+		ok, err := t.r.Step()
 		if err != nil {
 			if !isCrashSignal(err) {
-				return bs, fmt.Errorf("unexpected replay error: %w", err)
+				return fmt.Errorf("unexpected replay error: %w", err)
 			}
-			failedIdx = r.Pos() - 1
-			break
+			t.failedIdx = t.r.Pos() - 1
+			return nil
 		}
 		if !ok {
-			break
+			return nil
 		}
 	}
-	// Materialize the crash: rewind the device to the stable image plus
-	// the plan's torn tail, then judge everything from what is actually
-	// on the device.
-	tornBytes, err := store.CrashNow()
-	if err != nil {
-		return bs, err
-	}
-	if tornBytes > 0 {
-		bs.torn = 1
-	}
-	recs, err := decodeStable(store)
-	if err != nil {
-		return bs, fmt.Errorf("decode durable log: %w", err)
-	}
-	bs.records = len(recs)
-	winners := durableWinners(recs)
+}
 
-	// Expected state: replay the durable record sequence through the
-	// log oracle, then undo whatever is still attributable to a loser.
-	oracle := newLogOracle()
-	for _, rec := range recs {
-		oracle.apply(rec)
+// judge expects the durable image, counts losers out of every
+// transaction the replay began, and spots commit-ack ambiguity: the
+// replay saw a commit FAIL, yet its record is durable (it landed in the
+// torn tail) — a winner whose ack was lost to the crash.
+func (t *replayTarget) judge(b *boundary) (verdict, error) {
+	ids := t.r.IDs()
+	if i := t.failedIdx; i >= 0 && t.trace[i].Kind == sim.ActCommit && durableWinners(b.durable[0])[ids[t.trace[i].Tx]] {
+		b.ambiguous++
 	}
-	oracle.crashUndo()
-
-	ids := r.IDs()
-	bs.winners = len(winners)
-	bs.losers = len(ids) - len(winners)
-	// Commit-ack ambiguity: the replay saw this commit FAIL, yet its
-	// record is durable (it landed in the torn tail) — a winner whose
-	// ack was lost to the crash.
-	if failedIdx >= 0 && trace[failedIdx].Kind == sim.ActCommit && winners[ids[trace[failedIdx].Tx]] {
-		bs.ambiguous++
-	}
-
-	// Crash and recover, capturing the undo visit stream.
-	if err := eng.Crash(); err != nil {
-		return bs, err
-	}
-	var visits []wal.LSN
-	eng.SetEventHook(func(ev obs.Event) {
-		if ev.Name == "undo.visit" {
-			visits = append(visits, wal.LSN(ev.LSN))
-		}
-	})
-	err = eng.Recover()
-	eng.SetEventHook(nil)
-	if err != nil {
-		return bs, fmt.Errorf("recover: %w", err)
-	}
-	bs.undoVisits = len(visits)
-
-	// Log-level invariants: the backward pass is one monotone sweep —
-	// strictly decreasing LSNs, no record visited twice.
-	seen := make(map[wal.LSN]bool, len(visits))
-	for i, lsn := range visits {
-		if seen[lsn] {
-			return bs, fmt.Errorf("undo visited LSN %d twice", lsn)
-		}
-		seen[lsn] = true
-		if i > 0 && lsn >= visits[i-1] {
-			return bs, fmt.Errorf("undo visits not strictly decreasing: %d then %d", visits[i-1], lsn)
-		}
-	}
-
-	// State check: the recovered engine must agree with the oracle on
-	// every object and every counter.
-	for obj := 1; obj <= cfg.Objects; obj++ {
-		id := wal.ObjectID(obj)
-		want := oracle.values[id]
-		got, _, err := eng.ReadObject(id)
-		if err != nil {
-			return bs, err
-		}
-		if string(got) != string(want) {
-			return bs, fmt.Errorf("object %d: engine %q, oracle %q (winners %v)",
-				obj, got, want, winners)
-		}
-	}
-	for c := cfg.Objects + 1; c <= cfg.Objects+cfg.Counters; c++ {
-		id := wal.ObjectID(c)
-		got, err := eng.CounterValue(id)
-		if err != nil {
-			return bs, err
-		}
-		if want := oracle.counters[id]; got != want {
-			return bs, fmt.Errorf("counter %d: engine %d, oracle %d", c, got, want)
-		}
-	}
-	return bs, nil
+	return verdict{expect: b.durable, began: len(ids)}, nil
 }
