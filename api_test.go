@@ -103,9 +103,10 @@ func TestAPIObjectsAndResponsibleFor(t *testing.T) {
 	db := openDB(t)
 	t1, _ := db.Begin()
 	t2, _ := db.Begin()
-	if err := t1.Update(5, []byte("v")); err != nil { // LSN 3
+	if err := t1.Update(5, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	lsn := uint64(db.Engine().Log().Head())
 	objs, err := t1.Objects()
 	if err != nil || len(objs) != 1 || objs[0] != 5 {
 		t.Fatalf("objects = %v err = %v", objs, err)
@@ -113,7 +114,7 @@ func TestAPIObjectsAndResponsibleFor(t *testing.T) {
 	if err := t1.Delegate(t2, 5); err != nil {
 		t.Fatal(err)
 	}
-	owner, err := db.ResponsibleFor(3)
+	owner, err := db.ResponsibleFor(lsn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -701,6 +701,15 @@ func (tx *Tx) DB() *DB { return tx.db }
 // failure returns an error (the transaction is NOT committed — though a
 // crash may still find the record durable; recovery honors the log) and
 // moves the database to degraded mode.
+//
+// A read-only transaction — one that never updated, incremented,
+// delegated or received a delegation — has nothing for recovery to read:
+// nothing is logged and nothing forced, and a nil return means
+// everything it read was already durable.  Under EarlyLockRelease it may
+// have read data of committers whose commit records were not yet on
+// stable storage; Commit then waits for those records first, on every
+// shard it read from, and returns ErrCommitAborted if one cannot be made
+// durable.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
@@ -731,6 +740,7 @@ func (tx *Tx) Commit() error {
 // the device simply makes recovery re-abort the transaction, landing in
 // the same state).  Abort therefore remains available in degraded mode,
 // where it is the sanctioned way to release a failed transaction's locks.
+// A transaction that never logged a record aborts without I/O.
 func (tx *Tx) Abort() error {
 	if tx.done {
 		return ErrTxDone

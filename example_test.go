@@ -33,11 +33,11 @@ func ExampleDB_ResponsibleFor() {
 
 	t1, _ := db.Begin()
 	t2, _ := db.Begin()
-	_ = t1.Update(7, []byte("x")) // logged at LSN 3 as update[t1, 7]
-	owner, _ := db.ResponsibleFor(3)
+	_ = t1.Update(7, []byte("x")) // logged at LSN 1 as update[t1, 7]: Begin logs nothing
+	owner, _ := db.ResponsibleFor(1)
 	fmt.Println(owner == t1.ID())
 	_ = t1.Delegate(t2, 7)
-	owner, _ = db.ResponsibleFor(3)
+	owner, _ = db.ResponsibleFor(1)
 	fmt.Println(owner == t2.ID())
 	// Output:
 	// true

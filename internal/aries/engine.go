@@ -122,7 +122,9 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Begin starts a transaction.
+// Begin starts a transaction.  As in ARIES/RH nothing is logged: the
+// first update opens the backward chain, and a transaction that never
+// logged commits and aborts without writing or forcing anything.
 func (e *Engine) Begin() (wal.TxID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -130,12 +132,6 @@ func (e *Engine) Begin() (wal.TxID, error) {
 		return wal.NilTx, ErrCrashed
 	}
 	info := e.txns.Begin()
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeBegin, TxID: info.ID})
-	if err != nil {
-		return wal.NilTx, err
-	}
-	info.LastLSN = lsn
-	info.UndoNextLSN = lsn
 	e.stats.Begins++
 	return info.ID, nil
 }
@@ -220,6 +216,7 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 		return err
 	}
 	info.LastLSN = lsn
+	info.UndoNextLSN = lsn
 	e.stats.Updates++
 	return nil
 }
@@ -235,15 +232,17 @@ func (e *Engine) Commit(tx wal.TxID) error {
 	if err != nil {
 		return err
 	}
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
-	if err != nil {
-		return err
-	}
-	if err := e.log.Flush(lsn); err != nil {
-		return err
-	}
-	if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn}); err != nil {
-		return err
+	if info.LastLSN != wal.NilLSN {
+		lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
+		if err != nil {
+			return err
+		}
+		if err := e.log.Flush(lsn); err != nil {
+			return err
+		}
+		if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn}); err != nil {
+			return err
+		}
 	}
 	e.locks.ReleaseAll(tx)
 	e.txns.Remove(tx)
@@ -263,18 +262,20 @@ func (e *Engine) Abort(tx wal.TxID) error {
 	if err != nil {
 		return err
 	}
-	if err := e.rollbackChain(info, wal.NilLSN); err != nil {
-		return err
-	}
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN})
-	if err != nil {
-		return err
-	}
-	if err := e.log.Flush(lsn); err != nil {
-		return err
-	}
-	if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn}); err != nil {
-		return err
+	if info.LastLSN != wal.NilLSN {
+		if err := e.rollbackChain(info, wal.NilLSN); err != nil {
+			return err
+		}
+		lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN})
+		if err != nil {
+			return err
+		}
+		if err := e.log.Flush(lsn); err != nil {
+			return err
+		}
+		if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn}); err != nil {
+			return err
+		}
 	}
 	e.locks.ReleaseAll(tx)
 	e.txns.Remove(tx)
@@ -311,6 +312,7 @@ func (e *Engine) rollbackChain(info *txn.Info, stopAt wal.LSN) error {
 				return err
 			}
 			info.LastLSN = lsn
+			info.UndoNextLSN = rec.PrevLSN
 			e.stats.CLRs++
 			next = rec.PrevLSN
 		case wal.TypeCLR:
@@ -334,7 +336,14 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	payload := encodeCkpt(beginLSN, e.txns.Snapshot(), e.pool.DirtyPageTable())
+	// A transaction that never logged is left out, as in ARIES/RH.
+	var infos []txn.Info
+	for _, info := range e.txns.Snapshot() {
+		if info.LastLSN != wal.NilLSN {
+			infos = append(infos, info)
+		}
+	}
+	payload := encodeCkpt(beginLSN, infos, e.pool.DirtyPageTable())
 	endLSN, err := e.log.Append(&wal.Record{Type: wal.TypeCheckpointEnd, PrevLSN: beginLSN, Payload: payload})
 	if err != nil {
 		return err

@@ -64,6 +64,7 @@ func (e *Engine) Recover() error {
 		analyze := rec.LSN > analysisAfter
 		switch rec.Type {
 		case wal.TypeBegin:
+			// Logs written before Begin became lazy open each chain with one.
 			if analyze {
 				info := e.txns.Register(rec.TxID)
 				info.Status = txn.Active
@@ -175,9 +176,6 @@ func (e *Engine) Recover() error {
 			undoNext[maxTx] = rec.PrevLSN
 		case wal.TypeCLR:
 			undoNext[maxTx] = rec.UndoNextLSN
-		case wal.TypeBegin:
-			delete(undoNext, maxTx)
-			continue
 		default:
 			undoNext[maxTx] = rec.PrevLSN
 		}

@@ -53,7 +53,8 @@ func TestArchiveLogBlockedByDelegatedScope(t *testing.T) {
 	e := newEngine(t)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
-	mustUpdate(t, e, t1, 1, "pinned") // LSN 3
+	mustUpdate(t, e, t1, 1, "pinned")
+	pinned := e.Log().Head()
 	mustDelegate(t, e, t1, t2, 1)
 	mustCommit(t, e, t1)
 	if err := e.store.FlushAll(); err != nil {
@@ -72,11 +73,11 @@ func TestArchiveLogBlockedByDelegatedScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base >= 3 {
-		t.Fatalf("archived through %d despite t2's live scope at LSN 3", base)
+	if base >= pinned {
+		t.Fatalf("archived through %d despite t2's live scope at LSN %d", base, pinned)
 	}
 	// The pinned record is still readable and the update recoverable.
-	if _, err := e.Log().Get(3); err != nil {
+	if _, err := e.Log().Get(pinned); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Log().Flush(e.Log().Head()); err != nil {
@@ -108,4 +109,34 @@ func TestArchiveLogAfterDelegateeCommits(t *testing.T) {
 		t.Fatalf("base = %d; expected the old records reclaimed", base)
 	}
 	wantValue(t, e, 1, "pinned")
+}
+
+// TestArchiveBoundPinsFirstRecordOfLiveChain: a live transaction's chain
+// is kept back to its first record even where no scope of its own covers
+// that record.  Begin logs nothing, so the first record is its first
+// update — here one whose scope was delegated away and committed — and
+// the walk must stop there rather than run off the chain's end and drop
+// the pin.
+func TestArchiveBoundPinsFirstRecordOfLiveChain(t *testing.T) {
+	e := newEngine(t)
+	t1 := mustBegin(t, e)
+	t2 := mustBegin(t, e)
+	mustUpdate(t, e, t1, 1, "delegated")
+	first := e.Log().Head()
+	mustDelegate(t, e, t1, t2, 1)
+	mustCommit(t, e, t2)
+	if err := e.store.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	min, err := e.MinRequiredLSN()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min != first {
+		t.Fatalf("MinRequiredLSN = %d, want %d: live t%d's first record", min, first, t1)
+	}
+	mustAbort(t, e, t1)
 }

@@ -183,6 +183,20 @@ func (e *Engine) noteViolationsLocked(tx wal.TxID, obj wal.ObjectID, mode lock.M
 	}
 }
 
+// predurableHorizonLocked returns the highest commit LSN among the
+// pre-durable committers tx holds an abort dependency on (NilLSN if
+// none): once the log is durable through it, prefix flushing makes every
+// commit tx built on durable.
+func (e *Engine) predurableHorizonLocked(tx wal.TxID) wal.LSN {
+	horizon := wal.NilLSN
+	for _, edge := range e.deps[tx] {
+		if pc, pending := e.predurable[edge.on]; pending && edge.kind == AbortDependency && pc.lsn > horizon {
+			horizon = pc.lsn
+		}
+	}
+	return horizon
+}
+
 // elrFlushFailureLocked rolls back every early-lock-release committer
 // whose commit record is stranded above the durable horizon after a
 // failed flush round, together with — transitively — every active
@@ -219,7 +233,9 @@ func (e *Engine) elrFlushFailureLocked() error {
 	}
 	failed := len(victims)
 	// Transitive closure of active abort-dependents: they interleave
-	// with the victims on the log, so they join the same sweep.
+	// with the victims on the log, so they join the same sweep.  A
+	// never-logged dependent joins too, whether still active or waiting
+	// in commitUnlogged: it read the never-durable data.
 	doomed := make(map[wal.TxID]bool, failed)
 	for _, v := range victims {
 		doomed[v.tx] = true
@@ -231,7 +247,7 @@ func (e *Engine) elrFlushFailureLocked() error {
 				continue
 			}
 			info := e.txns.Get(dep)
-			if info == nil || info.Status != txn.Active {
+			if info == nil || (info.Status != txn.Active && info.LastLSN != wal.NilLSN) {
 				continue
 			}
 			for _, edge := range edges {
@@ -270,23 +286,10 @@ func (e *Engine) elrFlushFailureLocked() error {
 		if info == nil {
 			continue
 		}
-		lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: v.tx, PrevLSN: info.LastLSN})
+		lsn, err := e.endAbortLocked(info)
 		if err != nil {
 			return err
 		}
-		info.Status = txn.Aborted
-		info.LastLSN = lsn
-		endLSN, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: v.tx, PrevLSN: lsn})
-		if err != nil {
-			return err
-		}
-		info.LastLSN = endLSN
-		e.locks.ReleaseAll(v.tx)
-		delete(e.state, v.tx)
-		delete(e.deps, v.tx)
-		e.txns.Remove(v.tx)
-		e.stats.Aborts++
-		e.met.aborts.Inc()
 		if i < failed {
 			e.met.elrFailedCommits.Inc()
 		} else {

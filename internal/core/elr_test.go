@@ -728,3 +728,75 @@ func TestELRCommitStatusDuringWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestELRReadOnlyCommitWaitsForPredecessor: a read-only transaction logs
+// nothing, so nothing of its own can make what it read durable.  Having
+// read a pre-durable committer's data it releases its locks at Commit
+// and then waits for that committer's commit record: it must not return
+// while the device still holds the record, it returns nil once the
+// record is durable and ErrCommitAborted when the flush fails, and in
+// both cases it appends nothing.
+func TestELRReadOnlyCommitWaitsForPredecessor(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		e, store := newELREngine(t)
+		t1 := mustBegin(t, e)
+		mustUpdate(t, e, t1, 1, "t1-pre-durable")
+		reader := mustBegin(t, e)
+
+		store.arm()
+		c1 := commitAsync(e, t1)
+		<-store.entered // t1's commit record is held at the device
+		commitLSN := e.Log().Head()
+		if v, err := e.Read(reader, 1); err != nil || string(v) != "t1-pre-durable" {
+			t.Fatalf("read of the early-released value = %q, %v", v, err)
+		}
+		cr := commitAsync(e, reader)
+		// The reader parks: Committed in the table, its lock released, its
+		// Commit still running while the record it depends on is held.
+		for parked := false; !parked; {
+			select {
+			case err := <-cr:
+				t.Fatalf("fail=%v: reader's Commit returned (%v) while its predecessor's commit record was held at the device", fail, err)
+			default:
+			}
+			e.mu.Lock()
+			info := e.txns.Get(reader)
+			parked = info != nil && info.Status == txn.Committed
+			_, held := e.locks.Holds(reader, 1)
+			e.mu.Unlock()
+			if parked && held {
+				t.Fatalf("fail=%v: reader still holds its lock while it waits", fail)
+			}
+			runtime.Gosched()
+		}
+		if fail {
+			store.failAll()
+		}
+		store.disarm()
+		close(store.gate)
+		err1, errR := <-c1, <-cr
+		if fail {
+			if !errors.Is(err1, ErrCommitAborted) || !errors.Is(errR, ErrCommitAborted) {
+				t.Fatalf("flush failed: predecessor %v, reader %v; want ErrCommitAborted for both", err1, errR)
+			}
+			if _, err := e.Read(reader, 1); !errors.Is(err, ErrNoSuchTxn) {
+				t.Fatalf("reader survived its predecessor's rollback: Read err = %v", err)
+			}
+		} else {
+			if err1 != nil || errR != nil {
+				t.Fatalf("predecessor %v, reader %v; want both nil", err1, errR)
+			}
+			if flushed := e.Log().FlushedLSN(); flushed < commitLSN {
+				t.Fatalf("reader acknowledged with the log durable through %d, below its predecessor's commit record at %d", flushed, commitLSN)
+			}
+		}
+		if err := e.Log().Scan(1, wal.NilLSN, func(rec *wal.Record) (bool, error) {
+			if rec.TxID == reader {
+				return false, fmt.Errorf("fail=%v: read-only t%d appended a %v record at %d", fail, reader, rec.Type, rec.LSN)
+			}
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -112,24 +112,29 @@ func TestAbortUndoesInReverseOrder(t *testing.T) {
 // ResponsibleTr for t1's updates to a is t2.
 func TestFigure2Interpretation(t *testing.T) {
 	e := newEngine(t)
-	t1 := mustBegin(t, e) // log LSN 1
-	t2 := mustBegin(t, e) // log LSN 2
+	t1 := mustBegin(t, e)
+	t2 := mustBegin(t, e)
 	const a, b, x, y = 100, 101, 102, 103
-	mustUpdate(t, e, t1, a, "1") // LSN 3: update[t1, a]
-	mustUpdate(t, e, t2, x, "2") // LSN 4: update[t2, x]
+	// update appends one record and returns its LSN, read off the log.
+	update := func(tx wal.TxID, obj wal.ObjectID, val string) wal.LSN {
+		mustUpdate(t, e, tx, obj, val)
+		return e.Log().Head()
+	}
+	a1 := update(t1, a, "1") // update[t1, a]
+	update(t2, x, "2")       // update[t2, x]
 	// t2 updates a: needs t1's X lock... in the paper's example the
 	// updates commute; here t1 delegates nothing yet, so have t1 release
 	// by delegating a to t2 later.  Use distinct objects to keep the
 	// figure's shape: t2's update of a happens after t1's delegation in
 	// lock terms, so this test exercises the scope bookkeeping on b/y
 	// and the delegated object a.
-	mustUpdate(t, e, t1, b, "3")  // LSN 5: update[t1, b]
-	mustUpdate(t, e, t1, a, "4")  // LSN 6: update[t1, a]
-	mustUpdate(t, e, t2, y, "5")  // LSN 7: update[t2, y]
-	mustDelegate(t, e, t1, t2, a) // LSN 8: delegate(t1 -> t2, a)
+	b1 := update(t1, b, "3")      // update[t1, b]
+	a2 := update(t1, a, "4")      // update[t1, a]
+	update(t2, y, "5")            // update[t2, y]
+	mustDelegate(t, e, t1, t2, a) // delegate(t1 -> t2, a)
 
-	// The log itself is NOT rewritten: records 3 and 6 still carry t1.
-	for _, lsn := range []wal.LSN{3, 6} {
+	// The log itself is NOT rewritten: t1's updates of a still carry t1.
+	for _, lsn := range []wal.LSN{a1, a2} {
 		rec, err := e.Log().Get(lsn)
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +144,7 @@ func TestFigure2Interpretation(t *testing.T) {
 		}
 	}
 	// But the interpretation says t2 is responsible for them now...
-	for _, lsn := range []wal.LSN{3, 6} {
+	for _, lsn := range []wal.LSN{a1, a2} {
 		owner, err := e.ResponsibleFor(lsn)
 		if err != nil {
 			t.Fatal(err)
@@ -149,12 +154,12 @@ func TestFigure2Interpretation(t *testing.T) {
 		}
 	}
 	// ...while t1 keeps responsibility for its update of b.
-	owner, err := e.ResponsibleFor(5)
+	owner, err := e.ResponsibleFor(b1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if owner != t1 {
-		t.Fatalf("ResponsibleTr(record 5) = t%d, want t%d", owner, t1)
+		t.Fatalf("ResponsibleTr(record %d) = t%d, want t%d", b1, owner, t1)
 	}
 }
 
@@ -329,23 +334,26 @@ func TestOpList(t *testing.T) {
 	e := newEngine(t)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
-	mustUpdate(t, e, t1, 1, "a") // LSN 3
-	mustUpdate(t, e, t1, 2, "b") // LSN 4
-	mustUpdate(t, e, t2, 3, "c") // LSN 5
+	mustUpdate(t, e, t1, 1, "a")
+	l1 := e.Log().Head()
+	mustUpdate(t, e, t1, 2, "b")
+	l2 := e.Log().Head()
+	mustUpdate(t, e, t2, 3, "c")
+	l3 := e.Log().Head()
 	mustDelegate(t, e, t1, t2, 1)
 	ops, err := e.OpList(t2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ops) != 2 || ops[0] != 3 || ops[1] != 5 {
-		t.Fatalf("OpList(t2) = %v, want [3 5]", ops)
+	if len(ops) != 2 || ops[0] != l1 || ops[1] != l3 {
+		t.Fatalf("OpList(t2) = %v, want [%d %d]", ops, l1, l3)
 	}
 	ops1, err := e.OpList(t1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ops1) != 1 || ops1[0] != 4 {
-		t.Fatalf("OpList(t1) = %v, want [4]", ops1)
+	if len(ops1) != 1 || ops1[0] != l2 {
+		t.Fatalf("OpList(t1) = %v, want [%d]", ops1, l2)
 	}
 }
 
@@ -353,34 +361,37 @@ func TestOpList(t *testing.T) {
 // carries pointers to the previous records of both delegator and delegatee.
 func TestBackwardChains(t *testing.T) {
 	e := newEngine(t)
-	t1 := mustBegin(t, e)         // LSN 1
-	t2 := mustBegin(t, e)         // LSN 2
-	mustUpdate(t, e, t1, 7, "a")  // LSN 3
-	mustUpdate(t, e, t2, 8, "b")  // LSN 4
-	mustDelegate(t, e, t1, t2, 7) // LSN 5
-	rec, err := e.Log().Get(5)
+	t1 := mustBegin(t, e)
+	t2 := mustBegin(t, e)
+	mustUpdate(t, e, t1, 7, "a")
+	u1 := e.Log().Head()
+	mustUpdate(t, e, t2, 8, "b")
+	u2 := e.Log().Head()
+	mustDelegate(t, e, t1, t2, 7)
+	d := e.Log().Head()
+	rec, err := e.Log().Get(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Type != wal.TypeDelegate || rec.Tor != t1 || rec.Tee != t2 {
 		t.Fatalf("delegate record = %+v", rec)
 	}
-	if rec.TorPrev != 3 {
-		t.Fatalf("torBC = %d, want 3 (t1's previous record)", rec.TorPrev)
+	if rec.TorPrev != u1 {
+		t.Fatalf("torBC = %d, want %d (t1's previous record)", rec.TorPrev, u1)
 	}
-	if rec.TeePrev != 4 {
-		t.Fatalf("teeBC = %d, want 4 (t2's previous record)", rec.TeePrev)
+	if rec.TeePrev != u2 {
+		t.Fatalf("teeBC = %d, want %d (t2's previous record)", rec.TeePrev, u2)
 	}
 	// A subsequent update by t1 chains to the delegate record.
-	t3 := mustBegin(t, e) // LSN 6 (keeps lock simple: update different object)
+	t3 := mustBegin(t, e) // keeps lock simple: update different object
 	_ = t3
-	mustUpdate(t, e, t1, 9, "c") // LSN 7
-	rec7, err := e.Log().Get(7)
+	mustUpdate(t, e, t1, 9, "c")
+	next, err := e.Log().Get(e.Log().Head())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec7.PrevLSN != 5 {
-		t.Fatalf("t1's chain head after delegate = %d, want 5", rec7.PrevLSN)
+	if next.PrevLSN != d {
+		t.Fatalf("t1's chain head after delegate = %d, want %d", next.PrevLSN, d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -12,7 +13,10 @@ import (
 )
 
 // Begin starts a new transaction and returns its ID (§3.5 begin: add to
-// Tr_List, create Ob_List).
+// Tr_List, create Ob_List).  Nothing is logged: a transaction's first
+// record is its first update, increment, delegation or prepare, which
+// heads its backward chain with PrevLSN NilLSN.  Until then LastLSN is
+// NilLSN — "never logged" — and Commit and Abort write and force nothing.
 func (e *Engine) Begin() (wal.TxID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -20,11 +24,6 @@ func (e *Engine) Begin() (wal.TxID, error) {
 		return wal.NilTx, err
 	}
 	info := e.txns.Begin()
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeBegin, TxID: info.ID})
-	if err != nil {
-		return wal.NilTx, err
-	}
-	info.LastLSN = lsn
 	e.state[info.ID] = delegation.NewObList()
 	e.stats.Begins++
 	e.met.begins.Inc()
@@ -344,6 +343,10 @@ func (e *Engine) ObjectsOf(tx wal.TxID) ([]wal.ObjectID, error) {
 // wal.Log.FlushAsync — one device sync then covers every commit record
 // queued meanwhile, and unrelated operations (Update/Delegate/Read)
 // proceed during the sync instead of stalling behind it.
+//
+// A transaction that never logged a record (LastLSN NilLSN) has nothing
+// for recovery to read: it appends no commit record and forces nothing
+// (see commitUnlogged).
 func (e *Engine) Commit(tx wal.TxID) error {
 	start := time.Now()
 	e.mu.Lock()
@@ -361,6 +364,9 @@ func (e *Engine) Commit(tx wal.TxID) error {
 		return err
 	}
 	prevLast := info.LastLSN
+	if prevLast == wal.NilLSN {
+		return e.commitUnlogged(tx, info, start)
+	}
 	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: prevLast})
 	if err != nil {
 		e.mu.Unlock()
@@ -428,6 +434,14 @@ func (e *Engine) finishCommitLocked(tx wal.TxID, info *txn.Info, lsn wal.LSN, st
 		return err
 	}
 	info.LastLSN = endLSN
+	e.endCommitLocked(tx, lsn, start)
+	return nil
+}
+
+// endCommitLocked releases a committed transaction's locks, drops it from
+// the volatile tables and counts the commit (lsn is its commit record,
+// NilLSN for a transaction that never logged).
+func (e *Engine) endCommitLocked(tx wal.TxID, lsn wal.LSN, start time.Time) {
 	e.locks.ReleaseAll(tx)
 	delete(e.state, tx)
 	delete(e.deps, tx)
@@ -438,6 +452,54 @@ func (e *Engine) finishCommitLocked(tx wal.TxID, info *txn.Info, lsn wal.LSN, st
 	if e.reg.HasEventHook() {
 		e.reg.Emit(obs.Event{Name: "txn.commit", Tx: uint64(tx), LSN: uint64(lsn)})
 	}
+}
+
+// commitUnlogged commits tx, which never logged a record: recovery has
+// nothing of it to read, so there is no commit record to append and
+// nothing of its own to force.  Entered with the latch held; returns with
+// it released.
+//
+// Under early lock release tx may have read data of pre-durable
+// committers (it holds abort dependencies on them).  It then releases its
+// locks and waits off-latch for the highest such commit record to become
+// durable — never for a record of its own — so a nil return still means
+// everything it read survives a crash.  If that flush fails, the rollback
+// of the stranded committers takes tx with them (elrFlushFailureLocked)
+// and Commit returns ErrCommitAborted.
+func (e *Engine) commitUnlogged(tx wal.TxID, info *txn.Info, start time.Time) error {
+	wait := e.predurableHorizonLocked(tx)
+	if wait == wal.NilLSN {
+		e.endCommitLocked(tx, wal.NilLSN, start)
+		e.mu.Unlock()
+		return nil
+	}
+	// Committed keeps further operations on tx out during the wait;
+	// elrFlushFailureLocked still finds it as a never-logged dependent.
+	info.Status = txn.Committed
+	e.locks.ReleaseAll(tx)
+	ch := e.log.FlushAsync(wait)
+	e.mu.Unlock()
+	ferr := <-ch
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.crashed || errors.Is(ferr, wal.ErrLogCrashed) {
+		return ErrCrashed
+	}
+	if ferr != nil && wait > e.log.FlushedLSN() {
+		e.degradeLocked(ferr)
+		if err := e.elrFlushFailureLocked(); err != nil {
+			return err
+		}
+	}
+	if e.txns.Get(tx) != info {
+		// Rolled back together with a committer it read from.
+		if ferr == nil {
+			return fmt.Errorf("%w: t%d read from a rolled-back commit", ErrCommitAborted, tx)
+		}
+		return fmt.Errorf("%w: %w", ErrCommitAborted, ferr)
+	}
+	e.endCommitLocked(tx, wal.NilLSN, start)
 	return nil
 }
 
@@ -479,11 +541,17 @@ func (e *Engine) Abort(tx wal.TxID) error {
 // with the engine latch held, it returns with the latch released: it
 // completes the abort — including any cascaded aborts, whose records are
 // appended before Head is read — then waits off-latch for one coalesced
-// flush covering all of it.
+// flush covering all of it.  An abort that appended nothing — the
+// transaction and every cascaded victim never logged — forces nothing.
 func (e *Engine) abortAndForce(tx wal.TxID) error {
+	head := e.log.Head()
 	if err := e.abortLocked(tx); err != nil {
 		e.mu.Unlock()
 		return err
+	}
+	if e.log.Head() == head {
+		e.mu.Unlock()
+		return nil
 	}
 	ch := e.log.FlushAsync(e.log.Head())
 	e.mu.Unlock()
@@ -514,29 +582,44 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 	// WRITE ABORT RECORD.  The force is deferred to the top-level abort's
 	// coalesced off-latch flush (every abort — cascaded ones included —
 	// runs under exactly one abortAndForce).
-	info = e.txns.Get(tx) // lastLSN advanced by the CLRs
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN})
+	lsn, err := e.endAbortLocked(info) // LastLSN advanced by the CLRs
 	if err != nil {
 		return err
 	}
-	info.Status = txn.Aborted
-	info.LastLSN = lsn
-	endLSN, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn})
-	if err != nil {
-		return err
+	if e.reg.HasEventHook() {
+		e.reg.Emit(obs.Event{Name: "txn.abort", Tx: uint64(tx), LSN: uint64(lsn)})
 	}
-	info.LastLSN = endLSN
+	// Cascade: abort-dependents of tx must abort too.
+	return e.cascadeAbortsLocked(tx)
+}
+
+// endAbortLocked terminates a rolled-back transaction: it appends the
+// abort and end records, releases the locks, drops the transaction from
+// the volatile tables and counts the abort.  A transaction that never
+// logged appends nothing — recovery has no chain of it to close.  It
+// returns the abort record's LSN (NilLSN if none was written).
+func (e *Engine) endAbortLocked(info *txn.Info) (wal.LSN, error) {
+	tx, lsn := info.ID, wal.NilLSN
+	if info.LastLSN != wal.NilLSN {
+		var err error
+		if lsn, err = e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN}); err != nil {
+			return wal.NilLSN, err
+		}
+		info.Status = txn.Aborted
+		info.LastLSN = lsn
+		endLSN, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn})
+		if err != nil {
+			return wal.NilLSN, err
+		}
+		info.LastLSN = endLSN
+	}
 	e.locks.ReleaseAll(tx)
 	delete(e.state, tx)
 	delete(e.deps, tx)
 	e.txns.Remove(tx)
 	e.stats.Aborts++
 	e.met.aborts.Inc()
-	if e.reg.HasEventHook() {
-		e.reg.Emit(obs.Event{Name: "txn.abort", Tx: uint64(tx), LSN: uint64(lsn)})
-	}
-	// Cascade: abort-dependents of tx must abort too.
-	return e.cascadeAbortsLocked(tx)
+	return lsn, nil
 }
 
 // undoScopes sweeps the given scopes with the cluster planner, undoing
@@ -655,10 +738,23 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
+	// A transaction that never logged is left out: recovery would revive
+	// it as a loser and log abort and end records for it.
+	var txns []txn.Info
+	state := make(delegation.State, len(e.state))
+	for _, info := range e.txns.Snapshot() {
+		if info.LastLSN == wal.NilLSN {
+			continue
+		}
+		txns = append(txns, info)
+		if ol, ok := e.state[info.ID]; ok {
+			state[info.ID] = ol
+		}
+	}
 	payload := encodeCheckpoint(&checkpointData{
 		beginLSN: beginLSN,
-		txns:     e.txns.Snapshot(),
-		state:    e.state,
+		txns:     txns,
+		state:    state,
 		dpt:      e.pool.DirtyPageTable(),
 		prepared: e.prepared,
 		globals:  e.globals,

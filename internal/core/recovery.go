@@ -212,22 +212,14 @@ func (e *Engine) applyRecordLocked(rec *wal.Record, analyze bool, rs *replayStat
 func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replayState) error {
 	switch rec.Type {
 	case wal.TypeBegin:
+		// Logs written before Begin became lazy open each chain with one.
 		if analyze {
-			info := e.txns.Register(rec.TxID)
-			info.Status = txn.Active
-			info.LastLSN = rec.LSN
-			e.state[rec.TxID] = delegation.NewObList()
+			e.registerLocked(rec.TxID).LastLSN = rec.LSN
 		}
 	case wal.TypeUpdate, wal.TypeIncrement:
 		if analyze {
-			info := e.txns.Register(rec.TxID)
-			info.LastLSN = rec.LSN
-			ol := e.state[rec.TxID]
-			if ol == nil {
-				ol = delegation.NewObList()
-				e.state[rec.TxID] = ol
-			}
-			ol.RecordUpdate(rec.TxID, rec.Object, rec.LSN)
+			e.registerLocked(rec.TxID).LastLSN = rec.LSN
+			e.state[rec.TxID].RecordUpdate(rec.TxID, rec.Object, rec.LSN)
 		}
 	case wal.TypeCLR:
 		rs.compensated[rec.Compensates] = true
@@ -236,19 +228,24 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 				info.LastLSN = rec.LSN
 			}
 		}
-	case wal.TypeDelegate:
+	case wal.TypeDelegate, wal.TypeDelegateOut:
+		// The home-shard half of a cross-shard delegation transfers
+		// responsibility between two local transactions exactly like a
+		// plain delegate record; the gid/peer fields are audit trail.  The
+		// delegator has logged the delegated update already; the delegate
+		// record may be the delegatee's first.
 		if analyze {
 			torList := e.state[rec.Tor]
-			teeList := e.state[rec.Tee]
-			if torList == nil || teeList == nil {
-				return fmt.Errorf("core: delegate record %d references unknown transactions", rec.LSN)
+			if torList == nil {
+				return fmt.Errorf("core: %v record %d references unknown delegator t%d", rec.Type, rec.LSN, rec.Tor)
 			}
-			torList.DelegateTo(teeList, rec.Tor, rec.Object)
+			e.registerLocked(rec.Tee).LastLSN = rec.LSN
+			torList.DelegateTo(e.state[rec.Tee], rec.Tor, rec.Object)
 			if torInfo := e.txns.Get(rec.Tor); torInfo != nil {
 				torInfo.LastLSN = rec.LSN
 			}
-			if teeInfo := e.txns.Get(rec.Tee); teeInfo != nil {
-				teeInfo.LastLSN = rec.LSN
+			if rec.GID > e.maxGID {
+				e.maxGID = rec.GID
 			}
 		}
 	case wal.TypeCommit:
@@ -288,31 +285,10 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 		}
 	case wal.TypePrepare:
 		if analyze {
-			info := e.txns.Register(rec.TxID)
+			info := e.registerLocked(rec.TxID)
 			info.Status = txn.Prepared
 			info.LastLSN = rec.LSN
 			e.prepared[rec.TxID] = preparedInfo{gid: rec.GID, coord: rec.Shard, prepareLSN: rec.LSN}
-			if rec.GID > e.maxGID {
-				e.maxGID = rec.GID
-			}
-		}
-	case wal.TypeDelegateOut:
-		// The home-shard half of a cross-shard delegation transfers
-		// responsibility between two local transactions exactly like a
-		// plain delegate record; the gid/peer fields are audit trail.
-		if analyze {
-			torList := e.state[rec.Tor]
-			teeList := e.state[rec.Tee]
-			if torList == nil || teeList == nil {
-				return fmt.Errorf("core: delegate-out record %d references unknown transactions", rec.LSN)
-			}
-			torList.DelegateTo(teeList, rec.Tor, rec.Object)
-			if torInfo := e.txns.Get(rec.Tor); torInfo != nil {
-				torInfo.LastLSN = rec.LSN
-			}
-			if teeInfo := e.txns.Get(rec.Tee); teeInfo != nil {
-				teeInfo.LastLSN = rec.LSN
-			}
 			if rec.GID > e.maxGID {
 				e.maxGID = rec.GID
 			}
@@ -322,8 +298,7 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 		// change on this shard — the object and its scopes live on the
 		// home shard — only the backward chain advances.
 		if analyze {
-			info := e.txns.Register(rec.TxID)
-			info.LastLSN = rec.LSN
+			e.registerLocked(rec.TxID).LastLSN = rec.LSN
 			if rec.GID > e.maxGID {
 				e.maxGID = rec.GID
 			}
@@ -334,6 +309,15 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 		return fmt.Errorf("core: unexpected record %v during recovery", rec.Type)
 	}
 	return nil
+}
+
+// registerLocked returns tx's transaction-table entry, registering it with
+// an empty Ob_List when analysis meets the first record of its chain.
+func (e *Engine) registerLocked(tx wal.TxID) *txn.Info {
+	if e.state[tx] == nil {
+		e.state[tx] = delegation.NewObList()
+	}
+	return e.txns.Register(tx)
 }
 
 // finishRecoveryLocked runs everything after the forward pass:

@@ -353,3 +353,87 @@ func TestRecoverRetryWithoutCrashAfterInjectedFailure(t *testing.T) {
 	wantValue(t, e, 2, "")
 	wantValue(t, e, 3, "")
 }
+
+// TestRecoverLogWithBeginRecords recovers a hand-built log in the format
+// written before Begin became lazy, where every chain opens with a begin
+// record, sequentially and through the pipeline.  t1 commits after
+// delegating one of its updates to t3; t2 and t3 are in flight at the
+// crash; t4 is a read-only transaction of the old format (begin, commit,
+// end).  The update t1 kept survives, t2's and the one delegated to t3
+// are undone, and IDs the begin records name are not handed out again.
+func TestRecoverLogWithBeginRecords(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		dir := wal.NewMemDir()
+		log, err := wal.NewLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Appended at LSNs 1..12, in order.
+		for _, rec := range []*wal.Record{
+			{Type: wal.TypeBegin, TxID: 1},
+			{Type: wal.TypeBegin, TxID: 2},
+			{Type: wal.TypeBegin, TxID: 3},
+			{Type: wal.TypeUpdate, TxID: 1, PrevLSN: 1, Object: 1, After: []byte("kept")},
+			{Type: wal.TypeUpdate, TxID: 2, PrevLSN: 2, Object: 2, After: []byte("lost")},
+			{Type: wal.TypeUpdate, TxID: 1, PrevLSN: 4, Object: 3, After: []byte("handed")},
+			{Type: wal.TypeDelegate, TxID: 1, PrevLSN: 6, Tor: 1, Tee: 3, TorPrev: 6, TeePrev: 3, Object: 3},
+			{Type: wal.TypeCommit, TxID: 1, PrevLSN: 7},
+			{Type: wal.TypeEnd, TxID: 1, PrevLSN: 8},
+			{Type: wal.TypeBegin, TxID: 4},
+			{Type: wal.TypeCommit, TxID: 4, PrevLSN: 10},
+			{Type: wal.TypeEnd, TxID: 4, PrevLSN: 11},
+		} {
+			if _, err := log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Flush(log.Head()); err != nil {
+			t.Fatal(err)
+		}
+
+		e, err := New(Options{PoolSize: 16, LogDir: dir, ParallelRecovery: parallel}) // recovers at open
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WaitRecovered(); err != nil {
+			t.Fatal(err)
+		}
+		wantValue(t, e, 1, "kept")
+		wantValue(t, e, 2, "")
+		wantValue(t, e, 3, "")
+		if tr := e.LastRecoveryTrace(); tr.Winners != 2 || tr.Losers != 2 {
+			t.Fatalf("parallel=%v: recovery found %d winners and %d losers, want 2 and 2", parallel, tr.Winners, tr.Losers)
+		}
+		if tx := mustBegin(t, e); tx <= 4 {
+			t.Fatalf("parallel=%v: Begin after recovery returned t%d, an ID the log already names", parallel, tx)
+		}
+	}
+}
+
+// TestCheckpointOmitsNeverLoggedTxns: a transaction that has logged
+// nothing is not in the checkpoint's transaction table or Ob_List
+// snapshot, so recovery from that checkpoint does not revive it as a
+// loser and log abort and end records for a transaction the log never
+// named.
+func TestCheckpointOmitsNeverLoggedTxns(t *testing.T) {
+	e := newEngine(t)
+	idle := mustBegin(t, e)
+	loser := mustBegin(t, e)
+	mustUpdate(t, e, loser, 1, "junk")
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	crashAndRecover(t, e)
+	wantValue(t, e, 1, "")
+	if got := e.LastRecoveryTrace().Losers; got != 1 {
+		t.Fatalf("recovery found %d losers, want 1 (t%d only)", got, loser)
+	}
+	if err := e.Log().Scan(1, wal.NilLSN, func(rec *wal.Record) (bool, error) {
+		if rec.TxID == idle {
+			return false, fmt.Errorf("never-logged t%d got a %v record at %d", idle, rec.Type, rec.LSN)
+		}
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

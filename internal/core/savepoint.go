@@ -182,8 +182,8 @@ func (e *Engine) MinRequiredLSN() (wal.LSN, error) {
 	for _, info := range e.txns.Snapshot() {
 		if (info.Status == txn.Active || info.Status == txn.Prepared) && info.LastLSN != wal.NilLSN {
 			// Conservative: keep from its first record; scopes
-			// already bound updates, this bounds begin records.
-			if first := e.beginOf(info.ID); first != wal.NilLSN && first < min {
+			// already bound updates, this bounds the rest of the chain.
+			if first := e.firstOf(info.ID); first != wal.NilLSN && first < min {
 				min = first
 			}
 		}
@@ -231,9 +231,11 @@ func (e *Engine) ArchiveLog() (wal.LSN, error) {
 	return e.log.Base(), nil
 }
 
-// beginOf walks tx's backward chain to its begin record; used only by the
-// archive bound, which is not on the hot path.
-func (e *Engine) beginOf(tx wal.TxID) wal.LSN {
+// firstOf walks tx's backward chain to its first record — the one whose
+// back pointer (PrevLSN, or TeePrev where tx is the delegatee) is NilLSN;
+// in logs written before Begin became lazy, that is the begin record.
+// Used only by the archive bound, which is not on the hot path.
+func (e *Engine) firstOf(tx wal.TxID) wal.LSN {
 	info := e.txns.Get(tx)
 	if info == nil {
 		return wal.NilLSN
@@ -244,12 +246,12 @@ func (e *Engine) beginOf(tx wal.TxID) wal.LSN {
 		if err != nil {
 			return wal.NilLSN
 		}
-		if rec.Type == wal.TypeBegin {
-			return lsn
-		}
 		prev := rec.PrevLSN
 		if (rec.Type == wal.TypeDelegate || rec.Type == wal.TypeDelegateOut) && rec.Tee == tx {
 			prev = rec.TeePrev
+		}
+		if prev == wal.NilLSN {
+			return lsn
 		}
 		if prev >= lsn {
 			return wal.NilLSN // defensive: chains must strictly decrease

@@ -2,8 +2,12 @@ package shard
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
+	"ariesrh/internal/core"
 	"ariesrh/internal/fault"
 	"ariesrh/internal/wal"
 )
@@ -71,8 +75,8 @@ func TestSingleShardFastPath(t *testing.T) {
 
 // TestReadOnlyParticipantsSkipPrepare pins the read-only optimization:
 // a transaction that reads on one shard and writes on another commits
-// through the fast path (the read-only branch just aborts, releasing
-// its locks — presumed abort already describes it).
+// through the fast path (the read-only branch commits without a vote,
+// releasing its locks).
 func TestReadOnlyParticipantsSkipPrepare(t *testing.T) {
 	db := openTest(t, 2)
 	seed, _ := db.Begin()
@@ -104,6 +108,161 @@ func TestReadOnlyParticipantsSkipPrepare(t *testing.T) {
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gatedDir is a fault.Dir whose device Syncs can be held: while armed,
+// each Sync signals entered and blocks until gate is closed, then runs
+// the directory's own fault schedule (SetFailAllSyncs makes it fail).
+type gatedDir struct {
+	*fault.Dir
+	mu      sync.Mutex
+	armed   bool
+	gate    chan struct{}
+	entered chan struct{}
+}
+
+func newGatedDir() *gatedDir {
+	return &gatedDir{
+		Dir:     fault.NewDir(fault.Plan{}),
+		gate:    make(chan struct{}),
+		entered: make(chan struct{}, 16),
+	}
+}
+
+func (d *gatedDir) setArmed(on bool) { d.mu.Lock(); d.armed = on; d.mu.Unlock() }
+
+func (d *gatedDir) Open(name string) (wal.Store, error) {
+	dev, err := d.Dir.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedDev{Store: dev, dir: d}, nil
+}
+
+type gatedDev struct {
+	wal.Store
+	dir *gatedDir
+}
+
+func (g *gatedDev) Sync() error {
+	d := g.dir
+	d.mu.Lock()
+	armed := d.armed
+	d.mu.Unlock()
+	if armed {
+		d.entered <- struct{}{}
+		<-d.gate
+	}
+	return g.Store.Sync()
+}
+
+// TestELRReadOnlyBranchWaitsForPredecessor: under early lock release a
+// global transaction reads, on shard 1, a value whose writer's commit
+// record is held at shard 1's device.  Its read-only branch logs
+// nothing there, so nothing of its own makes that read durable: the
+// global Commit must not return before the writer's commit record is
+// durable, and must return ErrCommitAborted — rolling back any branch
+// it wrote on shard 0 — when that flush fails.  Either way the
+// read-only branch appends nothing to shard 1's log.
+func TestELRReadOnlyBranchWaitsForPredecessor(t *testing.T) {
+	for _, writesOther := range []bool{false, true} {
+		for _, fail := range []bool{false, true} {
+			name := fmt.Sprintf("writesOther=%v/fail=%v", writesOther, fail)
+			dirs := []*gatedDir{newGatedDir(), newGatedDir()}
+			db, err := Open(Options{
+				Shards:           2,
+				Router:           modRouter{},
+				LogDirs:          []wal.Dir{dirs[0], dirs[1]},
+				EarlyLockRelease: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng1 := db.Engine(1)
+
+			w, _ := db.Begin()
+			if err := w.Update(1, []byte("pre-durable")); err != nil { // shard 1
+				t.Fatal(err)
+			}
+			dirs[1].setArmed(true)
+			cw := make(chan error, 1)
+			go func() { cw <- w.Commit() }()
+			<-dirs[1].entered // w's commit record is held at shard 1's device
+			commitLSN := eng1.Log().Head()
+
+			r, _ := db.Begin()
+			if v, err := r.Read(1); err != nil || string(v) != "pre-durable" {
+				t.Fatalf("%s: read of the early-released value = %q, %v", name, v, err)
+			}
+			if writesOther {
+				if err := r.Update(2, []byte("r-wrote")); err != nil { // shard 0
+					t.Fatal(err)
+				}
+			}
+			rl, _ := r.Local(1)
+			type ack struct {
+				err     error
+				flushed wal.LSN
+			}
+			cr := make(chan ack, 1)
+			go func() {
+				err := r.Commit()
+				cr <- ack{err, eng1.Log().FlushedLSN()}
+			}()
+			// Hold the device until the read-only branch has left Active
+			// (parked in its wait) or the global Commit has returned.
+			var got *ack
+			for got == nil {
+				select {
+				case a := <-cr:
+					got = &a
+					continue
+				default:
+				}
+				if _, err := eng1.Read(rl, 1); errors.Is(err, core.ErrNoSuchTxn) {
+					break
+				}
+				runtime.Gosched()
+			}
+			if fail {
+				dirs[1].SetFailAllSyncs(true)
+			}
+			dirs[1].setArmed(false)
+			close(dirs[1].gate)
+			errW := <-cw
+			if got == nil {
+				a := <-cr
+				got = &a
+			}
+			if fail {
+				if !errors.Is(errW, core.ErrCommitAborted) || !errors.Is(got.err, core.ErrCommitAborted) {
+					t.Fatalf("%s: flush failed: writer %v, reader %v; want ErrCommitAborted for both", name, errW, got.err)
+				}
+				if !r.Done() {
+					t.Fatalf("%s: reader's handle still live after ErrCommitAborted", name)
+				}
+				if v := mustRead(t, db, 2); v != "" {
+					t.Fatalf("%s: obj 2 = %q after the reader aborted, want it rolled back", name, v)
+				}
+			} else {
+				if errW != nil || got.err != nil {
+					t.Fatalf("%s: writer %v, reader %v; want both nil", name, errW, got.err)
+				}
+				if got.flushed < commitLSN {
+					t.Fatalf("%s: reader acknowledged with shard 1 durable through %d, below its predecessor's commit record at %d", name, got.flushed, commitLSN)
+				}
+			}
+			if err := eng1.Log().Scan(1, wal.NilLSN, func(rec *wal.Record) (bool, error) {
+				if rec.TxID == rl {
+					return false, fmt.Errorf("%s: read-only branch t%d appended a %v record at %d", name, rl, rec.Type, rec.LSN)
+				}
+				return true, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+		}
 	}
 }
 

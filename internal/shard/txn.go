@@ -229,8 +229,11 @@ func (t *Txn) Delegate(to *Txn, obj wal.ObjectID) error {
 //
 // A transaction that touched one shard (or wrote on at most one)
 // commits through that engine's ordinary commit path — group commit,
-// early lock release and all — with no two-phase overhead; read-only
-// locks on other shards are simply released.
+// early lock release and all — with no two-phase overhead.  Read-only
+// branches on other shards commit without logging or forcing; under
+// early lock release one that read data of a pre-durable committer
+// first waits for that commit record, and if it cannot be made durable
+// the whole transaction aborts and Commit returns ErrCommitAborted.
 //
 // A transaction that wrote on several shards runs two-phase commit on
 // the participants' own logs, coordinated by the first shard it wrote
@@ -273,15 +276,26 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 
-	// Release read-only branches first: they hold no undoable work, so
-	// presumed abort already describes them — no vote, no force.  What
-	// remains are the writers, in first-write order; the first of them
-	// coordinates (its log carries the decision).
+	// Settle read-only branches first: they hold no undoable work, so
+	// they never vote, and their engine commit logs and forces nothing.
+	// Under early lock release a branch that read a pre-durable
+	// committer's data waits there for that commit record, so the global
+	// transaction is never acknowledged on reads a crash could take
+	// back; settling them before any decision lets such a read still
+	// abort the whole transaction.  What remains are the writers, in
+	// first-write order; the first of them coordinates (its log carries
+	// the decision).
 	for _, s := range t.order {
-		if !t.wrote[s] {
-			if err := t.db.engs[s].Abort(t.local[s]); err != nil {
-				return err
+		if t.wrote[s] {
+			continue
+		}
+		if err := t.db.engs[s].Commit(t.local[s]); err != nil {
+			if errors.Is(err, core.ErrCommitAborted) {
+				// The branch read from a rolled-back commit and is gone;
+				// the global transaction cannot commit either.
+				t.Abort()
 			}
+			return err
 		}
 	}
 	writers := t.writeOrder

@@ -83,6 +83,7 @@ type tally struct {
 	undoVisits                       int
 	ambiguous, unshipped, violations int
 	globalCommits, indoubtResolved   int
+	readOnlyAcks, readOnlyDeferred   int
 }
 
 func (t *tally) add(o tally) {
@@ -98,6 +99,8 @@ func (t *tally) add(o tally) {
 	t.violations += o.violations
 	t.globalCommits += o.globalCommits
 	t.indoubtResolved += o.indoubtResolved
+	t.readOnlyAcks += o.readOnlyAcks
+	t.readOnlyDeferred += o.readOnlyDeferred
 }
 
 // point is one crash point: device dev frozen after its k-th sync.  The
@@ -457,14 +460,14 @@ func (b *boundary) checkObject(phase string, obj int) error {
 }
 
 // single is the one-engine target the five single-log sweeps build on:
-// the durable image is the expectation, losers are counted out of its
-// begin records, and the way back is Crash + Recover.
+// the durable image is the expectation, losers are counted out of the
+// transactions it names, and the way back is Crash + Recover.
 type single struct{ eng *core.Engine }
 
 func (t single) engines() []*core.Engine { return []*core.Engine{t.eng} }
 
 func (t single) judge(b *boundary) (verdict, error) {
-	return verdict{expect: b.durable, began: durableBegins(b.durable[0])}, nil
+	return verdict{expect: b.durable, began: durableTxns(b.durable[0])}, nil
 }
 
 func (t single) comeBack(*boundary) error {

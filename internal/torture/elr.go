@@ -77,7 +77,7 @@ func (c ELRConfig) withDefaults() ELRConfig {
 		c.Workers = 6
 	}
 	if c.Rounds <= 0 {
-		c.Rounds = 30
+		c.Rounds = 40
 	}
 	if c.Objects <= 0 {
 		c.Objects = 4
@@ -119,12 +119,24 @@ type ELRResult struct {
 	// classifications across boundaries, as in Result.
 	Winners, Losers int
 	Records         int
+	// ReadOnlyAcks is the cumulative count of acknowledged read-only
+	// transactions whose reads were checked against the durable log;
+	// ReadOnlyDeferred counts those among them that had read a
+	// pre-durable committer's data, so their ack waited on its flush.
+	ReadOnlyAcks, ReadOnlyDeferred int
 }
 
 // violationEdge is one observed elr.violate event: dep acquired a lock
 // released early by the then-pre-durable pred.
 type violationEdge struct {
 	dep, pred wal.TxID
+}
+
+// readAck is one read-only transaction whose Commit returned nil, with
+// the writers named by the values it read.
+type readAck struct {
+	tx      wal.TxID
+	writers []wal.TxID
 }
 
 // elrStop reports whether a worker should stop: the device is frozen or
@@ -193,24 +205,28 @@ func ELRRun(cfg ELRConfig) (ELRResult, error) {
 	}
 	t, _, err := s.run()
 	return ELRResult{
-		Boundaries:  t.boundaries,
-		Crashes:     t.crashes,
-		Fired:       t.fired,
-		TornCrashes: t.torn,
-		Violations:  t.violations,
-		Winners:     t.winners,
-		Losers:      t.losers,
-		Records:     t.records,
+		Boundaries:       t.boundaries,
+		Crashes:          t.crashes,
+		Fired:            t.fired,
+		TornCrashes:      t.torn,
+		Violations:       t.violations,
+		Winners:          t.winners,
+		Losers:           t.losers,
+		Records:          t.records,
+		ReadOnlyAcks:     t.readOnlyAcks,
+		ReadOnlyDeferred: t.readOnlyDeferred,
 	}, err
 }
 
 // elrTarget is an ELR engine under the concurrent workload; it keeps
-// every commit-dependency edge the run forms.
+// every commit-dependency edge the run forms and every read-only
+// transaction it acknowledged.
 type elrTarget struct {
 	single
 	cfg   ELRConfig
 	mu    sync.Mutex
 	edges []violationEdge
+	acks  []readAck
 }
 
 func (t *elrTarget) workload(context.Context) error {
@@ -224,34 +240,52 @@ func (t *elrTarget) workload(context.Context) error {
 		}
 	})
 	defer t.eng.SetEventHook(nil)
-	return t.cfg.workload(t.eng)
+	return t.run()
 }
 
-// judge asserts the dependency invariant: a dependent's durable commit
-// implies its predecessor's.  The dependent committed strictly after the
-// predecessor appended its commit record, so with prefix-ordered
-// flushing a surviving dependent commit record certifies the
-// predecessor's — any violation here means a dependent survived a
-// predecessor's lost commit.
+// judge asserts two invariants over the durable image.  Dependency: a
+// dependent's durable commit implies its predecessor's.  The dependent
+// committed strictly after the predecessor appended its commit record,
+// so with prefix-ordered flushing a surviving dependent commit record
+// certifies the predecessor's — any violation here means a dependent
+// survived a predecessor's lost commit.  Read-only acks: a read-only
+// transaction logs nothing, so nothing of its own can certify what it
+// read; its ack must instead have waited until every value it saw was
+// durably committed, so each writer it read from has a durable commit
+// record.
 func (t *elrTarget) judge(b *boundary) (verdict, error) {
 	winners := durableWinners(b.durable[0])
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b.violations = len(t.edges)
+	readers := make(map[wal.TxID]bool)
 	for _, e := range t.edges {
 		if winners[e.dep] && !winners[e.pred] {
 			return verdict{}, fmt.Errorf("dependent %d durable but predecessor %d's commit was lost",
 				e.dep, e.pred)
 		}
+		readers[e.dep] = true
+	}
+	for _, a := range t.acks {
+		for _, w := range a.writers {
+			if !winners[w] {
+				return verdict{}, fmt.Errorf("read-only t%d was acknowledged, but t%d, whose value it read, has no durable commit",
+					a.tx, w)
+			}
+		}
+		b.readOnlyAcks++
+		if readers[a.tx] {
+			b.readOnlyDeferred++
+		}
 	}
 	return t.single.judge(b)
 }
 
-// workload drives cfg.Workers concurrent committers over the hot object
-// set until every worker finishes its rounds or stops on a crash signal.
-// It returns the first unexpected error any worker hit (nil if the run —
+// run drives cfg.Workers concurrent committers over the hot object set
+// until every worker finishes its rounds or stops on a crash signal.  It
+// returns the first unexpected error any worker hit (nil if the run —
 // crashed or not — stayed within the fault model).
-func (cfg ELRConfig) workload(eng *core.Engine) error {
+func (t *elrTarget) run() error {
 	var (
 		wg     sync.WaitGroup
 		errMu  sync.Mutex
@@ -264,13 +298,13 @@ func (cfg ELRConfig) workload(eng *core.Engine) error {
 			errMu.Unlock()
 		}
 	)
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < t.cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed*1000003 + int64(w)))
-			for r := 0; r < cfg.Rounds; r++ {
-				stop, err := cfg.round(eng, rng, w, r)
+			rng := rand.New(rand.NewSource(t.cfg.Seed*1000003 + int64(w)))
+			for r := 0; r < t.cfg.Rounds; r++ {
+				stop, err := t.round(rng, w, r)
 				if err != nil {
 					setErr(err)
 					return
@@ -285,21 +319,22 @@ func (cfg ELRConfig) workload(eng *core.Engine) error {
 	return badErr
 }
 
-// round runs one worker transaction: update one or two hot objects (in
-// ascending ID order, bounding deadlocks), sometimes increment a hot
-// counter, sometimes delegate the first object to a second transaction
-// before committing, sometimes abort.  It reports (stop, err): stop ends
-// the worker (the device froze or the engine left normal processing); a
-// non-nil err is an unexpected failure that fails the boundary.  Every
-// exit path terminates the transactions it began — a leaked active
-// transaction would hold locks forever and wedge the other workers.
-func (cfg ELRConfig) round(eng *core.Engine, rng *rand.Rand, w, r int) (bool, error) {
+// round runs one worker transaction: a quarter of rounds only read;
+// the rest update one or two hot objects (in ascending ID order,
+// bounding deadlocks), sometimes increment a hot counter, sometimes
+// delegate the first object to a second transaction before committing,
+// sometimes abort.  Every value names its writer.  It reports (stop,
+// err): stop ends the worker (the device froze or the engine left normal
+// processing); a non-nil err is an unexpected failure that fails the
+// boundary.  Every exit path terminates the transactions it began — a
+// leaked active transaction would hold locks forever and wedge the other
+// workers.
+func (t *elrTarget) round(rng *rand.Rand, w, r int) (bool, error) {
+	eng, cfg := t.eng, t.cfg
+	readOnly := rng.Float64() < 0.25
 	tx, err := eng.Begin()
 	if err != nil {
-		if elrStop(err) {
-			return true, nil
-		}
-		return true, err
+		return elrSettle(eng, err)
 	}
 	first := wal.ObjectID(1 + rng.Intn(cfg.Objects))
 	objs := []wal.ObjectID{first}
@@ -309,8 +344,11 @@ func (cfg ELRConfig) round(eng *core.Engine, rng *rand.Rand, w, r int) (bool, er
 			objs = append(objs, second)
 		}
 	}
+	if readOnly {
+		return t.readOnly(tx, objs)
+	}
 	for _, obj := range objs {
-		val := []byte(fmt.Sprintf("w%d.r%d.o%d", w, r, obj))
+		val := []byte(fmt.Sprintf("t%d.w%d.r%d.o%d", tx, w, r, obj))
 		if err := eng.Update(tx, obj, val); err != nil {
 			return elrSettle(eng, err, tx)
 		}
@@ -330,7 +368,7 @@ func (cfg ELRConfig) round(eng *core.Engine, rng *rand.Rand, w, r int) (bool, er
 	}
 
 	if rng.Float64() < cfg.DelegationRate {
-		return cfg.delegateAndCommit(eng, rng, tx, objs[0], w, r)
+		return t.delegateAndCommit(tx, objs[0], w, r)
 	}
 
 	if err := eng.Commit(tx); err != nil {
@@ -339,19 +377,46 @@ func (cfg ELRConfig) round(eng *core.Engine, rng *rand.Rand, w, r int) (bool, er
 	return false, nil
 }
 
+// readOnly reads objs under tx and commits.  A read-only transaction
+// logs nothing, so under ELR its Commit waits for the commit records of
+// the pre-durable writers it read from; once it returns nil the writers
+// named by what it read are recorded for judge.
+func (t *elrTarget) readOnly(tx wal.TxID, objs []wal.ObjectID) (bool, error) {
+	var writers []wal.TxID
+	for _, obj := range objs {
+		v, err := t.eng.Read(tx, obj)
+		if err != nil {
+			return elrSettle(t.eng, err, tx)
+		}
+		if len(v) == 0 {
+			continue // never written
+		}
+		var writer wal.TxID
+		if _, err := fmt.Sscanf(string(v), "t%d.", &writer); err != nil {
+			_ = t.eng.Abort(tx)
+			return true, fmt.Errorf("object %d holds %q, which names no writer", obj, v)
+		}
+		writers = append(writers, writer)
+	}
+	if err := t.eng.Commit(tx); err != nil {
+		return elrSettle(t.eng, err, tx)
+	}
+	t.mu.Lock()
+	t.acks = append(t.acks, readAck{tx: tx, writers: writers})
+	t.mu.Unlock()
+	return false, nil
+}
+
 // delegateAndCommit covers the delegation × ELR interaction: tx delegates
 // its first object to a fresh transaction tee, commits (releasing its
 // remaining locks early), and tee then updates the delegated object again
 // and commits on top — the delegate-then-violate interleaving.  A crash
 // between the two commits must take tee down with tx.
-func (cfg ELRConfig) delegateAndCommit(eng *core.Engine, rng *rand.Rand, tx wal.TxID, obj wal.ObjectID, w, r int) (bool, error) {
+func (t *elrTarget) delegateAndCommit(tx wal.TxID, obj wal.ObjectID, w, r int) (bool, error) {
+	eng := t.eng
 	tee, err := eng.Begin()
 	if err != nil {
-		_ = eng.Abort(tx)
-		if elrStop(err) {
-			return true, nil
-		}
-		return true, err
+		return elrSettle(eng, err, tx)
 	}
 	if err := eng.Delegate(tx, tee, obj); err != nil {
 		return elrSettle(eng, err, tee, tx)
@@ -361,7 +426,7 @@ func (cfg ELRConfig) delegateAndCommit(eng *core.Engine, rng *rand.Rand, tx wal.
 		// leaves tx active and holding its locks: abort it too.
 		return elrSettle(eng, err, tee, tx)
 	}
-	if err := eng.Update(tee, obj, []byte(fmt.Sprintf("w%d.r%d.tee", w, r))); err != nil {
+	if err := eng.Update(tee, obj, []byte(fmt.Sprintf("t%d.w%d.r%d.tee", tee, w, r))); err != nil {
 		return elrSettle(eng, err, tee)
 	}
 	if err := eng.Commit(tee); err != nil {

@@ -7,8 +7,10 @@ import "testing"
 // boundary, and every boundary must recover to oracle agreement with no
 // dependent transaction surviving a predecessor's lost commit.  The run
 // must actually exercise the mechanism: violations (commit-dependency
-// edges) must form, crashes must fire inside the pre-durable window, and
-// both winners and losers must appear.
+// edges) must form, crashes must fire inside the pre-durable window,
+// both winners and losers must appear, and read-only transactions must be
+// acknowledged after reading pre-durable data — each one checked against
+// the durable commits of the writers it read from.
 func TestELRCrashSweep(t *testing.T) {
 	cfg := ELRConfig{Seed: 11}
 	if testing.Short() {
@@ -40,6 +42,10 @@ func TestELRCrashSweep(t *testing.T) {
 	}
 	if res.TornCrashes == 0 {
 		t.Error("no boundary produced a torn tail")
+	}
+	if res.ReadOnlyAcks == 0 || res.ReadOnlyDeferred == 0 {
+		t.Errorf("read-only invariant unexercised: %d acks, %d of them deferred on a pre-durable writer",
+			res.ReadOnlyAcks, res.ReadOnlyDeferred)
 	}
 }
 

@@ -274,5 +274,5 @@ func (t *rotationTarget) judge(b *boundary) (verdict, error) {
 		return verdict{}, fmt.Errorf("durable head %d beyond captured trace (len %d)", durableHead, len(t.fullRecs))
 	}
 	prefix := t.fullRecs[:durableHead]
-	return verdict{expect: [][]*wal.Record{prefix}, began: durableBegins(prefix)}, nil
+	return verdict{expect: [][]*wal.Record{prefix}, began: durableTxns(prefix)}, nil
 }

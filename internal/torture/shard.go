@@ -401,7 +401,7 @@ func (t *clusterTarget) judge(b *boundary) (verdict, error) {
 	b.globalCommits = len(committed)
 	began := 0
 	for _, recs := range b.durable {
-		began += durableBegins(recs)
+		began += durableTxns(recs)
 	}
 	return verdict{expect: b.durable, committed: committed, began: began}, nil
 }

@@ -98,7 +98,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Steps <= 0 {
-		c.Steps = 1200
+		c.Steps = 1500
 	}
 	if c.Objects <= 0 {
 		c.Objects = 24
@@ -214,15 +214,20 @@ func durableWinners(recs []*wal.Record) map[wal.TxID]bool {
 	return winners
 }
 
-// durableBegins counts the transactions with a durable begin record.
-func durableBegins(recs []*wal.Record) int {
-	n := 0
+// durableTxns counts the distinct transactions with any durable record:
+// Begin logs nothing, so a transaction exists on the log from its first
+// update, increment, prepare or delegation — as delegatee too.
+func durableTxns(recs []*wal.Record) int {
+	seen := make(map[wal.TxID]bool)
 	for _, rec := range recs {
-		if rec.Type == wal.TypeBegin {
-			n++
+		if rec.TxID != wal.NilTx {
+			seen[rec.TxID] = true
+		}
+		if rec.Type == wal.TypeDelegate || rec.Type == wal.TypeDelegateOut {
+			seen[rec.Tee] = true
 		}
 	}
-	return n
+	return len(seen)
 }
 
 // logOp is one undoable durable record still attributable to a live

@@ -56,3 +56,41 @@ func TestTortureHasOneDriver(t *testing.T) {
 		t.Errorf("runtime.GOMAXPROCS is referenced %d times, want exactly the driver's fan-out: %v", len(procs), procs)
 	}
 }
+
+// TestBeginIsNotLogged is the structural guard for lazy Begin: a
+// transaction's first record is its first update, increment, delegation
+// or prepare, and one that never logged commits and aborts without I/O.
+// No non-test file of the engine or of its ARIES baseline may build a
+// wal.Record with Type wal.TypeBegin, so an eager begin record cannot
+// come back unnoticed.  (Recovery still reads the type: older logs open
+// each chain with one.)
+func TestBeginIsNotLogged(t *testing.T) {
+	for _, dir := range []string{"internal/core", "internal/aries"} {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				ast.Inspect(file, func(n ast.Node) bool {
+					kv, ok := n.(*ast.KeyValueExpr)
+					if !ok {
+						return true
+					}
+					key, ok := kv.Key.(*ast.Ident)
+					if !ok || key.Name != "Type" {
+						return true
+					}
+					if sel, ok := kv.Value.(*ast.SelectorExpr); ok && sel.Sel.Name == "TypeBegin" {
+						t.Errorf("%s: a wal.Record is built with Type TypeBegin; Begin must log nothing",
+							fset.Position(kv.Pos()))
+					}
+					return true
+				})
+			}
+		}
+	}
+}
