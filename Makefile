@@ -65,9 +65,9 @@ race:
 # promote a live replica, judge against the durable-log oracle), the
 # early-lock-release sweep (crash a contended concurrent workload
 # between lock release and commit-record flush at every boundary), the
-# reads-during-recovery, rotation/archive and cross-shard sweeps, the
-# scope audit, and the transient/persistent fault paths — six sweeps,
-# one driver (internal/torture/driver.go).  This is what
+# reads-during-recovery, rotation/archive, cross-shard and cross-shard
+# ELR sweeps, the scope audit, and the transient/persistent fault paths
+# — seven sweeps, one driver (internal/torture/driver.go).  This is what
 # .github/workflows/nightly.yml runs; a laptop run takes on the order of
 # a minute.
 torture:

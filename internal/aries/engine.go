@@ -221,7 +221,8 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 	return nil
 }
 
-// Commit commits tx: the log is forced through the commit record.
+// Commit commits tx: the log is forced through the commit record, which
+// is the transaction's last record, as in ARIES/RH.
 func (e *Engine) Commit(tx wal.TxID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -240,9 +241,6 @@ func (e *Engine) Commit(tx wal.TxID) error {
 		if err := e.log.Flush(lsn); err != nil {
 			return err
 		}
-		if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn}); err != nil {
-			return err
-		}
 	}
 	e.locks.ReleaseAll(tx)
 	e.txns.Remove(tx)
@@ -251,7 +249,7 @@ func (e *Engine) Commit(tx wal.TxID) error {
 }
 
 // Abort rolls tx back by following its backward chain, writing a CLR per
-// undone update.
+// undone update, then appends the abort record that ends the chain.
 func (e *Engine) Abort(tx wal.TxID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -271,9 +269,6 @@ func (e *Engine) Abort(tx wal.TxID) error {
 			return err
 		}
 		if err := e.log.Flush(lsn); err != nil {
-			return err
-		}
-		if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn}); err != nil {
 			return err
 		}
 	}

@@ -90,23 +90,13 @@ func (e *Engine) Recover() error {
 			if err := e.redoApply(applied, rec.Object, rec.Before, rec.LSN); err != nil {
 				return false, err
 			}
-		case wal.TypeCommit:
+		case wal.TypeCommit, wal.TypeAbort, wal.TypeEnd:
+			// A commit or abort record ends its transaction's chain, as in
+			// ARIES/RH; older logs follow each with an end record.
 			if analyze {
-				e.stats.RecWinners++
-				if info := e.txns.Get(rec.TxID); info != nil {
-					info.Status = txn.Committed
-					info.LastLSN = rec.LSN
+				if rec.Type == wal.TypeCommit {
+					e.stats.RecWinners++
 				}
-			}
-		case wal.TypeAbort:
-			if analyze {
-				if info := e.txns.Get(rec.TxID); info != nil {
-					info.Status = txn.Aborted
-					info.LastLSN = rec.LSN
-				}
-			}
-		case wal.TypeEnd:
-			if analyze {
 				e.txns.Remove(rec.TxID)
 			}
 		case wal.TypeCheckpointBegin, wal.TypeCheckpointEnd:
@@ -124,13 +114,6 @@ func (e *Engine) Recover() error {
 	// Classify and undo losers: continually take the max UndoNextLSN.
 	undoNext := make(map[wal.TxID]wal.LSN)
 	for _, info := range e.txns.Snapshot() {
-		if info.Status == txn.Committed {
-			if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: info.ID, PrevLSN: info.LastLSN}); err != nil {
-				return err
-			}
-			e.txns.Remove(info.ID)
-			continue
-		}
 		e.stats.RecLosers++
 		undoNext[info.ID] = info.UndoNextLSN
 	}
@@ -184,11 +167,7 @@ func (e *Engine) Recover() error {
 		}
 	}
 	for _, info := range e.txns.Snapshot() {
-		lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: info.ID, PrevLSN: info.LastLSN})
-		if err != nil {
-			return err
-		}
-		if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: info.ID, PrevLSN: lsn}); err != nil {
+		if _, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: info.ID, PrevLSN: info.LastLSN}); err != nil {
 			return err
 		}
 		e.txns.Remove(info.ID)

@@ -100,7 +100,8 @@ func (e *Engine) commitELR(tx wal.TxID, info *txn.Info, lsn, prevLast wal.LSN, s
 			if _, pending := e.predurable[tx]; !pending || lsn <= e.log.FlushedLSN() {
 				delete(e.predurable, tx)
 				e.locks.ClearViolable(tx)
-				return e.finishCommitLocked(tx, info, lsn, start)
+				e.endCommitLocked(tx, lsn, start)
+				return nil
 			}
 		}
 		// The locks are gone, so the transaction cannot return to Active
@@ -131,7 +132,8 @@ func (e *Engine) commitELR(tx wal.TxID, info *txn.Info, lsn, prevLast wal.LSN, s
 	// success delivery already cleaned up.
 	delete(e.predurable, tx)
 	e.locks.ClearViolable(tx)
-	return e.finishCommitLocked(tx, info, lsn, start)
+	e.endCommitLocked(tx, lsn, start)
+	return nil
 }
 
 // durableNotify is the wal.OnDurable callback for an early-lock-release
@@ -277,7 +279,7 @@ func (e *Engine) elrFlushFailureLocked() error {
 	if err := e.undoScopes(scopes, nil); err != nil {
 		return err
 	}
-	// Terminate each victim: abort + end records and volatile cleanup.
+	// Terminate each victim: abort record and volatile cleanup.
 	// No further cascading is needed — the closure above already
 	// collected every abort-dependent.
 	hooked := e.reg.HasEventHook()

@@ -397,7 +397,8 @@ func (e *Engine) Health() Health {
 
 // LockOrphans returns the transactions that hold locks but are absent
 // from the transaction table.  The invariant is held ⊆ active ∪ prepared
-// ∪ predurable (all three live in the table until their end record), so
+// ∪ predurable (all three live in the table until their commit or abort
+// completes, and that releases their locks in the same latched step), so
 // on a quiescent engine the result must be empty: nobody can ever release
 // an orphan's locks.  Mid-operation a waiter granted posthumously is an
 // orphan until its operation re-latches and drops the grant (see

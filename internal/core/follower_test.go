@@ -216,6 +216,47 @@ func TestFollowerCatchUpFromLocalLog(t *testing.T) {
 	}
 }
 
+// TestFollowerDropsShippedCommits: a commit record is its transaction's
+// last record, so a follower fed the durable log up to a commit holds no
+// table entry for that transaction.  Each batch is what a replica
+// receives the moment the commit is acknowledged — the durable prefix,
+// ending at the commit record.
+func TestFollowerDropsShippedCommits(t *testing.T) {
+	p, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Options{Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := p.Log().Subscribe(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	for i := 0; i < 5; i++ {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustDo(t, p.Update(tx, wal.ObjectID(2*i+1), []byte("a")))
+		mustDo(t, p.Update(tx, wal.ObjectID(2*i+2), []byte("b")))
+		mustDo(t, p.Commit(tx))
+		recs, err := sub.Next(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustDo(t, f.FollowerApply(recs))
+		f.mu.Lock()
+		n, lists := f.txns.Len(), len(f.state)
+		f.mu.Unlock()
+		if n != 0 || lists != 0 {
+			t.Fatalf("after %d shipped commits the follower holds %d transactions and %d object lists, want none", i+1, n, lists)
+		}
+	}
+}
+
 // TestFollowerFlushBoundsAcks pins the durability contract: FollowerFlush
 // returns the LSN through which the local log is durable, and only that
 // may be acknowledged upstream.

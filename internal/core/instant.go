@@ -239,11 +239,7 @@ func (e *Engine) recoverParallel() error {
 			}
 		}
 	}
-	losers, scopes, err := e.classifyLocked()
-	if err != nil {
-		e.mu.Unlock()
-		return err
-	}
+	losers, scopes := e.classifyLocked()
 	analysisDur := time.Since(analysisT)
 
 	heat := make([]*objectChain, 0, len(chains))
@@ -315,11 +311,7 @@ func (e *Engine) promoteParallel() error {
 		statsBefore:    e.stats,
 		clustersBefore: e.met.undoClusters.Load(),
 	}
-	losers, scopes, err := e.classifyLocked()
-	if err != nil {
-		e.mu.Unlock()
-		return err
-	}
+	losers, scopes := e.classifyLocked()
 	gates, gateSeq := buildUndoGates(scopes)
 	p := &recoveryPipeline{
 		e:           e,

@@ -418,29 +418,18 @@ func (e *Engine) Commit(tx wal.TxID) error {
 		e.degradeLocked(ferr)
 		return ferr
 	}
-	info = e.txns.Get(tx)
-	if info == nil {
+	if e.txns.Get(tx) == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
-	return e.finishCommitLocked(tx, info, lsn, start)
-}
-
-// finishCommitLocked completes a commit whose commit record (at lsn) is
-// durable: append the end record, release locks and clean up the volatile
-// tables.  The caller holds the latch and has already set info.Status.
-func (e *Engine) finishCommitLocked(tx wal.TxID, info *txn.Info, lsn wal.LSN, start time.Time) error {
-	endLSN, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn})
-	if err != nil {
-		return err
-	}
-	info.LastLSN = endLSN
 	e.endCommitLocked(tx, lsn, start)
 	return nil
 }
 
 // endCommitLocked releases a committed transaction's locks, drops it from
 // the volatile tables and counts the commit (lsn is its commit record,
-// NilLSN for a transaction that never logged).
+// NilLSN for a transaction that never logged).  It appends nothing: the
+// durable commit record is the transaction's last record, and recovery
+// ends the chain there.
 func (e *Engine) endCommitLocked(tx wal.TxID, lsn wal.LSN, start time.Time) {
 	e.locks.ReleaseAll(tx)
 	delete(e.state, tx)
@@ -512,8 +501,8 @@ func (e *Engine) commitUnlogged(tx wal.TxID, info *txn.Info, start time.Time) er
 // The log force for the abort record happens off-latch on the coalesced
 // flusher (wal.Log.FlushAsync), so concurrent aborts — and aborts racing
 // commits — share device syncs instead of serializing the whole engine
-// behind one sync per abort.  The abort itself (undo, abort and end
-// records, lock release, dependency cascade) happens atomically under the
+// behind one sync per abort.  The abort itself (undo, abort record, lock
+// release, dependency cascade) happens atomically under the
 // latch: ARIES does not require the abort record to be durable before the
 // abort completes — an abort that never reaches the device is simply
 // re-aborted idempotently by recovery — so deferring the force changes
@@ -594,10 +583,11 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 }
 
 // endAbortLocked terminates a rolled-back transaction: it appends the
-// abort and end records, releases the locks, drops the transaction from
-// the volatile tables and counts the abort.  A transaction that never
-// logged appends nothing — recovery has no chain of it to close.  It
-// returns the abort record's LSN (NilLSN if none was written).
+// abort record — after the last CLR, so it is the chain's last record —
+// releases the locks, drops the transaction from the volatile tables and
+// counts the abort.  A transaction that never logged appends nothing:
+// recovery has no chain of it to close.  It returns the abort record's
+// LSN (NilLSN if none was written).
 func (e *Engine) endAbortLocked(info *txn.Info) (wal.LSN, error) {
 	tx, lsn := info.ID, wal.NilLSN
 	if info.LastLSN != wal.NilLSN {
@@ -605,13 +595,6 @@ func (e *Engine) endAbortLocked(info *txn.Info) (wal.LSN, error) {
 		if lsn, err = e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN}); err != nil {
 			return wal.NilLSN, err
 		}
-		info.Status = txn.Aborted
-		info.LastLSN = lsn
-		endLSN, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn})
-		if err != nil {
-			return wal.NilLSN, err
-		}
-		info.LastLSN = endLSN
 	}
 	e.locks.ReleaseAll(tx)
 	delete(e.state, tx)
@@ -739,7 +722,7 @@ func (e *Engine) Checkpoint() error {
 		return err
 	}
 	// A transaction that never logged is left out: recovery would revive
-	// it as a loser and log abort and end records for it.
+	// it as a loser and log an abort record for it.
 	var txns []txn.Info
 	state := make(delegation.State, len(e.state))
 	for _, info := range e.txns.Snapshot() {

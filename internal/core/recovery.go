@@ -56,8 +56,9 @@ type recoveryBook struct {
 //     rebuilds the transaction table and the object lists, replaying
 //     delegate records into the scopes exactly as normal processing did,
 //     and repeats history by redoing logged updates not yet on the pages.
-//  2. Winners (committed before the crash) and Losers (everything else,
-//     including transactions that had aborted) are identified; LsrScopes
+//  2. Winners (committed before the crash) and Losers (everything else
+//     still live, including a rollback the crash interrupted before its
+//     abort record) are identified; LsrScopes
 //     is the union of the loser objects' scopes.
 //  3. The backward pass sweeps the clusters of overlapping loser scopes in
 //     strictly decreasing LSN order, undoing exactly the loser updates —
@@ -248,41 +249,30 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 				e.maxGID = rec.GID
 			}
 		}
-	case wal.TypeCommit:
-		if analyze {
+	case wal.TypeCommit, wal.TypeAbort, wal.TypeEnd:
+		// A commit or abort record is its transaction's last record: the
+		// commit is what recovery needs of a winner, and the abort record
+		// follows the rollback's last CLR.  Either ends the chain, and an
+		// aborted voter is no longer in-doubt.  An end record ends it the
+		// same way: logs written before commit and abort records became
+		// terminal follow each of them with one.
+		if !analyze {
+			break
+		}
+		if rec.Type == wal.TypeCommit {
 			e.stats.RecWinners++
-			if info := e.txns.Get(rec.TxID); info != nil {
-				info.Status = txn.Committed
-				info.LastLSN = rec.LSN
-			}
 			// A commit following a prepare record resolves the global
 			// transaction.  On the coordinator (the prepare record named
 			// this shard) retain the decision — queryable by peer shards,
 			// archive-pinned at the prepare record — until released; a
 			// participant's commit merely applied it, so retain nothing.
-			if pi, ok := e.prepared[rec.TxID]; ok {
-				if pi.coord == e.opts.ShardID {
-					e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
-				}
-				delete(e.prepared, rec.TxID)
+			if pi, ok := e.prepared[rec.TxID]; ok && pi.coord == e.opts.ShardID {
+				e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
 			}
 		}
-	case wal.TypeAbort:
-		if analyze {
-			if info := e.txns.Get(rec.TxID); info != nil {
-				info.Status = txn.Aborted
-				info.LastLSN = rec.LSN
-			}
-			// An aborted voter is no longer in-doubt; presumed abort
-			// retains nothing.
-			delete(e.prepared, rec.TxID)
-		}
-	case wal.TypeEnd:
-		if analyze {
-			e.txns.Remove(rec.TxID)
-			delete(e.state, rec.TxID)
-			delete(e.prepared, rec.TxID)
-		}
+		e.txns.Remove(rec.TxID)
+		delete(e.state, rec.TxID)
+		delete(e.prepared, rec.TxID)
 	case wal.TypePrepare:
 		if analyze {
 			info := e.registerLocked(rec.TxID)
@@ -326,10 +316,7 @@ func (e *Engine) registerLocked(tx wal.TxID) *txn.Info {
 // calls it over the follower's continuously maintained replay state —
 // promotion IS this function, there is no separate code path.
 func (e *Engine) finishRecoveryLocked(rs *replayState, book recoveryBook) error {
-	losers, lsrScopes, err := e.classifyLocked()
-	if err != nil {
-		return err
-	}
+	losers, lsrScopes := e.classifyLocked()
 
 	// ---- Backward pass: cluster sweep undoing loser updates (§3.6.2). ----
 	backwardStart := time.Now()
@@ -400,18 +387,17 @@ func (e *Engine) emitRecoveryTraceLocked(tr RecoveryTrace) {
 }
 
 // classifyLocked identifies winners and losers from the transaction
-// table after the forward pass (§3.6.1): winners whose End record was
-// lost get one appended and leave the tables; everything else is a loser
-// and contributes its owned scopes to LsrScopes.  Shared by sequential
-// recovery, promotion, and the parallel pipeline's setup phase.
-func (e *Engine) classifyLocked() (losers []wal.TxID, lsrScopes []delegation.Scope, err error) {
+// table after the forward pass (§3.6.1).  Analysis has already dropped
+// every transaction whose commit record it read; a Committed entry left
+// is a checkpoint-listed committer whose commit record lies before the
+// scan window — a winner whose effects are redone, dropped here without
+// appending anything.  Everything else but an in-doubt participant is a
+// loser and contributes its owned scopes to LsrScopes.  Shared by
+// sequential recovery, promotion, and the parallel pipeline's setup
+// phase.
+func (e *Engine) classifyLocked() (losers []wal.TxID, lsrScopes []delegation.Scope) {
 	for _, info := range e.txns.Snapshot() {
 		if info.Status == txn.Committed {
-			// Winner whose End record was lost with the crash:
-			// its effects are already redone; finish bookkeeping.
-			if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: info.ID, PrevLSN: info.LastLSN}); err != nil {
-				return nil, nil, err
-			}
 			e.txns.Remove(info.ID)
 			delete(e.state, info.ID)
 			continue
@@ -431,28 +417,21 @@ func (e *Engine) classifyLocked() (losers []wal.TxID, lsrScopes []delegation.Sco
 			lsrScopes = append(lsrScopes, ol.OwnedScopes(id)...)
 		}
 	}
-	return losers, lsrScopes, nil
+	return losers, lsrScopes
 }
 
-// terminateLosers appends the Abort (where needed) and End records that
-// finish every loser and drops them from the volatile tables.  The
-// caller owns the transaction table — either by holding the engine latch
-// (sequential recovery) or by being the pipeline's finisher after its
-// workers have drained.
+// terminateLosers appends the abort record that finishes every loser —
+// its last record, after the backward pass's CLRs — and drops it from
+// the volatile tables.  The caller owns the transaction table — either
+// by holding the engine latch (sequential recovery) or by being the
+// pipeline's finisher after its workers have drained.
 func (e *Engine) terminateLosers(losers []wal.TxID) error {
 	for _, id := range losers {
 		info := e.txns.Get(id)
 		if info == nil {
 			continue
 		}
-		if info.Status != txn.Aborted {
-			lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: id, PrevLSN: info.LastLSN})
-			if err != nil {
-				return err
-			}
-			info.LastLSN = lsn
-		}
-		if _, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: id, PrevLSN: info.LastLSN}); err != nil {
+		if _, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: id, PrevLSN: info.LastLSN}); err != nil {
 			return err
 		}
 		e.txns.Remove(id)

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"ariesrh/internal/delegation"
 	"ariesrh/internal/storage"
+	"ariesrh/internal/txn"
 	"ariesrh/internal/wal"
 )
 
@@ -406,6 +408,85 @@ func TestRecoverLogWithBeginRecords(t *testing.T) {
 		}
 		if tx := mustBegin(t, e); tx <= 4 {
 			t.Fatalf("parallel=%v: Begin after recovery returned t%d, an ID the log already names", parallel, tx)
+		}
+	}
+}
+
+// TestRecoverLogWithTerminalCommitAndAbort recovers a hand-built log in
+// the format where a commit or abort record is its transaction's last
+// record, sequentially and through the pipeline.  t3's commit record was
+// appended before a checkpoint that lists t3 as Committed (its force
+// still pending); after the checkpoint t2 rolls back and writes its
+// abort record, t1, active at the checkpoint, commits, and t4 is in
+// flight at the crash.  Recovery must append t4's CLR and abort record
+// and nothing else: no end record for any winner, nothing for the
+// completed abort.
+func TestRecoverLogWithTerminalCommitAndAbort(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		dir, ms := wal.NewMemDir(), wal.NewMemStore()
+		log, err := wal.NewLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := delegation.State{1: delegation.NewObList(), 3: delegation.NewObList()}
+		state[1].RecordUpdate(1, 1, 1)
+		state[3].RecordUpdate(3, 3, 2)
+		ckpt := encodeCheckpoint(&checkpointData{
+			beginLSN: 4,
+			txns: []txn.Info{
+				{ID: 1, Status: txn.Active, LastLSN: 1},
+				{ID: 3, Status: txn.Committed, LastLSN: 3},
+			},
+			state: state,
+			dpt:   map[storage.PageID]wal.LSN{0: 1}, // redo from the start
+		})
+		// Appended at LSNs 1..10, in order.
+		for _, rec := range []*wal.Record{
+			{Type: wal.TypeUpdate, TxID: 1, Object: 1, After: []byte("won")},
+			{Type: wal.TypeUpdate, TxID: 3, Object: 3, After: []byte("late")},
+			{Type: wal.TypeCommit, TxID: 3, PrevLSN: 2},
+			{Type: wal.TypeCheckpointBegin},
+			{Type: wal.TypeCheckpointEnd, PrevLSN: 4, Payload: ckpt},
+			{Type: wal.TypeUpdate, TxID: 2, Object: 2, After: []byte("undone")},
+			{Type: wal.TypeCLR, TxID: 2, PrevLSN: 6, Object: 2, Compensates: 6},
+			{Type: wal.TypeAbort, TxID: 2, PrevLSN: 7},
+			{Type: wal.TypeUpdate, TxID: 4, Object: 4, After: []byte("lost")},
+			{Type: wal.TypeCommit, TxID: 1, PrevLSN: 1},
+		} {
+			if _, err := log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Flush(log.Head()); err != nil {
+			t.Fatal(err)
+		}
+		if err := (&masterRecord{store: ms}).Set(5); err != nil {
+			t.Fatal(err)
+		}
+
+		e, err := New(Options{PoolSize: 16, LogDir: dir, MasterStore: ms, ParallelRecovery: parallel}) // recovers at open
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WaitRecovered(); err != nil {
+			t.Fatal(err)
+		}
+		for obj, want := range map[wal.ObjectID]string{1: "won", 2: "", 3: "late", 4: ""} {
+			wantValue(t, e, obj, want)
+		}
+		var appended []string
+		if err := e.Log().Scan(11, wal.NilLSN, func(rec *wal.Record) (bool, error) {
+			appended = append(appended, fmt.Sprintf("%v t%d", rec.Type, rec.TxID))
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(appended), fmt.Sprintf("[%v t4 %v t4]", wal.TypeCLR, wal.TypeAbort); got != want {
+			t.Fatalf("parallel=%v: recovery appended %s, want %s", parallel, got, want)
+		}
+		if tr := e.LastRecoveryTrace(); tr.Winners != 1 || tr.Losers != 1 {
+			t.Fatalf("parallel=%v: recovery found %d winners and %d losers, want 1 (t1's commit after the checkpoint) and 1 (t4)",
+				parallel, tr.Winners, tr.Losers)
 		}
 	}
 }

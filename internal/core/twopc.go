@@ -190,8 +190,7 @@ func (e *Engine) CommitPrepared(tx wal.TxID) error {
 		e.degradeLocked(ferr)
 		return ferr
 	}
-	info = e.txns.Get(tx)
-	if info == nil {
+	if e.txns.Get(tx) == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
 	if pi.coord == e.opts.ShardID {
@@ -199,7 +198,8 @@ func (e *Engine) CommitPrepared(tx wal.TxID) error {
 	}
 	delete(e.prepared, tx)
 	e.met.twopcCommits.Inc()
-	return e.finishCommitLocked(tx, info, lsn, start)
+	e.endCommitLocked(tx, lsn, start)
+	return nil
 }
 
 // AbortPrepared rolls back a prepared transaction — the presumed-abort

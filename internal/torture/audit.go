@@ -62,7 +62,8 @@ func (sr shadowResp) apply(rec *wal.Record) {
 		// The compensated update is dead; its owner (the transaction
 		// writing the CLR) is no longer responsible for it.
 		delete(sr[rec.TxID][rec.Object], rec.Compensates)
-	case wal.TypeEnd:
+	case wal.TypeCommit, wal.TypeAbort:
+		// The transaction's last record: it is no longer live.
 		delete(sr, rec.TxID)
 	}
 }

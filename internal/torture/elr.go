@@ -126,17 +126,92 @@ type ELRResult struct {
 	ReadOnlyAcks, ReadOnlyDeferred int
 }
 
+// shardTx names a local transaction by its shard; the single-engine
+// sweep's are all on shard 0.
+type shardTx struct {
+	shard uint32
+	tx    wal.TxID
+}
+
 // violationEdge is one observed elr.violate event: dep acquired a lock
-// released early by the then-pre-durable pred.
+// released early by the then-pre-durable pred, both on shard.
 type violationEdge struct {
+	shard     uint32
 	dep, pred wal.TxID
 }
 
-// readAck is one read-only transaction whose Commit returned nil, with
-// the writers named by the values it read.
+// readAck is one read-only transaction whose Commit returned nil: its
+// local transaction on every shard it read, and the local writer of
+// every value it read.
 type readAck struct {
-	tx      wal.TxID
-	writers []wal.TxID
+	locals, writers []shardTx
+}
+
+// elrEvidence is what an ELR workload gathers for judge: every
+// commit-dependency edge and every acknowledged read-only transaction.
+type elrEvidence struct {
+	mu    sync.Mutex
+	edges []violationEdge
+	acks  []readAck
+}
+
+// hook returns an event hook recording shard s's violation edges.  It
+// runs under shard s's engine latch, which does not order it against
+// other shards' hooks or judge's read, so it takes mu.
+func (ev *elrEvidence) hook(s uint32) func(obs.Event) {
+	return func(e obs.Event) {
+		if e.Name == "elr.violate" {
+			ev.mu.Lock()
+			ev.edges = append(ev.edges, violationEdge{shard: s, dep: wal.TxID(e.Tx), pred: wal.TxID(e.Value)})
+			ev.mu.Unlock()
+		}
+	}
+}
+
+func (ev *elrEvidence) ack(a readAck) {
+	ev.mu.Lock()
+	ev.acks = append(ev.acks, a)
+	ev.mu.Unlock()
+}
+
+// judge asserts two invariants over the durable image, winners[s] being
+// shard s's durable winners.  Dependency: a dependent's durable commit
+// implies its predecessor's.  The dependent committed strictly after the
+// predecessor appended its commit record, so with prefix-ordered flushing
+// a surviving dependent commit record certifies the predecessor's — any
+// violation here means a dependent survived a predecessor's lost commit.
+// Read-only acks: a read-only transaction logs nothing, so nothing of its
+// own can certify what it read; its ack must instead have waited until
+// every value it saw was durably committed, so each writer it read from
+// has a durable commit record.
+func (ev *elrEvidence) judge(b *boundary, winners []map[wal.TxID]bool) error {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	b.violations = len(ev.edges)
+	readers := make(map[shardTx]bool)
+	for _, e := range ev.edges {
+		if winners[e.shard][e.dep] && !winners[e.shard][e.pred] {
+			return fmt.Errorf("shard %d: dependent %d durable but predecessor %d's commit was lost",
+				e.shard, e.dep, e.pred)
+		}
+		readers[shardTx{e.shard, e.dep}] = true
+	}
+	for _, a := range ev.acks {
+		for _, w := range a.writers {
+			if !winners[w.shard][w.tx] {
+				return fmt.Errorf("a read-only transaction was acknowledged, but t%d on shard %d, whose value it read, has no durable commit",
+					w.tx, w.shard)
+			}
+		}
+		b.readOnlyAcks++
+		for _, l := range a.locals {
+			if readers[l] {
+				b.readOnlyDeferred++
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // elrStop reports whether a worker should stop: the device is frozen or
@@ -167,6 +242,12 @@ func elrSettle(eng *core.Engine, err error, txs ...wal.TxID) (stop bool, bad err
 	for _, tx := range txs {
 		_ = eng.Abort(tx)
 	}
+	return elrVerdict(err)
+}
+
+// elrVerdict is elrSettle's classification of a worker error, once the
+// round's transactions are terminated.
+func elrVerdict(err error) (stop bool, bad error) {
 	if elrStop(err) {
 		return true, nil
 	}
@@ -218,74 +299,34 @@ func ELRRun(cfg ELRConfig) (ELRResult, error) {
 	}, err
 }
 
-// elrTarget is an ELR engine under the concurrent workload; it keeps
-// every commit-dependency edge the run forms and every read-only
-// transaction it acknowledged.
+// elrTarget is an ELR engine under the concurrent workload; it gathers
+// the run's evidence as shard 0.
 type elrTarget struct {
 	single
-	cfg   ELRConfig
-	mu    sync.Mutex
-	edges []violationEdge
-	acks  []readAck
+	cfg      ELRConfig
+	evidence elrEvidence
 }
 
 func (t *elrTarget) workload(context.Context) error {
-	// The hook runs under the engine latch, so the slice needs its own
-	// lock only against judge's read.
-	t.eng.SetEventHook(func(ev obs.Event) {
-		if ev.Name == "elr.violate" {
-			t.mu.Lock()
-			t.edges = append(t.edges, violationEdge{dep: wal.TxID(ev.Tx), pred: wal.TxID(ev.Value)})
-			t.mu.Unlock()
-		}
-	})
+	t.eng.SetEventHook(t.evidence.hook(0))
 	defer t.eng.SetEventHook(nil)
-	return t.run()
+	return runWorkers(t.cfg, t.round)
 }
 
-// judge asserts two invariants over the durable image.  Dependency: a
-// dependent's durable commit implies its predecessor's.  The dependent
-// committed strictly after the predecessor appended its commit record,
-// so with prefix-ordered flushing a surviving dependent commit record
-// certifies the predecessor's — any violation here means a dependent
-// survived a predecessor's lost commit.  Read-only acks: a read-only
-// transaction logs nothing, so nothing of its own can certify what it
-// read; its ack must instead have waited until every value it saw was
-// durably committed, so each writer it read from has a durable commit
-// record.
+// judge asserts elrEvidence's two invariants, then the log oracle's.
 func (t *elrTarget) judge(b *boundary) (verdict, error) {
-	winners := durableWinners(b.durable[0])
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b.violations = len(t.edges)
-	readers := make(map[wal.TxID]bool)
-	for _, e := range t.edges {
-		if winners[e.dep] && !winners[e.pred] {
-			return verdict{}, fmt.Errorf("dependent %d durable but predecessor %d's commit was lost",
-				e.dep, e.pred)
-		}
-		readers[e.dep] = true
-	}
-	for _, a := range t.acks {
-		for _, w := range a.writers {
-			if !winners[w] {
-				return verdict{}, fmt.Errorf("read-only t%d was acknowledged, but t%d, whose value it read, has no durable commit",
-					a.tx, w)
-			}
-		}
-		b.readOnlyAcks++
-		if readers[a.tx] {
-			b.readOnlyDeferred++
-		}
+	if err := t.evidence.judge(b, []map[wal.TxID]bool{durableWinners(b.durable[0])}); err != nil {
+		return verdict{}, err
 	}
 	return t.single.judge(b)
 }
 
-// run drives cfg.Workers concurrent committers over the hot object set
-// until every worker finishes its rounds or stops on a crash signal.  It
-// returns the first unexpected error any worker hit (nil if the run —
-// crashed or not — stayed within the fault model).
-func (t *elrTarget) run() error {
+// runWorkers drives cfg.Workers concurrent workers, each running
+// cfg.Rounds rounds from its own seeded generator, until every worker
+// finishes its rounds or stops on a crash signal.  It returns the first
+// unexpected error any worker hit (nil if the run — crashed or not —
+// stayed within the fault model).
+func runWorkers(cfg ELRConfig, round func(rng *rand.Rand, w, r int) (stop bool, bad error)) error {
 	var (
 		wg     sync.WaitGroup
 		errMu  sync.Mutex
@@ -298,13 +339,13 @@ func (t *elrTarget) run() error {
 			errMu.Unlock()
 		}
 	)
-	for w := 0; w < t.cfg.Workers; w++ {
+	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(t.cfg.Seed*1000003 + int64(w)))
-			for r := 0; r < t.cfg.Rounds; r++ {
-				stop, err := t.round(rng, w, r)
+			rng := rand.New(rand.NewSource(cfg.Seed*1000003 + int64(w)))
+			for r := 0; r < cfg.Rounds; r++ {
+				stop, err := round(rng, w, r)
 				if err != nil {
 					setErr(err)
 					return
@@ -382,7 +423,7 @@ func (t *elrTarget) round(rng *rand.Rand, w, r int) (bool, error) {
 // the pre-durable writers it read from; once it returns nil the writers
 // named by what it read are recorded for judge.
 func (t *elrTarget) readOnly(tx wal.TxID, objs []wal.ObjectID) (bool, error) {
-	var writers []wal.TxID
+	var writers []shardTx
 	for _, obj := range objs {
 		v, err := t.eng.Read(tx, obj)
 		if err != nil {
@@ -396,14 +437,12 @@ func (t *elrTarget) readOnly(tx wal.TxID, objs []wal.ObjectID) (bool, error) {
 			_ = t.eng.Abort(tx)
 			return true, fmt.Errorf("object %d holds %q, which names no writer", obj, v)
 		}
-		writers = append(writers, writer)
+		writers = append(writers, shardTx{tx: writer})
 	}
 	if err := t.eng.Commit(tx); err != nil {
 		return elrSettle(t.eng, err, tx)
 	}
-	t.mu.Lock()
-	t.acks = append(t.acks, readAck{tx: tx, writers: writers})
-	t.mu.Unlock()
+	t.evidence.ack(readAck{locals: []shardTx{{tx: tx}}, writers: writers})
 	return false, nil
 }
 

@@ -49,6 +49,45 @@ func TestELRCrashSweep(t *testing.T) {
 	}
 }
 
+// TestELRShardSweep is the cross-shard sweep under early lock release: a
+// concurrent workload over a 3-shard cluster — hot-object writers
+// committing early, readers on one or two shards, two-phase writers and
+// cross-shard delegations — is crashed at every sync of every shard.
+// Every boundary must recover to the decision-settled oracle with nothing
+// in doubt, no dependent surviving a lost predecessor, and every
+// acknowledged reader's writers durable; and the run must open the
+// window: violations, deferred reader acks and durable two-phase
+// decisions must all appear.
+func TestELRShardSweep(t *testing.T) {
+	cfg := ELRConfig{Seed: 13, Rounds: 20}
+	if testing.Short() {
+		cfg.MaxBoundaries = 30
+	}
+	res, err := ShardELRRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("shard elr sweep: %+v", res)
+	want := res.Boundaries
+	if cfg.MaxBoundaries > 0 && want > cfg.MaxBoundaries {
+		want = cfg.MaxBoundaries
+	}
+	if res.Crashes != want {
+		t.Errorf("recovered at %d of %d boundaries", res.Crashes, want)
+	}
+	if res.Fired == 0 || res.TornCrashes == 0 {
+		t.Errorf("no boundary froze a device inside the workload (%d) or tore a tail (%d)", res.Fired, res.TornCrashes)
+	}
+	if res.Violations == 0 || res.GlobalCommits == 0 {
+		t.Errorf("the sweep never opened the ELR window (%d violations) or decided a two-phase commit (%d)",
+			res.Violations, res.GlobalCommits)
+	}
+	if res.ReadOnlyAcks == 0 || res.ReadOnlyDeferred == 0 {
+		t.Errorf("read-only invariant unexercised: %d acks, %d of them deferred on a pre-durable writer",
+			res.ReadOnlyAcks, res.ReadOnlyDeferred)
+	}
+}
+
 // TestELRSweepSecondSeed re-runs a smaller sweep under a different seed,
 // guarding against the headline test passing by seed luck.
 func TestELRSweepSecondSeed(t *testing.T) {

@@ -343,16 +343,7 @@ func RunShards(cfg ShardConfig) (ShardResult, error) {
 		objects:       cfg.Objects,
 		devices:       cfg.Shards,
 		open: func(dirs []*fault.Dir) (target, error) {
-			logDirs := make([]wal.Dir, len(dirs))
-			for i, d := range dirs {
-				logDirs[i] = d
-			}
-			db, err := shard.Open(shard.Options{
-				Shards:   cfg.Shards,
-				LogDirs:  logDirs,
-				PoolSize: cfg.PoolSize,
-				Router:   shardModRouter{},
-			})
+			db, err := openCluster(dirs, cfg.PoolSize, false)
 			if err != nil {
 				return nil, err
 			}
@@ -368,6 +359,22 @@ func RunShards(cfg ShardConfig) (ShardResult, error) {
 		Resolved:      t.indoubtResolved,
 		Records:       t.records,
 	}, err
+}
+
+// openCluster opens a shard.DB with one shard per device, objects homed
+// by shardModRouter.
+func openCluster(dirs []*fault.Dir, poolSize int, earlyLockRelease bool) (*shard.DB, error) {
+	logDirs := make([]wal.Dir, len(dirs))
+	for i, d := range dirs {
+		logDirs[i] = d
+	}
+	return shard.Open(shard.Options{
+		Shards:           len(dirs),
+		LogDirs:          logDirs,
+		PoolSize:         poolSize,
+		EarlyLockRelease: earlyLockRelease,
+		Router:           shardModRouter{},
+	})
 }
 
 // clusterTarget is a shard.DB replaying a cross-shard trace; the whole

@@ -4,9 +4,9 @@
 // back, and checks the recovered state against an oracle computed from
 // the durable log, plus log-level invariants.
 //
-// There is one driver, (*sweep).run in driver.go, and six crash sweeps,
-// each a value handed to it: how to open the target over one or N
-// devices, the workload to run until a device freezes, the sweep's own
+// There is one driver, (*sweep).run in driver.go, and seven crash
+// sweeps, each a value handed to it: how to open the target over one or
+// N devices, the workload to run until a device freezes, the sweep's own
 // invariants over the durable bytes, and the way back.
 //
 //	Run                     one engine, sim trace replay        Recover
@@ -15,6 +15,7 @@
 //	ELRRun                  ELR engine, concurrent committers   Recover
 //	RotationRun             tiny segments, archiving workload   Recover
 //	RunShards               shard.DB, cross-shard 2PC trace     cluster Recover + in-doubt resolution
+//	ShardELRRun             ELR shard.DB, concurrent workers    cluster Recover + in-doubt resolution
 //
 // The driver owns everything else.  A fault-free probe run counts the
 // syncs each device performs; the workload is then re-run once per
@@ -323,11 +324,9 @@ func (o *logOracle) apply(rec *wal.Record) {
 	case wal.TypePrepare:
 		// The vote: the transaction's fate now follows its global id.
 		o.prepared[rec.TxID] = rec.GID
-	case wal.TypeCommit:
-		// The winner's responsibilities become permanent.
-		delete(o.live, rec.TxID)
-		delete(o.prepared, rec.TxID)
-	case wal.TypeEnd:
+	case wal.TypeCommit, wal.TypeAbort:
+		// The transaction's last record: a winner's responsibilities
+		// become permanent, an abort's were all extinguished by its CLRs.
 		delete(o.live, rec.TxID)
 		delete(o.prepared, rec.TxID)
 	}

@@ -109,7 +109,7 @@ func (t *Table) Get(id wal.TxID) *Info {
 	return t.m[id]
 }
 
-// Remove deletes the entry for id (written after the end record).
+// Remove deletes the entry for id (once its commit or abort completes).
 func (t *Table) Remove(id wal.TxID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -62,11 +62,17 @@ const (
 	// responsibility for tor's updates to object over to tee.
 	TypeDelegate
 	// TypeCommit marks transaction commit; the log must be flushed
-	// through this record before the commit is acknowledged.
+	// through this record before the commit is acknowledged.  It is the
+	// transaction's last record.
 	TypeCommit
-	// TypeAbort marks the start of a rollback.
+	// TypeAbort marks a completed rollback: it follows the last CLR and
+	// is the transaction's last record.
 	TypeAbort
-	// TypeEnd marks the completion of commit or rollback processing.
+	// TypeEnd marked the completion of commit or rollback processing.
+	// ARIES/RH and the ARIES baseline no longer write it — a commit or
+	// abort record ends its transaction's chain — but it is still decoded
+	// and analysed, so logs, backups and standbys written before that
+	// change recover.  Only the naïve rewriting baselines still append it.
 	TypeEnd
 	// TypeCheckpointBegin and TypeCheckpointEnd bracket a fuzzy
 	// checkpoint; the end record carries the serialized transaction

@@ -11,9 +11,11 @@ import (
 // units through the public API.  Begin logs nothing, so a transaction
 // that only reads appends no record and forces nothing, whether it
 // commits or aborts — unsharded, and on a 2-shard database where it
-// touches both shards.  A writer's first record is its first update: a
-// four-update transaction appends exactly six records (four updates, a
-// commit and an end record).
+// touches both shards.  A writer's first record is its first update and
+// its last is its commit or abort record: a four-update transaction
+// appends exactly five records (four updates and a commit), and a
+// two-update transaction that aborts exactly three (two CLRs and the
+// abort record).
 func TestReadOnlyTxnWritesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -53,8 +55,23 @@ func TestReadOnlyTxnWritesNothing(t *testing.T) {
 				}
 				return w.Commit()
 			})
-			if appends != 6 {
-				t.Errorf("four-update writer appended %d records, want 6", appends)
+			if appends != 5 {
+				t.Errorf("four-update writer appended %d records, want 5", appends)
+			}
+
+			// The two updates are made before the delta is taken, so it
+			// counts only what Abort appends.
+			w, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for obj := ariesrh.ObjectID(10); obj <= 12; obj += 2 {
+				if err := w.Update(obj, []byte("doomed")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if appends, _ := delta(w.Abort); appends != 3 {
+				t.Errorf("two-update writer's Abort appended %d records, want 3", appends)
 			}
 
 			// Objects 1..4 span both shards of the 2-shard database.

@@ -10,8 +10,8 @@ import (
 )
 
 // TestTortureHasOneDriver is the structural guard for internal/torture:
-// the six crash sweeps are values handed to one probe → crash → judge →
-// recover loop, and a seventh sweep must be one too.  A private loop
+// the seven crash sweeps are values handed to one probe → crash → judge →
+// recover loop, and an eighth sweep must be one too.  A private loop
 // needs its own crash plan and its own bounded fan-out, so in the
 // package's non-test files fault.Plan.CrashAtSync is set in exactly one
 // composite literal (and assigned nowhere) and runtime.GOMAXPROCS is
@@ -57,14 +57,15 @@ func TestTortureHasOneDriver(t *testing.T) {
 	}
 }
 
-// TestBeginIsNotLogged is the structural guard for lazy Begin: a
-// transaction's first record is its first update, increment, delegation
-// or prepare, and one that never logged commits and aborts without I/O.
+// TestBeginAndEndAreNotLogged is the structural guard for the two ends
+// of a transaction's chain.  Its first record is its first update,
+// increment, delegation or prepare, and one that never logged commits
+// and aborts without I/O; its last record is its commit or abort record.
 // No non-test file of the engine or of its ARIES baseline may build a
-// wal.Record with Type wal.TypeBegin, so an eager begin record cannot
-// come back unnoticed.  (Recovery still reads the type: older logs open
-// each chain with one.)
-func TestBeginIsNotLogged(t *testing.T) {
+// wal.Record with Type wal.TypeBegin or wal.TypeEnd, so neither record
+// can come back unnoticed.  (Recovery still reads both types: older logs
+// open each chain with a begin record and close it with an end record.)
+func TestBeginAndEndAreNotLogged(t *testing.T) {
 	for _, dir := range []string{"internal/core", "internal/aries"} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -84,9 +85,9 @@ func TestBeginIsNotLogged(t *testing.T) {
 					if !ok || key.Name != "Type" {
 						return true
 					}
-					if sel, ok := kv.Value.(*ast.SelectorExpr); ok && sel.Sel.Name == "TypeBegin" {
-						t.Errorf("%s: a wal.Record is built with Type TypeBegin; Begin must log nothing",
-							fset.Position(kv.Pos()))
+					if sel, ok := kv.Value.(*ast.SelectorExpr); ok && (sel.Sel.Name == "TypeBegin" || sel.Sel.Name == "TypeEnd") {
+						t.Errorf("%s: a wal.Record is built with Type %s; a chain starts at its first change and ends at its commit or abort record",
+							fset.Position(kv.Pos()), sel.Sel.Name)
 					}
 					return true
 				})
