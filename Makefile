@@ -4,13 +4,14 @@
 #   make ci        exactly what .github/workflows/ci.yml runs
 #   make race      race-detector run of the concurrency-sensitive packages
 #   make torture   fixed-seed fault-injection crash sweep (nightly CI job)
+#   make fuzz-long the five wire-format fuzzers for minutes each (nightly CI job)
 #   make standby-demo  end-to-end log-shipping failover over TCP
 #   make bench-smoke   benchmark/ builds against the tree, its tests and smoke pass
 #   make bench-eN regenerate BENCH_EN.json for N in 11..15 (quick sizes)
 
 GO ?= go
 
-.PHONY: check ci vet staticcheck build test race fuzz-short torture standby-demo bench bench-smoke
+.PHONY: check ci vet staticcheck build test race fuzz-short fuzz-long torture standby-demo bench bench-smoke
 
 check: vet build test race
 
@@ -40,6 +41,15 @@ fuzz-short:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeSegmentHeader -fuzztime 15s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodePrepare -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s
+
+# The same five decoders as fuzz-short, for longer: what
+# .github/workflows/nightly.yml runs.
+fuzz-long:
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5m
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 3m
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeSegmentHeader -fuzztime 2m
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodePrepare -fuzztime 2m
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 5m
 
 vet:
 	$(GO) vet ./...

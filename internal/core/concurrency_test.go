@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -221,5 +222,64 @@ func TestFullScanUndoAblationEquivalent(t *testing.T) {
 	wantValue(t, cluster, 3, "")
 	if fullVisited <= clusterVisited*2 {
 		t.Fatalf("full scan visited %d vs cluster %d — expected a clear gap", fullVisited, clusterVisited)
+	}
+}
+
+// TestCrashFailsLockWaiters is the regression test for a lock wait that
+// outlived Crash: the lock table was reset under a blocked Read, Update or
+// Increment, whose request then waited on holders nothing would ever
+// release.  The wait must end with ErrCrashed, and the recovered engine's
+// lock table must name no transaction.
+func TestCrashFailsLockWaiters(t *testing.T) {
+	ops := map[string]func(*Engine, wal.TxID) error{
+		"read": func(e *Engine, tx wal.TxID) error {
+			_, err := e.Read(tx, 1)
+			return err
+		},
+		"update": func(e *Engine, tx wal.TxID) error {
+			return e.Update(tx, 1, []byte("blocked"))
+		},
+		"increment": func(e *Engine, tx wal.TxID) error {
+			_, err := e.Increment(tx, 1, 1)
+			return err
+		},
+	}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			e := newEngine(t)
+			t1 := mustBegin(t, e)
+			mustUpdate(t, e, t1, 1, "holder")
+			t2 := mustBegin(t, e)
+			done := make(chan error, 1)
+			go func() { done <- op(e, t2) }()
+			for e.Metrics().Gauge("lock.waiters") != 1 {
+				runtime.Gosched()
+			}
+
+			if err := e.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrCrashed) {
+					t.Fatalf("%s blocked across Crash returned %v, want ErrCrashed", name, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s still blocked in the lock manager after Crash", name)
+			}
+			if g := e.Metrics().Gauge("lock.waiters"); g != 0 {
+				t.Fatalf("lock.waiters = %d after Crash, want 0", g)
+			}
+			if err := e.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if orphans := e.LockOrphans(); len(orphans) != 0 {
+				t.Fatalf("lock table names terminated transactions %v", orphans)
+			}
+			tx := mustBegin(t, e)
+			mustUpdate(t, e, tx, 1, "after")
+			mustCommit(t, e, tx)
+			wantValue(t, e, 1, "after")
+		})
 	}
 }

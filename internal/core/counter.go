@@ -61,7 +61,7 @@ func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, e
 	}
 	e.mu.Unlock()
 
-	if err := e.locks.Acquire(tx, obj, lock.Increment); err != nil {
+	if err := e.acquireLock(tx, obj, lock.Increment); err != nil {
 		return 0, err
 	}
 

@@ -9,8 +9,9 @@ package core
 //
 //	Stage 1 — parallel log scan.  The segmented WAL's manifest already
 //	  splits the log into sealed, immutable segments; one worker per
-//	  segment groups the redoable records (updates, increments, CLRs)
-//	  into per-object redo chains.  No page is touched.
+//	  segment decodes its frames and groups the redoable records
+//	  (updates, increments, CLRs) into per-object redo chains.  No page
+//	  is touched.
 //	Stage 2 — on-demand redo.  A read during recovery redoes just its
 //	  object's chain and returns; a background drainer applies the
 //	  remaining chains by descending heat (longest chain first).
@@ -23,8 +24,8 @@ package core
 //
 // Analysis cannot be parallelised — a delegate record rewrites the scopes
 // the records before it built — so it runs sequentially over the scanned
-// shards during setup, which is cheap: the shard records are already
-// decoded and analysis touches only the volatile tables.
+// shards during setup, which is cheap: the stage 1 workers already decoded
+// the shard records and analysis touches only the volatile tables.
 //
 // Correctness hinges on one rule the sequential path gets for free from
 // LSN-ordered redo: a page flushed at pageLSN pl contains exactly the
@@ -179,13 +180,16 @@ func (e *Engine) recoverParallel() error {
 	e.log.ResetReadCursor()
 
 	// ---- Stage 1: manifest-driven parallel scan, one worker per sealed
-	// segment, grouping redoable records into per-object chains. ----
+	// segment, decoding its frames and grouping redoable records into
+	// per-object chains. ----
 	scanT := time.Now()
-	shards := e.log.RecordShards(scanStart)
-	indexes := make([]map[wal.ObjectID][]*wal.Record, len(shards))
+	frames := e.log.RecordShards(scanStart)
+	shards := make([][]*wal.Record, len(frames))
+	indexes := make([]map[wal.ObjectID][]*wal.Record, len(frames))
+	errs := make([]error, len(frames))
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(shards) {
-		workers = len(shards)
+	if workers > len(frames) {
+		workers = len(frames)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -195,21 +199,20 @@ func (e *Engine) recoverParallel() error {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(shards) {
+				if i >= len(frames) {
 					return
 				}
-				m := make(map[wal.ObjectID][]*wal.Record)
-				for _, rec := range shards[i] {
-					switch rec.Type {
-					case wal.TypeUpdate, wal.TypeIncrement, wal.TypeCLR:
-						m[rec.Object] = append(m[rec.Object], rec)
-					}
-				}
-				indexes[i] = m
+				shards[i], indexes[i], errs[i] = scanShard(frames[i])
 			}
 		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			e.mu.Unlock()
+			return fmt.Errorf("core: recovery scan: %w", err)
+		}
+	}
 	// Merge in shard order: shards are LSN-ordered between themselves and
 	// within, so each chain comes out in LSN order.
 	chains := make(map[wal.ObjectID]*objectChain)
@@ -281,6 +284,26 @@ func (e *Engine) recoverParallel() error {
 
 	go p.run()
 	return nil
+}
+
+// scanShard decodes one segment's frames (see wal.Log.RecordShards) and
+// groups the redoable records by object, each group in LSN order.
+func scanShard(frames []byte) ([]*wal.Record, map[wal.ObjectID][]*wal.Record, error) {
+	var recs []*wal.Record
+	m := make(map[wal.ObjectID][]*wal.Record)
+	for len(frames) > 0 {
+		rec, n, err := wal.DecodeRecord(frames)
+		if err != nil {
+			return nil, nil, err
+		}
+		frames = frames[n:]
+		recs = append(recs, rec)
+		switch rec.Type {
+		case wal.TypeUpdate, wal.TypeIncrement, wal.TypeCLR:
+			m[rec.Object] = append(m[rec.Object], rec)
+		}
+	}
+	return recs, m, nil
 }
 
 // promoteParallel is Promote with Options.ParallelRecovery set: the

@@ -39,6 +39,17 @@ func (e *Engine) activeInfo(tx wal.TxID) (*txn.Info, error) {
 	return info, nil
 }
 
+// acquireLock blocks, without the engine latch, until tx holds obj in
+// mode.  A wait that Crash cut short — the lock table was reset under it —
+// reports ErrCrashed.
+func (e *Engine) acquireLock(tx wal.TxID, obj wal.ObjectID, mode lock.Mode) error {
+	err := e.locks.Acquire(tx, obj, mode)
+	if errors.Is(err, lock.ErrReset) {
+		return ErrCrashed
+	}
+	return err
+}
+
 // activeAfterLockLocked revalidates tx after an unlatched lock wait.  A
 // transaction can terminate while one of its operations is blocked in
 // lock.Acquire — a cascading abort, or a deadlock victimization on
@@ -70,8 +81,7 @@ func (e *Engine) Read(tx wal.TxID, obj wal.ObjectID) ([]byte, error) {
 	}
 	e.mu.Unlock()
 
-	// Block on the lock without holding the engine latch.
-	if err := e.locks.Acquire(tx, obj, lock.Shared); err != nil {
+	if err := e.acquireLock(tx, obj, lock.Shared); err != nil {
 		return nil, err
 	}
 
@@ -114,7 +124,7 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 	}
 	e.mu.Unlock()
 
-	if err := e.locks.Acquire(tx, obj, lock.Exclusive); err != nil {
+	if err := e.acquireLock(tx, obj, lock.Exclusive); err != nil {
 		return err
 	}
 

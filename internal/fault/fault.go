@@ -1,6 +1,6 @@
-// Package fault provides deterministic fault injection for the two
-// stable devices the engine writes: the log store (wal.Store) and the
-// page store (storage.DiskManager).
+// Package fault provides deterministic fault injection for the log's
+// stable devices: every segment and manifest store (wal.Store) of a log
+// directory (wal.Dir).  Page writes are not injected.
 //
 // The central abstraction is the dual image: every device of a fault.Dir
 // tracks both its working contents (everything written) and its stable

@@ -68,6 +68,10 @@ func combineModes(cur, next Mode) Mode {
 // the wait-for graph; the requester is the victim and should abort.
 var ErrDeadlock = errors.New("lock: deadlock")
 
+// ErrReset is returned to a requester that was waiting when Reset
+// discarded the lock table: the lock it queued for no longer exists.
+var ErrReset = errors.New("lock: lock table reset")
+
 type request struct {
 	tx   wal.TxID
 	mode Mode
@@ -108,7 +112,10 @@ type Manager struct {
 	// violableBy indexes, per pre-durable releaser, the objects carrying
 	// its violable markers, so ClearViolable is O(objects released).
 	violableBy map[wal.TxID]map[wal.ObjectID]struct{}
-	met        lockMetrics
+	// epoch counts Resets; a waiter that wakes in a later epoch than it
+	// queued in fails with ErrReset.
+	epoch uint64
+	met   lockMetrics
 }
 
 // lockMetrics holds the manager's pre-resolved metric handles.  A fresh
@@ -182,10 +189,11 @@ func (m *Manager) state(obj wal.ObjectID) *lockState {
 // are held.  Re-acquisition is a no-op when the held mode already covers
 // the request; a Shared→Exclusive upgrade waits for other holders to leave.
 // Returns ErrDeadlock if waiting would complete a wait-for cycle; the
-// caller should abort tx.
+// caller should abort tx.  Returns ErrReset if Reset ran during the wait.
 func (m *Manager) Acquire(tx wal.TxID, obj wal.ObjectID, mode Mode) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	epoch := m.epoch
 	ls := m.state(obj)
 	m.met.acquires.Inc()
 	switch mode {
@@ -218,6 +226,13 @@ func (m *Manager) Acquire(tx wal.TxID, obj wal.ObjectID, mode Mode) error {
 			return fmt.Errorf("%w: transaction %d victimized on object %d", ErrDeadlock, tx, obj)
 		}
 		m.cond.Wait()
+		if m.epoch != epoch {
+			// ls and the wait-for edges belong to the discarded table;
+			// the fresh one must not learn of this request.
+			m.met.waiters.Add(-1)
+			m.met.waitNs.Observe(time.Since(waitStart))
+			return fmt.Errorf("%w: transaction %d was waiting on object %d", ErrReset, tx, obj)
+		}
 	}
 	if !waitStart.IsZero() {
 		m.met.waiters.Add(-1)
@@ -525,9 +540,11 @@ func (m *Manager) Holders() []wal.TxID {
 }
 
 // Reset discards all lock state (crash simulation: locks are volatile).
+// Every Acquire still waiting fails with ErrReset.
 func (m *Manager) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.epoch++
 	m.locks = make(map[wal.ObjectID]*lockState)
 	m.held = make(map[wal.TxID]map[wal.ObjectID]struct{})
 	m.heldSince = make(map[wal.TxID]time.Time)

@@ -107,7 +107,9 @@ type LogOptions struct {
 // Log is the write-ahead log.  It is safe for concurrent use.
 //
 // Volatile state: all appended records live in per-segment in-memory
-// buffers and decoded caches.  Durable state: the log's directory holds
+// buffers of encoded frames, the bytes Flush writes.  They are the log's
+// only in-memory image: every read decodes its frame afresh and returns
+// a record the caller owns.  Durable state: the log's directory holds
 // one append-only image per segment plus a generation-numbered manifest
 // (see manifest.go); Flush copies encoded bytes to the segment devices
 // in LSN order.  Crash discards everything past the last flush and
@@ -141,7 +143,6 @@ type Log struct {
 	flushLeader   bool
 	flushInFlight bool
 	flushIdle     *sync.Cond
-	flushScratch  []byte
 
 	// durableCBs holds OnDurable registrations not yet covered by the
 	// durable horizon; each fires exactly once (see OnDurable).
@@ -162,7 +163,8 @@ type Log struct {
 // segment is one live log segment: a device image plus the volatile
 // mirror of its record bytes.  Records firstLSN..firstLSN+len(offsets)-1
 // live here; data holds their frames (the durable prefix mirrored on dev
-// after the segment header).
+// after the segment header).  Bytes of data are never rewritten once
+// appended, so a view of them stays valid after l.mu is released.
 type segment struct {
 	num      uint64
 	firstLSN LSN
@@ -170,7 +172,6 @@ type segment struct {
 
 	data    []byte // encoded frames, volatile image
 	offsets []int  // offsets[i] = byte offset (in data) of record firstLSN+i
-	cache   []*Record
 
 	flushedBytes int64 // bytes of data durably mirrored (excluding header)
 }
@@ -349,9 +350,10 @@ func (l *Log) segIndexLocked(lsn LSN) int {
 	return lo
 }
 
-// recordAtLocked returns the cached record at lsn, or nil if no live
-// segment holds it.  No access stats are recorded.
-func (l *Log) recordAtLocked(lsn LSN) *Record {
+// frameAtLocked returns the log's bytes from the frame of the record at
+// lsn to the end of its segment — decode the frame with DecodeRecord — or
+// nil if no live segment holds it.  No access stats are recorded.
+func (l *Log) frameAtLocked(lsn LSN) []byte {
 	if lsn == NilLSN {
 		return nil
 	}
@@ -361,10 +363,20 @@ func (l *Log) recordAtLocked(lsn LSN) *Record {
 	}
 	seg := l.segs[i]
 	idx := int(lsn - seg.firstLSN)
-	if idx < 0 || idx >= len(seg.cache) {
+	if idx < 0 || idx >= len(seg.offsets) {
 		return nil
 	}
-	return seg.cache[idx]
+	return seg.data[seg.offsets[idx]:]
+}
+
+// decodeFrame decodes the in-memory frame of the record at lsn; a frame
+// that fails to decode is reported, wrapping ErrCorrupt.
+func decodeFrame(lsn LSN, frame []byte) (*Record, error) {
+	r, _, err := DecodeRecord(frame)
+	if err != nil {
+		return nil, fmt.Errorf("wal: record %d: %w", lsn, err)
+	}
+	return r, nil
 }
 
 // writeManifestLocked persists a fresh manifest generation listing
@@ -476,13 +488,12 @@ func (l *Log) Append(r *Record) (LSN, error) {
 		active = l.segs[len(l.segs)-1]
 	}
 	r.LSN = l.headLocked() + 1
-	enc, err := EncodeRecord(r)
+	data, err := appendRecord(active.data, r)
 	if err != nil {
 		return NilLSN, err
 	}
 	active.offsets = append(active.offsets, len(active.data))
-	active.data = append(active.data, enc...)
-	active.cache = append(active.cache, r.clone())
+	active.data = data
 	l.stats.Appends++
 	l.met.appends.Inc()
 	return r.LSN, nil
@@ -583,10 +594,11 @@ func (l *Log) runDurableCBsLocked(err error) {
 }
 
 // flushChunk is one contiguous device write of a flush: bytes
-// [start,end) of seg.data, which once synced advance the durable
-// horizon to endLSN.
+// [start,end) of seg.data, viewed by buf, which once synced advance the
+// durable horizon to endLSN.
 type flushChunk struct {
 	seg    *segment
+	buf    []byte
 	start  int64
 	end    int64
 	endLSN LSN
@@ -616,7 +628,8 @@ func (l *Log) flushChunksLocked(upTo LSN) []flushChunk {
 			endLSN = upTo
 		}
 		if end > seg.flushedBytes {
-			chunks = append(chunks, flushChunk{seg: seg, start: seg.flushedBytes, end: end, endLSN: endLSN})
+			chunks = append(chunks, flushChunk{seg: seg, buf: seg.data[seg.flushedBytes:end],
+				start: seg.flushedBytes, end: end, endLSN: endLSN})
 		}
 	}
 	return chunks
@@ -731,10 +744,11 @@ func (l *Log) groupFlushLoop() {
 }
 
 // flushRangeUnlatched makes records through upTo durable while allowing
-// appends to proceed: the unflushed chunks are copied to a scratch buffer
-// under l.mu, the mutex is released for the device writes+Syncs (with
-// flushInFlight fencing out Archive and Crash), then re-acquired to
-// publish the new durable horizon.  It is the only code that writes
+// appends to proceed: the unflushed chunks are viewed under l.mu (frame
+// bytes are never rewritten, so a view stays valid even if an append
+// reallocates its segment's buffer), the mutex is released for the
+// device writes+Syncs (with flushInFlight fencing out Archive and
+// Crash), then re-acquired to publish the new durable horizon.  It is the only code that writes
 // record bytes to a segment device, and it writes each byte once: every
 // chunk starts at its segment's flushedBytes, which only a synced chunk
 // advances.  Chunks are written and synced in strict LSN order — segment
@@ -748,15 +762,6 @@ func (l *Log) flushRangeUnlatched(upTo LSN) error {
 	if len(chunks) == 0 {
 		return nil
 	}
-	// Copy every chunk's bytes into one scratch buffer (appends may grow
-	// and reallocate segment data while the mutex is released).
-	scratch := l.flushScratch[:0]
-	offs := make([]int, len(chunks)+1)
-	for i, c := range chunks {
-		scratch = append(scratch, c.seg.data[c.start:c.end]...)
-		offs[i+1] = len(scratch)
-	}
-	l.flushScratch = scratch
 	l.flushInFlight = true
 	l.mu.Unlock()
 	began := time.Now()
@@ -765,7 +770,7 @@ func (l *Log) flushRangeUnlatched(upTo LSN) error {
 	done := 0
 	for i, c := range chunks {
 		var r int
-		r, err = l.writeSyncRetry(c.seg.dev, scratch[offs[i]:offs[i+1]], segmentHeaderSize+c.start)
+		r, err = l.writeSyncRetry(c.seg.dev, c.buf, segmentHeaderSize+c.start)
 		retries += r
 		if err != nil {
 			break
@@ -803,24 +808,26 @@ func (l *Log) flushRangeUnlatched(upTo LSN) error {
 	return nil
 }
 
-// Get returns the record with the given LSN.  The returned record is a
-// copy; callers may retain or modify it freely.
+// Get returns the record with the given LSN, freshly decoded from its
+// frame: callers may retain or modify it freely.
 func (l *Log) Get(lsn LSN) (*Record, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	r, err := l.getLocked(lsn)
+	frame, err := l.readFrameLocked(lsn)
+	l.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return r.clone(), nil
+	return decodeFrame(lsn, frame)
 }
 
-func (l *Log) getLocked(lsn LSN) (*Record, error) {
+// readFrameLocked returns the frame of the record at lsn for a read,
+// accounting the access.
+func (l *Log) readFrameLocked(lsn LSN) ([]byte, error) {
 	if lsn != NilLSN && lsn <= l.base {
 		return nil, errArchived(lsn, l.base)
 	}
-	r := l.recordAtLocked(lsn)
-	if r == nil {
+	frame := l.frameAtLocked(lsn)
+	if frame == nil {
 		return nil, fmt.Errorf("%w: %d (head %d)", ErrNoSuchLSN, lsn, l.headLocked())
 	}
 	l.stats.Reads++
@@ -832,7 +839,7 @@ func (l *Log) getLocked(lsn LSN) (*Record, error) {
 		l.stats.RandomReads++
 	}
 	l.lastReadLSN = lsn
-	return r, nil
+	return frame, nil
 }
 
 // Scan iterates records with LSN in [from, to] in increasing order, calling
@@ -854,14 +861,10 @@ func (l *Log) Scan(from, to LSN, fn func(*Record) (bool, error)) error {
 		to = head
 	}
 	for lsn := from; lsn <= to; lsn++ {
-		l.mu.Lock()
-		r, err := l.getLocked(lsn)
+		r, err := l.Get(lsn)
 		if err != nil {
-			l.mu.Unlock()
 			return err
 		}
-		r = r.clone()
-		l.mu.Unlock()
 		ok, err := fn(r)
 		if err != nil {
 			return err
@@ -873,23 +876,21 @@ func (l *Log) Scan(from, to LSN, fn func(*Record) (bool, error)) error {
 	return nil
 }
 
-// RecordShards returns one slice of decoded records per live segment,
-// oldest segment first, covering every record with LSN in [from, head]
-// (NilLSN means "from the log's base").  The slices alias the log's
-// in-memory record cache under one latch acquisition: callers MUST
-// treat both the slices and the records as read-only.
+// RecordShards returns the encoded frames of every record with LSN in
+// [from, head] (NilLSN means "from the log's base"), one run of whole
+// frames per live segment in LSN order, oldest segment first: decode
+// each front to back with DecodeRecord.
 //
-// This is the parallel-recovery scan surface.  Sealed segments are
-// immutable, so their shards may be walked by concurrent workers with
-// no further synchronization; the active segment's shard is a
-// snapshot — records appended after the call (e.g. recovery's own
-// CLRs) are not visible through it, which is exactly what a recovery
-// scan wants.  The crash contract is the caller's: shards reflect the
-// volatile image, so take them only after Crash/open reloaded the log
-// from the durable segment files (as Recover does).  Records below an
-// Archive that runs after the call are served from the snapshot, not
-// an error — do not hold shards across an Archive.
-func (l *Log) RecordShards(from LSN) [][]*Record {
+// This is the parallel-recovery scan surface.  Frame bytes are never
+// rewritten and each run is cut with a full-slice expression, so later
+// appends cannot write into it: the shards are immutable views that
+// concurrent workers may decode without synchronization, and the active
+// segment's shard is a snapshot that excludes records appended after the
+// call (e.g. recovery's own CLRs).  Shards reflect the volatile image, so
+// take them only after Crash/open reloaded the log from the durable
+// segment files (as Recover does), and do not hold them across an
+// Archive.
+func (l *Log) RecordShards(from LSN) [][]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from == NilLSN {
@@ -898,22 +899,17 @@ func (l *Log) RecordShards(from LSN) [][]*Record {
 	if from <= l.base {
 		from = l.base + 1
 	}
-	shards := make([][]*Record, 0, len(l.segs))
+	shards := make([][]byte, 0, len(l.segs))
 	for _, seg := range l.segs {
-		if len(seg.cache) == 0 {
-			continue
-		}
 		lo := 0
 		if from > seg.firstLSN {
 			lo = int(from - seg.firstLSN)
 		}
-		if lo >= len(seg.cache) {
+		if lo >= len(seg.offsets) {
 			continue
 		}
-		hi := len(seg.cache)
-		// Full-slice expression: appends to the active segment's cache
-		// can never write into a shard's spare capacity.
-		shards = append(shards, seg.cache[lo:hi:hi])
+		hi := len(seg.data)
+		shards = append(shards, seg.data[seg.offsets[lo]:hi:hi])
 	}
 	return shards
 }

@@ -67,11 +67,103 @@ func TestLogGet(t *testing.T) {
 	if _, err := l.Get(3); !errors.Is(err, ErrNoSuchLSN) {
 		t.Fatalf("Get(3) err = %v", err)
 	}
-	// Mutating the returned record must not affect the log.
-	r.Object = 1000
-	r2, _ := l.Get(2)
-	if r2.Object != 9 {
-		t.Fatal("Get returned an aliased record")
+}
+
+// TestLogReadsReturnOwnedRecords pins that every read path hands out a
+// record of the caller's own: scribbling over one returned by Get, Scan
+// or a tail subscription's Next — header fields and image bytes — leaves
+// the next read of the same LSN unchanged.
+func TestLogReadsReturnOwnedRecords(t *testing.T) {
+	l := newMemLog(t)
+	mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 3, Object: 9, Before: []byte("old"), After: []byte("new")})
+	if err := l.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := l.Subscribe(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	reads := map[string]func() *Record{
+		"get": func() *Record {
+			r, err := l.Get(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		},
+		"scan": func() *Record {
+			var r *Record
+			if err := l.Scan(1, 1, func(rec *Record) (bool, error) { r = rec; return true, nil }); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		},
+		"next": func() *Record {
+			recs, err := sub.Next(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return recs[0]
+		},
+	}
+	for name, read := range reads {
+		r := read()
+		r.Object = 1000
+		r.Before[0] = 'X'
+		r.After[0] = 'X'
+		got, err := l.Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Object != 9 || string(got.Before) != "old" || string(got.After) != "new" {
+			t.Fatalf("after mutating the record %s returned, the log reads %+v", name, got)
+		}
+	}
+}
+
+// TestLogReadsReportDamagedFrame: every read decodes the in-memory
+// frame, so a damaged one surfaces from each read path as an error
+// wrapping ErrCorrupt — not as a panic, and not as a plausible record.
+func TestLogReadsReportDamagedFrame(t *testing.T) {
+	l := newMemLog(t)
+	mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 1, After: []byte("v")})
+	if err := l.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	l.segs[0].data[frameHeaderSize+1] ^= 0xFF // inside the body: the checksum fails
+	l.mu.Unlock()
+	if _, err := l.Get(1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get err = %v, want ErrCorrupt", err)
+	}
+	if err := l.Scan(1, 1, func(*Record) (bool, error) { return true, nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Scan err = %v, want ErrCorrupt", err)
+	}
+	sub, err := l.Subscribe(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if _, err := sub.Next(0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Next err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLogAppendAllocations guards the append path's allocation budget:
+// the frame is encoded straight onto the segment's bytes, so an append
+// of a 64-byte update costs at most one allocation (amortized slice
+// growth), not an encode buffer plus a retained decoded copy.
+func TestLogAppendAllocations(t *testing.T) {
+	l := newMemLog(t)
+	r := &Record{Type: TypeUpdate, TxID: 1, Object: 5, Before: make([]byte, 32), After: make([]byte, 32)}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Append allocates %.2f times per call, want at most 1", allocs)
 	}
 }
 

@@ -59,78 +59,61 @@ type recordDecoder struct {
 	err error
 }
 
-func (d *recordDecoder) fail() {
-	if d.err == nil {
+// take returns the next n bytes of the body, or nil — recording
+// ErrCorrupt — once the body is exhausted.
+func (d *recordDecoder) take(n int) []byte {
+	if d.err != nil || d.off+n > len(d.buf) {
 		d.err = ErrCorrupt
+		return nil
 	}
+	p := d.buf[d.off : d.off+n]
+	d.off += n
+	return p
 }
 
 func (d *recordDecoder) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.buf) {
-		d.fail()
-		return 0
+	if p := d.take(1); p != nil {
+		return p[0]
 	}
-	v := d.buf[d.off]
-	d.off++
-	return v
+	return 0
 }
 
 func (d *recordDecoder) u16() uint16 {
-	if d.err != nil || d.off+2 > len(d.buf) {
-		d.fail()
-		return 0
+	if p := d.take(2); p != nil {
+		return binary.LittleEndian.Uint16(p)
 	}
-	v := binary.LittleEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v
+	return 0
 }
 
 func (d *recordDecoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
+	if p := d.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
 	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
+	return 0
 }
 
 func (d *recordDecoder) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
+	if p := d.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
 	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
+	return 0
 }
 
-func (d *recordDecoder) bytes16() []byte {
-	n := int(d.u16())
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	p := append([]byte(nil), d.buf[d.off:d.off+n]...)
-	d.off += n
-	return p
-}
-
-func (d *recordDecoder) bytes32() []byte {
-	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	p := append([]byte(nil), d.buf[d.off:d.off+n]...)
-	d.off += n
-	return p
-}
+// bytes16 and bytes32 copy a length-prefixed image; an empty one decodes
+// as nil.
+func (d *recordDecoder) bytes16() []byte { return append([]byte(nil), d.take(int(d.u16()))...) }
+func (d *recordDecoder) bytes32() []byte { return append([]byte(nil), d.take(int(d.u32()))...) }
 
 // EncodeRecord serializes r into a framed, checksummed byte slice.
 func EncodeRecord(r *Record) ([]byte, error) {
-	var e recordEncoder
-	e.buf = make([]byte, frameHeaderSize, frameHeaderSize+64+len(r.Before)+len(r.After)+len(r.Payload))
+	return appendRecord(make([]byte, 0, frameHeaderSize+64+len(r.Before)+len(r.After)+len(r.Payload)), r)
+}
+
+// appendRecord appends r's frame to dst and returns the extended slice.
+// On error the bytes of dst are unchanged (its spare capacity may not be).
+func appendRecord(dst []byte, r *Record) ([]byte, error) {
+	start := len(dst)
+	e := recordEncoder{buf: append(dst, make([]byte, frameHeaderSize)...)}
 	e.u8(uint8(r.Type))
 	e.u64(uint64(r.LSN))
 	e.u32(uint32(r.TxID))
@@ -182,16 +165,16 @@ func EncodeRecord(r *Record) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wal: cannot encode record type %v", r.Type)
 	}
-	body := e.buf[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(e.buf[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(e.buf[4:], crc32.ChecksumIEEE(body))
+	frame := e.buf[start:]
+	body := frame[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
 	return e.buf, nil
 }
 
-// DecodeRecord parses one framed record from the front of p, returning the
-// record and the total number of bytes consumed.  It returns ErrCorrupt
-// (possibly wrapped) when the frame is truncated or fails its checksum.
-func DecodeRecord(p []byte) (*Record, int, error) {
+// frameBody checks the frame at the front of p — length and checksum —
+// and returns its body and the frame's total size.
+func frameBody(p []byte) ([]byte, int, error) {
 	if len(p) < frameHeaderSize {
 		return nil, 0, fmt.Errorf("%w (%w): frame header", ErrTruncated, ErrCorrupt)
 	}
@@ -203,6 +186,17 @@ func DecodeRecord(p []byte) (*Record, int, error) {
 	body := p[frameHeaderSize : frameHeaderSize+bodyLen]
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return body, frameHeaderSize + bodyLen, nil
+}
+
+// DecodeRecord parses one framed record from the front of p, returning the
+// record and the total number of bytes consumed.  It returns ErrCorrupt
+// (possibly wrapped) when the frame is truncated or fails its checksum.
+func DecodeRecord(p []byte) (*Record, int, error) {
+	body, n, err := frameBody(p)
+	if err != nil {
+		return nil, 0, err
 	}
 	d := recordDecoder{buf: body}
 	r := &Record{}
@@ -261,5 +255,5 @@ func DecodeRecord(p []byte) (*Record, int, error) {
 	if d.off != len(body) {
 		return nil, 0, fmt.Errorf("%w: %d trailing bytes in body", ErrCorrupt, len(body)-d.off)
 	}
-	return r, frameHeaderSize + bodyLen, nil
+	return r, n, nil
 }

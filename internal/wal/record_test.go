@@ -30,7 +30,7 @@ func sampleRecords() []*Record {
 // normalize maps nil byte slices to empty so reflect.DeepEqual tolerates the
 // decoder's empty-slice representation.
 func normalize(r *Record) *Record {
-	c := r.clone()
+	c := *r
 	if c.Before == nil {
 		c.Before = []byte{}
 	}
@@ -40,7 +40,7 @@ func normalize(r *Record) *Record {
 	if c.Payload == nil {
 		c.Payload = []byte{}
 	}
-	return c
+	return &c
 }
 
 func TestRecordRoundTrip(t *testing.T) {

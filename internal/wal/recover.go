@@ -1,35 +1,36 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
-// decodedSegment is the result of decoding one segment image: the record
-// frames that survived on the device, their offsets, and whether the
-// image ended in a torn (partially written) frame.
-type decodedSegment struct {
+// segmentImage indexes one segment image: the record frames that
+// survived on the device, their offsets, and whether the image ended in a
+// torn (partially written) frame.  The frames are validated, not decoded.
+type segmentImage struct {
 	hdr     segmentHeader
-	data    []byte // frame bytes that decoded cleanly (header excluded)
+	data    []byte // frame bytes that validated cleanly (header excluded)
 	offsets []int
-	recs    []*Record
-	torn    bool // image had trailing bytes that did not decode
+	torn    bool // image had trailing bytes that did not validate
 }
 
-// decodeSegmentImage parses a raw segment image (header + frames).  A
-// trailing partial frame — the signature of a crash between WriteAt and
-// Sync — is reported via torn, not as an error; density violations and
-// interior corruption are errors.
-func decodeSegmentImage(buf []byte) (*decodedSegment, error) {
+// scanSegmentImage validates and indexes a raw segment image (header +
+// frames): every frame's length and checksum, and LSN density from the
+// header's first LSN.  A trailing partial frame — the signature of a
+// crash between WriteAt and Sync — is reported via torn, not as an error;
+// density violations and interior corruption are errors.
+func scanSegmentImage(buf []byte) (*segmentImage, error) {
 	hdr, err := decodeSegmentHeader(buf)
 	if err != nil {
 		return nil, err
 	}
-	d := &decodedSegment{hdr: hdr}
+	d := &segmentImage{hdr: hdr}
 	body := buf[segmentHeaderSize:]
 	off := 0
 	for off < len(body) {
-		r, n, err := DecodeRecord(body[off:])
+		frame, n, err := frameBody(body[off:])
 		if err != nil {
 			if errors.Is(err, ErrTruncated) {
 				d.torn = true
@@ -37,13 +38,13 @@ func decodeSegmentImage(buf []byte) (*decodedSegment, error) {
 			}
 			return nil, fmt.Errorf("segment %d at offset %d: %w", hdr.num, off, err)
 		}
-		want := hdr.firstLSN + LSN(len(d.recs))
-		if r.LSN != want {
-			return nil, fmt.Errorf("%w: segment %d record at offset %d has LSN %d, want %d",
-				ErrCorrupt, hdr.num, off, r.LSN, want)
+		// The body opens with u8 type, u64 LSN (see record.go).
+		want := hdr.firstLSN + LSN(len(d.offsets))
+		if len(frame) < 9 || LSN(binary.LittleEndian.Uint64(frame[1:])) != want {
+			return nil, fmt.Errorf("%w: segment %d record at offset %d does not carry LSN %d",
+				ErrCorrupt, hdr.num, off, want)
 		}
 		d.offsets = append(d.offsets, off)
-		d.recs = append(d.recs, r)
 		off += n
 	}
 	d.data = body[:off]
@@ -51,8 +52,9 @@ func decodeSegmentImage(buf []byte) (*decodedSegment, error) {
 }
 
 // loadFromDir (re)initializes the log from its directory: pick the
-// authoritative manifest, decode every listed segment, repair the torn
-// tail a crash may have left, and sweep files no generation references.
+// authoritative manifest, validate and index every listed segment,
+// repair the torn tail a crash may have left, and sweep files no
+// generation references.
 //
 // What recovery tolerates, and why it is enough: flushing writes+syncs
 // segment chunks in strict LSN order, so at any instant at most ONE
@@ -102,7 +104,7 @@ func (l *Log) loadFromDir() error {
 		if err != nil {
 			return fmt.Errorf("wal: read segment %d: %w", e.num, err)
 		}
-		d, err := decodeSegmentImage(buf)
+		d, err := scanSegmentImage(buf)
 		if err != nil {
 			// A listed segment's header was synced before the manifest
 			// listing it; an unreadable header here is real corruption,
@@ -116,7 +118,7 @@ func (l *Log) loadFromDir() error {
 		if e.firstLSN > head+1 {
 			// Unreachable past the durable head: the segment was created
 			// by a rotation whose volatile tail died with the process.
-			if len(d.recs) > 0 {
+			if len(d.offsets) > 0 {
 				return fmt.Errorf("%w: segment %d holds records %d.. after durable head %d",
 					ErrCorrupt, e.num, e.firstLSN, head)
 			}
@@ -143,10 +145,9 @@ func (l *Log) loadFromDir() error {
 			dev:          dev,
 			data:         d.data,
 			offsets:      d.offsets,
-			cache:        d.recs,
 			flushedBytes: int64(len(d.data)),
 		})
-		head = e.firstLSN + LSN(len(d.recs)) - 1
+		head = e.firstLSN + LSN(len(d.offsets)) - 1
 	}
 	if head < l.base {
 		return fmt.Errorf("%w: durable head %d below archived base %d", ErrCorrupt, head, l.base)
@@ -187,7 +188,7 @@ func (l *Log) initFreshDir(names []string) error {
 			if err != nil {
 				return fmt.Errorf("wal: open: %w", err)
 			}
-			if d, err := decodeSegmentImage(buf); err == nil && len(d.recs) > 0 {
+			if d, err := scanSegmentImage(buf); err == nil && len(d.offsets) > 0 {
 				return fmt.Errorf("%w: segment %d holds records", ErrNoManifest, num)
 			}
 		} else if _, ok := parseNumbered(name, "manifest-"); !ok {
@@ -276,15 +277,21 @@ func ReadDurable(dir Dir) (base LSN, recs []*Record, err error) {
 		if err != nil {
 			return NilLSN, nil, err
 		}
-		d, err := decodeSegmentImage(buf)
+		d, err := scanSegmentImage(buf)
 		if err != nil {
 			return NilLSN, nil, err
 		}
 		if e.firstLSN > head+1 {
 			break // durable sequence ends at the gap
 		}
-		recs = append(recs, d.recs...)
-		head = e.firstLSN + LSN(len(d.recs)) - 1
+		for _, off := range d.offsets {
+			r, _, err := DecodeRecord(d.data[off:])
+			if err != nil {
+				return NilLSN, nil, fmt.Errorf("segment %d at offset %d: %w", e.num, off, err)
+			}
+			recs = append(recs, r)
+		}
+		head = e.firstLSN + LSN(len(d.offsets)) - 1
 		if d.torn {
 			break
 		}

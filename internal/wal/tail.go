@@ -53,10 +53,10 @@ func (l *Log) Subscribe(from LSN) (*Subscription, error) {
 
 // Next blocks until at least one durable record at or past the cursor
 // exists, then returns up to max of them (max <= 0 means no bound) in
-// LSN order and advances the cursor.  The returned records are deep
-// copies.  It returns an error wrapping ErrSubscriptionClosed once the
-// subscription is closed; records delivered before the close remain
-// valid.
+// LSN order and advances the cursor.  The returned records are freshly
+// decoded and belong to the caller.  It returns an error wrapping
+// ErrSubscriptionClosed once the subscription is closed; records
+// delivered before the close remain valid.
 func (s *Subscription) Next(max int) ([]*Record, error) {
 	l := s.l
 	l.mu.Lock()
@@ -78,12 +78,12 @@ func (s *Subscription) Next(max int) ([]*Record, error) {
 	}
 	out := make([]*Record, 0, end-s.cursor+1)
 	for lsn := s.cursor; lsn <= end; lsn++ {
-		r := l.recordAtLocked(lsn)
-		if r == nil {
-			// Cannot happen: the pin kept every LSN >= cursor live.
-			return nil, fmt.Errorf("%w: %d", ErrNoSuchLSN, lsn)
+		// The pin kept every LSN >= cursor live, so the frame is there.
+		r, err := decodeFrame(lsn, l.frameAtLocked(lsn))
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, r.clone())
+		out = append(out, r)
 	}
 	s.cursor = end + 1
 	return out, nil

@@ -221,13 +221,3 @@ func (r *Record) String() string {
 		return fmt.Sprintf("%d %s(t%d)", r.LSN, r.Type, r.TxID)
 	}
 }
-
-// clone returns a deep copy of the record so callers can hold decoded
-// records without aliasing the log's internal cache.
-func (r *Record) clone() *Record {
-	c := *r
-	c.Before = append([]byte(nil), r.Before...)
-	c.After = append([]byte(nil), r.After...)
-	c.Payload = append([]byte(nil), r.Payload...)
-	return &c
-}
