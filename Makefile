@@ -4,7 +4,7 @@
 #   make ci        exactly what .github/workflows/ci.yml runs
 #   make race      race-detector run of the concurrency-sensitive packages
 #   make torture   fixed-seed fault-injection crash sweep (nightly CI job)
-#   make fuzz-long the five wire-format fuzzers for minutes each (nightly CI job)
+#   make fuzz-long the seven decoder fuzzers for minutes each (nightly CI job)
 #   make standby-demo  end-to-end log-shipping failover over TCP
 #   make bench-smoke   benchmark/ builds against the tree, its tests and smoke pass
 #   make bench-eN regenerate BENCH_EN.json for N in 11..15 (quick sizes)
@@ -16,11 +16,12 @@ GO ?= go
 check: vet build test race
 
 # The CI pipeline (ci.yml calls this target and nothing else of its
-# own): full race (not -short) on the latch-heavy packages, the whole
-# short torture set under race, the nested benchmark module, and a
-# short fuzz pass over the wire-format decoders.
+# own): full race (not -short) on the latch-heavy packages and on the
+# page layers whose frames are recycled across the off-latch Prefault
+# path, the whole short torture set under race, the nested benchmark
+# module, and a short fuzz pass over the decoders.
 ci: vet staticcheck build test
-	$(GO) test -race ./internal/core ./internal/wal ./internal/repl ./internal/shard
+	$(GO) test -race ./internal/core ./internal/wal ./internal/repl ./internal/shard ./internal/buffer ./internal/object ./internal/storage
 	$(GO) test -race -short -timeout 120s ./internal/torture ./internal/fault
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz-short
@@ -41,8 +42,10 @@ fuzz-short:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeSegmentHeader -fuzztime 15s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodePrepare -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s
+	$(GO) test ./internal/delegation -run '^$$' -fuzz FuzzDecodeState -fuzztime 15s
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzUnmarshalPage -fuzztime 15s
 
-# The same five decoders as fuzz-short, for longer: what
+# The same seven decoders as fuzz-short, for longer: what
 # .github/workflows/nightly.yml runs.
 fuzz-long:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5m
@@ -50,6 +53,8 @@ fuzz-long:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeSegmentHeader -fuzztime 2m
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodePrepare -fuzztime 2m
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 5m
+	$(GO) test ./internal/delegation -run '^$$' -fuzz FuzzDecodeState -fuzztime 2m
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzUnmarshalPage -fuzztime 2m
 
 vet:
 	$(GO) vet ./...
@@ -64,10 +69,11 @@ test:
 
 # The packages whose hot paths drop and re-take latches: the core engine
 # (group commit, DelegateAll), the WAL (leader flusher and tail
-# subscriptions), the replication stream, and the sim stress tests that
-# drive them concurrently.
+# subscriptions), the replication stream, the page layers (a buffer miss
+# decodes into a recycled frame, also off the engine latch), and the sim
+# stress tests that drive them concurrently.
 race:
-	$(GO) test -race -short ./internal/core ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/torture
+	$(GO) test -race -short ./internal/core ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/torture ./internal/buffer ./internal/object ./internal/storage
 
 # Full fault-injection pass under the race detector: the complete crash
 # sweep at fixed seeds (no -short boundary cap), the replication

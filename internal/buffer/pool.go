@@ -7,9 +7,10 @@
 package buffer
 
 import (
-	"container/list"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ariesrh/internal/obs"
@@ -39,12 +40,18 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 	}
 }
 
+// frame holds one page of the pool.  A frame outlives the pages it
+// holds: a miss evicts the least recently used unpinned frame and decodes
+// the incoming page into the victim's Page, so steady-state misses
+// allocate nothing.
 type frame struct {
 	pid   storage.PageID
-	page  *storage.Page
+	page  storage.Page
 	pins  int
 	dirty bool
-	elem  *list.Element // position in the LRU list when unpinned
+	// prev and next link the frame into the pool's LRU list while it is
+	// unpinned; both are nil while it is pinned.
+	prev, next *frame
 }
 
 // Pool is an LRU buffer pool.  It is safe for concurrent use.
@@ -58,10 +65,12 @@ type Pool struct {
 	flushLog func(wal.LSN) error
 
 	frames map[storage.PageID]*frame
-	lru    *list.List // of *frame, least recently used at the front
-	dirty  map[storage.PageID]wal.LSN
-	stats  PoolStats
-	met    poolMetrics
+	// lru is the sentinel of a circular list of the unpinned frames, least
+	// recently used at lru.next; its own page is never used.
+	lru   frame
+	dirty map[storage.PageID]wal.LSN
+	stats PoolStats
+	met   poolMetrics
 }
 
 // poolMetrics holds the pool's pre-resolved metric handles.  A fresh pool
@@ -99,45 +108,54 @@ func NewPool(disk storage.DiskManager, capacity int, flushLog func(wal.LSN) erro
 	if flushLog == nil {
 		flushLog = func(wal.LSN) error { return nil }
 	}
-	return &Pool{
+	p := &Pool{
 		disk:     disk,
 		capacity: capacity,
 		flushLog: flushLog,
 		frames:   make(map[storage.PageID]*frame),
-		lru:      list.New(),
 		dirty:    make(map[storage.PageID]wal.LSN),
 		met:      bindPoolMetrics(obs.NewRegistry()),
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
+}
+
+// pushLRU appends f, which must be unlinked, as the most recently used
+// unpinned frame.
+func (p *Pool) pushLRU(f *frame) {
+	f.prev, f.next = p.lru.prev, &p.lru
+	f.prev.next, p.lru.prev = f, f
+}
+
+// unlinkLRU removes f from the LRU list if it is on it.
+func unlinkLRU(f *frame) {
+	if f.next == nil {
+		return
+	}
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
 }
 
 // Fetch pins page pid and returns its in-pool image.  The caller must hold
 // whatever latch serializes page access (the engines serialize via their
-// own mutex) and must Unpin the page when done.
+// own mutex) and must Unpin the page when done; after Unpin the Page may
+// be reused for another page id, so the caller must not keep it.
 func (p *Pool) Fetch(pid storage.PageID) (*storage.Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if f, ok := p.frames[pid]; ok {
 		p.stats.Hits++
 		p.met.hits.Inc()
-		if f.elem != nil {
-			p.lru.Remove(f.elem)
-			f.elem = nil
-		}
+		unlinkLRU(f)
 		f.pins++
-		return f.page, nil
+		return &f.page, nil
 	}
-	p.stats.Misses++
-	p.met.misses.Inc()
-	if err := p.evictForSpaceLocked(); err != nil {
-		return nil, err
-	}
-	page, err := p.disk.ReadPage(pid)
+	f, err := p.loadLocked(pid)
 	if err != nil {
 		return nil, err
 	}
-	f := &frame{pid: pid, page: page, pins: 1}
-	p.frames[pid] = f
-	return page, nil
+	f.pins = 1
+	return &f.page, nil
 }
 
 // Prefault brings pid into the pool without pinning it, evicting (and, if
@@ -154,51 +172,74 @@ func (p *Pool) Prefault(pid storage.PageID) error {
 		p.met.hits.Inc()
 		return nil
 	}
-	p.stats.Misses++
-	p.met.misses.Inc()
-	if err := p.evictForSpaceLocked(); err != nil {
-		return err
-	}
-	page, err := p.disk.ReadPage(pid)
+	f, err := p.loadLocked(pid)
 	if err != nil {
 		return err
 	}
-	f := &frame{pid: pid, page: page}
-	f.elem = p.lru.PushBack(f)
-	p.frames[pid] = f
+	p.pushLRU(f)
 	return nil
+}
+
+// loadLocked takes a miss on pid: it reads the page into a free frame —
+// the evicted victim's, or a new one while the pool is below capacity —
+// and registers it unpinned and unlinked.  If the read fails the frame is
+// dropped, so the pool holds one frame fewer and stays consistent.
+func (p *Pool) loadLocked(pid storage.PageID) (*frame, error) {
+	p.stats.Misses++
+	p.met.misses.Inc()
+	f, err := p.evictForSpaceLocked()
+	if err != nil {
+		return nil, err
+	}
+	if f == nil {
+		f = new(frame)
+	}
+	if err := p.disk.ReadPageInto(pid, &f.page); err != nil {
+		return nil, err
+	}
+	f.pid = pid
+	p.frames[pid] = f
+	return f, nil
 }
 
 // evictForSpaceLocked makes room for one more frame, flushing a dirty
-// victim under the WAL rule if needed.
-func (p *Pool) evictForSpaceLocked() error {
+// victim under the WAL rule if needed.  It returns the victim — unpinned,
+// clean, unlinked and out of the page table, so no caller can still hold
+// its page — or nil if the pool is below capacity.
+func (p *Pool) evictForSpaceLocked() (*frame, error) {
 	if len(p.frames) < p.capacity {
-		return nil
+		return nil, nil
 	}
-	e := p.lru.Front()
-	if e == nil {
-		return fmt.Errorf("%w: capacity %d", ErrPoolExhausted, p.capacity)
+	victim := p.lru.next
+	if victim == &p.lru {
+		return nil, fmt.Errorf("%w: capacity %d", ErrPoolExhausted, p.capacity)
 	}
-	victim := e.Value.(*frame)
 	if victim.dirty {
-		if err := p.flushFrameLocked(victim); err != nil {
-			return err
+		if err := p.forceLogLocked(victim.page.LSN); err != nil {
+			return nil, fmt.Errorf("buffer: WAL flush before evicting page %d: %w", victim.pid, err)
+		}
+		if err := p.writeFrameLocked(victim); err != nil {
+			return nil, err
 		}
 	}
-	p.lru.Remove(e)
+	unlinkLRU(victim)
 	delete(p.frames, victim.pid)
 	p.stats.Evictions++
 	p.met.evictions.Inc()
-	return nil
+	return victim, nil
 }
 
-// flushFrameLocked writes one dirty frame to disk, honoring the WAL rule.
-func (p *Pool) flushFrameLocked(f *frame) error {
+// forceLogLocked applies the WAL rule: the log is made stable through lsn
+// before any page stamped with a pageLSN ≤ lsn is written.
+func (p *Pool) forceLogLocked(lsn wal.LSN) error {
 	p.met.walForces.Inc()
-	if err := p.flushLog(f.page.LSN); err != nil {
-		return fmt.Errorf("buffer: WAL flush before evicting page %d: %w", f.pid, err)
-	}
-	if err := p.disk.WritePage(f.pid, f.page); err != nil {
+	return p.flushLog(lsn)
+}
+
+// writeFrameLocked writes one dirty frame to disk; the caller has already
+// forced the log through its pageLSN.
+func (p *Pool) writeFrameLocked(f *frame) error {
+	if err := p.disk.WritePage(f.pid, &f.page); err != nil {
 		return err
 	}
 	f.dirty = false
@@ -229,21 +270,37 @@ func (p *Pool) Unpin(pid storage.PageID, dirty bool, recLSN wal.LSN) error {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.elem = p.lru.PushBack(f)
+		p.pushLRU(f)
 	}
 	return nil
 }
 
 // FlushAll writes every dirty frame to disk (used by clean shutdown and by
-// checkpoint variants that flush; fuzzy checkpoints do not call it).
+// checkpoint variants that flush; fuzzy checkpoints do not call it).  The
+// log is forced once, through the highest dirty pageLSN, which satisfies
+// the WAL rule for every page; the pages are then written in PageID order,
+// so the device sees the same write sequence on every run.
 func (p *Pool) FlushAll() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var todo []*frame
+	var through wal.LSN
 	for _, f := range p.frames {
 		if f.dirty {
-			if err := p.flushFrameLocked(f); err != nil {
-				return err
-			}
+			todo = append(todo, f)
+			through = max(through, f.page.LSN)
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	if err := p.forceLogLocked(through); err != nil {
+		return fmt.Errorf("buffer: WAL flush before writing back %d pages: %w", len(todo), err)
+	}
+	slices.SortFunc(todo, func(a, b *frame) int { return cmp.Compare(a.pid, b.pid) })
+	for _, f := range todo {
+		if err := p.writeFrameLocked(f); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -266,8 +323,11 @@ func (p *Pool) DirtyPageTable() map[storage.PageID]wal.LSN {
 func (p *Pool) Crash() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// Every frame is dropped, not recycled: one still pinned across the
+	// crash may be written through by its holder, so its Page is never
+	// handed to another page id.
 	p.frames = make(map[storage.PageID]*frame)
-	p.lru = list.New()
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	p.dirty = make(map[storage.PageID]wal.LSN)
 }
 

@@ -48,16 +48,17 @@ func Open(pool *buffer.Pool, disk storage.DiskManager) (*Store, error) {
 }
 
 // Reload rebuilds the directory and free list by scanning every stable
-// page.  Called at open and after a simulated crash.
+// page.  Called at open and after a simulated crash.  Every page decodes
+// into one scratch Page.
 func (s *Store) Reload() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dir = make(map[wal.ObjectID]rid)
 	s.free = s.free[:0]
 	n := s.disk.NumPages()
+	page := new(storage.Page)
 	for pid := storage.PageID(0); pid < n; pid++ {
-		page, err := s.disk.ReadPage(pid)
-		if err != nil {
+		if err := s.disk.ReadPageInto(pid, page); err != nil {
 			return fmt.Errorf("object: reload page %d: %w", pid, err)
 		}
 		hasFree := false

@@ -22,9 +22,12 @@ func (s DiskStats) Sub(o DiskStats) DiskStats {
 // (real systems achieve this with sector-aligned writes; the simulated
 // manager provides it trivially).  Both implementations survive the
 // engines' simulated crashes: only buffered (in-pool) state is volatile.
+// Neither allocates per page read or write: a read decodes into the
+// caller's Page and a write encodes into a buffer the manager owns.
 type DiskManager interface {
-	// ReadPage reads page pid into a fresh Page.
-	ReadPage(pid PageID) (*Page, error)
+	// ReadPageInto reads page pid into p, overwriting it (see
+	// Page.Unmarshal).  On error p is unchanged.
+	ReadPageInto(pid PageID, p *Page) error
 	// WritePage durably writes the page.
 	WritePage(pid PageID, p *Page) error
 	// Allocate appends a fresh, empty page and returns its ID.
@@ -47,29 +50,40 @@ type MemDisk struct {
 // NewMemDisk returns an empty in-memory disk.
 func NewMemDisk() *MemDisk { return &MemDisk{} }
 
-// ReadPage implements DiskManager.
-func (d *MemDisk) ReadPage(pid PageID) (*Page, error) {
+// readFresh reads page pid from d into a fresh Page.
+func readFresh(d DiskManager, pid PageID) (*Page, error) {
+	p := new(Page)
+	if err := d.ReadPageInto(pid, p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ReadPage reads page pid into a fresh Page.
+func (d *MemDisk) ReadPage(pid PageID) (*Page, error) { return readFresh(d, pid) }
+
+// ReadPageInto implements DiskManager.
+func (d *MemDisk) ReadPageInto(pid PageID, p *Page) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if int(pid) >= len(d.pages) {
-		return nil, fmt.Errorf("storage: read of unallocated page %d", pid)
+		return fmt.Errorf("storage: read of unallocated page %d", pid)
 	}
 	d.stats.Reads++
-	return UnmarshalPage(d.pages[pid])
+	return p.Unmarshal(d.pages[pid])
 }
 
-// WritePage implements DiskManager.
+// WritePage implements DiskManager.  The page is encoded over its stored
+// image in place.
 func (d *MemDisk) WritePage(pid PageID, p *Page) error {
-	buf, err := p.Marshal()
-	if err != nil {
-		return err
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if int(pid) >= len(d.pages) {
 		return fmt.Errorf("storage: write of unallocated page %d", pid)
 	}
-	d.pages[pid] = buf
+	if err := p.MarshalTo(d.pages[pid]); err != nil {
+		return err
+	}
 	d.stats.Writes++
 	return nil
 }
@@ -109,6 +123,8 @@ type FileDisk struct {
 	f     *os.File
 	n     PageID
 	stats DiskStats
+	// buf is the one page image every read and write goes through.
+	buf [PageSize]byte
 }
 
 // OpenFileDisk opens (creating if necessary) a page file at path.
@@ -129,33 +145,34 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 	return &FileDisk{f: f, n: PageID(fi.Size() / PageSize)}, nil
 }
 
-// ReadPage implements DiskManager.
-func (d *FileDisk) ReadPage(pid PageID) (*Page, error) {
+// ReadPage reads page pid into a fresh Page.
+func (d *FileDisk) ReadPage(pid PageID) (*Page, error) { return readFresh(d, pid) }
+
+// ReadPageInto implements DiskManager.
+func (d *FileDisk) ReadPageInto(pid PageID, p *Page) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if pid >= d.n {
-		return nil, fmt.Errorf("storage: read of unallocated page %d", pid)
+		return fmt.Errorf("storage: read of unallocated page %d", pid)
 	}
-	buf := make([]byte, PageSize)
-	if _, err := d.f.ReadAt(buf, int64(pid)*PageSize); err != nil {
-		return nil, fmt.Errorf("storage: read page %d: %w", pid, err)
+	if _, err := d.f.ReadAt(d.buf[:], int64(pid)*PageSize); err != nil {
+		return fmt.Errorf("storage: read page %d: %w", pid, err)
 	}
 	d.stats.Reads++
-	return UnmarshalPage(buf)
+	return p.Unmarshal(d.buf[:])
 }
 
 // WritePage implements DiskManager.
 func (d *FileDisk) WritePage(pid PageID, p *Page) error {
-	buf, err := p.Marshal()
-	if err != nil {
-		return err
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if pid >= d.n {
 		return fmt.Errorf("storage: write of unallocated page %d", pid)
 	}
-	if _, err := d.f.WriteAt(buf, int64(pid)*PageSize); err != nil {
+	if err := p.MarshalTo(d.buf[:]); err != nil {
+		return err
+	}
+	if _, err := d.f.WriteAt(d.buf[:], int64(pid)*PageSize); err != nil {
 		return fmt.Errorf("storage: write page %d: %w", pid, err)
 	}
 	if err := d.f.Sync(); err != nil {

@@ -53,6 +53,9 @@ type Page struct {
 	LSN wal.LSN
 	// Slots are the object records.
 	Slots [SlotsPerPage]Slot
+	// vals backs the slot values Unmarshal decodes: slot i's Value is a
+	// view of vals[i], so decoding into a page allocates nothing.
+	vals [SlotsPerPage][MaxValueSize]byte
 }
 
 // FreeSlot returns the index of an unused slot, or -1 if the page is full.
@@ -65,18 +68,35 @@ func (p *Page) FreeSlot() int {
 	return -1
 }
 
-// Marshal serializes the page into a PageSize-byte buffer with a checksum
-// over the payload.
+// Marshal serializes the page into a fresh PageSize-byte buffer (see
+// MarshalTo).
 func (p *Page) Marshal() ([]byte, error) {
 	buf := make([]byte, PageSize)
+	if err := p.MarshalTo(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// MarshalTo serializes the page into buf, which must be PageSize bytes,
+// with a checksum over the payload.  buf is cleared first, so the padding
+// and the checksum depend only on the page; an oversized value is
+// reported before buf is touched.
+func (p *Page) MarshalTo(buf []byte) error {
+	if len(buf) != PageSize {
+		return fmt.Errorf("storage: page buffer is %d bytes, want %d", len(buf), PageSize)
+	}
+	for i := range p.Slots {
+		if n := len(p.Slots[i].Value); n > MaxValueSize {
+			return fmt.Errorf("storage: slot %d value %d bytes exceeds max %d", i, n, MaxValueSize)
+		}
+	}
+	clear(buf)
 	binary.LittleEndian.PutUint64(buf[0:], uint64(p.LSN))
 	binary.LittleEndian.PutUint16(buf[12:], uint16(SlotsPerPage))
 	off := pageHeaderSize
 	for i := range p.Slots {
 		s := &p.Slots[i]
-		if len(s.Value) > MaxValueSize {
-			return nil, fmt.Errorf("storage: slot %d value %d bytes exceeds max %d", i, len(s.Value), MaxValueSize)
-		}
 		if s.Used {
 			buf[off] = 1
 		}
@@ -87,43 +107,51 @@ func (p *Page) Marshal() ([]byte, error) {
 	}
 	sum := crc32.ChecksumIEEE(buf[12:]) // everything after the crc field
 	binary.LittleEndian.PutUint32(buf[8:], sum)
-	return buf, nil
+	return nil
 }
 
-// UnmarshalPage parses a PageSize-byte buffer produced by Marshal.
+// UnmarshalPage parses a PageSize-byte buffer produced by Marshal into a
+// fresh Page.
 func UnmarshalPage(buf []byte) (*Page, error) {
+	p := new(Page)
+	if err := p.Unmarshal(buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Unmarshal decodes a PageSize-byte buffer produced by Marshal into p,
+// replacing its contents without allocating: slot i's Value becomes a view
+// of p's own backing row, whose capacity is MaxValueSize, so an in-place
+// append(Value[:0], ...) of a legal value stays inside its slot.  The
+// buffer is validated in full (length, checksum, slot count, every slot
+// length) before p is touched, so an error leaves p unchanged.
+func (p *Page) Unmarshal(buf []byte) error {
 	if len(buf) != PageSize {
-		return nil, fmt.Errorf("storage: page buffer is %d bytes, want %d", len(buf), PageSize)
+		return fmt.Errorf("storage: page buffer is %d bytes, want %d", len(buf), PageSize)
 	}
 	sum := binary.LittleEndian.Uint32(buf[8:])
 	if crc32.ChecksumIEEE(buf[12:]) != sum {
-		return nil, fmt.Errorf("storage: page checksum mismatch")
+		return fmt.Errorf("storage: page checksum mismatch")
 	}
 	if n := binary.LittleEndian.Uint16(buf[12:]); int(n) != SlotsPerPage {
-		return nil, fmt.Errorf("storage: page has %d slots, want %d", n, SlotsPerPage)
+		return fmt.Errorf("storage: page has %d slots, want %d", n, SlotsPerPage)
 	}
-	p := &Page{LSN: wal.LSN(binary.LittleEndian.Uint64(buf[0:]))}
+	for i, off := 0, pageHeaderSize; i < SlotsPerPage; i, off = i+1, off+slotSize {
+		if n := binary.LittleEndian.Uint16(buf[off+9:]); n > MaxValueSize {
+			return fmt.Errorf("storage: slot %d declares %d value bytes", i, n)
+		}
+	}
+	p.LSN = wal.LSN(binary.LittleEndian.Uint64(buf[0:]))
 	off := pageHeaderSize
 	for i := range p.Slots {
 		s := &p.Slots[i]
 		s.Used = buf[off] == 1
 		s.Object = wal.ObjectID(binary.LittleEndian.Uint64(buf[off+1:]))
 		n := int(binary.LittleEndian.Uint16(buf[off+9:]))
-		if n > MaxValueSize {
-			return nil, fmt.Errorf("storage: slot %d declares %d value bytes", i, n)
-		}
-		s.Value = append([]byte(nil), buf[off+11:off+11+n]...)
+		s.Value = p.vals[i][:n]
+		copy(s.Value, buf[off+11:])
 		off += slotSize
 	}
-	return p, nil
-}
-
-// Clone deep-copies the page.
-func (p *Page) Clone() *Page {
-	c := &Page{LSN: p.LSN}
-	for i := range p.Slots {
-		c.Slots[i] = p.Slots[i]
-		c.Slots[i].Value = append([]byte(nil), p.Slots[i].Value...)
-	}
-	return c
+	return nil
 }
