@@ -77,13 +77,6 @@ var (
 	// degraded mode.  Reads and Abort still work; Crash + Recover with a
 	// healthy device is the repair action.  See DB.Health.
 	ErrDegraded = core.ErrDegraded
-	// ErrCommitAborted is returned by Commit when an early-lock-release
-	// commit (Options.EarlyLockRelease) could not be made durable: the
-	// locks were released at commit-record append, so the transaction
-	// cannot go back to being active — it has been rolled back, along
-	// with every transaction that violated its early-released locks.
-	// The Tx handle is terminated.  Wraps the device error.
-	ErrCommitAborted = core.ErrCommitAborted
 	// ErrSharded is returned by operations a sharded database
 	// (Options.Shards >= 2) does not support: per-LSN introspection
 	// (ResponsibleFor, MinRequiredLSN — LSNs are per-shard), savepoints,
@@ -92,14 +85,21 @@ var (
 	// Commit, Abort, Crash/Recover, Checkpoint, Metrics — is fully
 	// supported.
 	ErrSharded = errors.New("ariesrh: operation not supported on a sharded database")
-	// ErrInDoubt is returned (wrapped around the device error) by a
-	// sharded Tx.Commit when the coordinator shard's decision force
-	// failed: the commit record may or may not be durable, so the global
-	// outcome is unknown.  No branch is aborted — each stays prepared,
-	// holding its locks, until the next Recover settles them all from
-	// the coordinator's durable log (commit if the record made it to the
-	// device, presumed abort otherwise).
-	ErrInDoubt = shard.ErrInDoubt
+	// ErrInDoubt is returned (wrapped around the device error) by Commit
+	// when the commit record was appended but the force meant to make it
+	// durable failed: the record may or may not reach the device, so the
+	// outcome is unknown, and only the log decides it.  Nothing is rolled
+	// back.  The Tx handle is done (Abort answers ErrTxDone); the
+	// transaction keeps its locks (under EarlyLockRelease they were
+	// already released), the database degrades, and the next Crash +
+	// Recover settles it: committed if the record is durable, rolled back
+	// otherwise.  A read-only transaction
+	// gets it when a commit it read from could not be forced.  On a
+	// sharded database a failed coordinator decision force leaves every
+	// branch in doubt, holding its locks, until Recover settles them all
+	// from the coordinator's durable log (commit if the record made it to
+	// the device, presumed abort otherwise).
+	ErrInDoubt = core.ErrInDoubt
 )
 
 // Options configures Open.
@@ -698,9 +698,13 @@ func (tx *Tx) DB() *DB { return tx.db }
 // means the commit record is on stable storage and the transaction will
 // be a winner of any later crash.  Transient device errors during the
 // force are absorbed by the WAL's bounded-backoff retry; a persistent
-// failure returns an error (the transaction is NOT committed — though a
-// crash may still find the record durable; recovery honors the log) and
-// moves the database to degraded mode.
+// failure returns an error wrapping ErrInDoubt and moves the database to
+// degraded mode.  The handle is then done: once the commit record is
+// appended only the log decides, and the next Crash + Recover commits
+// the transaction if the record reached the device and rolls it back
+// otherwise.  An error that does not wrap ErrInDoubt (ErrDegraded, say)
+// means no commit record was appended: the transaction is still live
+// and Abort releases it.
 //
 // A read-only transaction — one that never updated, incremented,
 // delegated or received a delegation — has nothing for recovery to read:
@@ -708,7 +712,7 @@ func (tx *Tx) DB() *DB { return tx.db }
 // everything it read was already durable.  Under EarlyLockRelease it may
 // have read data of committers whose commit records were not yet on
 // stable storage; Commit then waits for those records first, on every
-// shard it read from, and returns ErrCommitAborted if one cannot be made
+// shard it read from, and returns ErrInDoubt if one cannot be made
 // durable.
 func (tx *Tx) Commit() error {
 	if tx.done {
@@ -720,9 +724,8 @@ func (tx *Tx) Commit() error {
 		return err
 	}
 	if err := tx.db.eng.Commit(tx.id); err != nil {
-		if errors.Is(err, ErrCommitAborted) {
-			// The early-lock-release rollback terminated the
-			// transaction; the handle is dead too.
+		if errors.Is(err, ErrInDoubt) {
+			// The outcome belongs to recovery now; the handle is done.
 			tx.done = true
 		}
 		return err
@@ -739,8 +742,10 @@ func (tx *Tx) Commit() error {
 // guaranteed (none is needed — a crash before the abort's records reach
 // the device simply makes recovery re-abort the transaction, landing in
 // the same state).  Abort therefore remains available in degraded mode,
-// where it is the sanctioned way to release a failed transaction's locks.
-// A transaction that never logged a record aborts without I/O.
+// where it is the sanctioned way to release a live transaction's locks.
+// It cannot take back a commit: after Commit returned ErrInDoubt the
+// handle is done and Abort answers ErrTxDone.  A transaction that never
+// logged a record aborts without I/O.
 func (tx *Tx) Abort() error {
 	if tx.done {
 		return ErrTxDone

@@ -2,6 +2,7 @@ package ariesrh
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,8 +13,9 @@ import (
 
 // TestFaultDirOptionAndHealth drives the degraded-mode lifecycle
 // through the public API: a fault.Dir injected via Options.FaultDir
-// kills the device, commits fail, Health reports degraded, reads and
-// Abort keep working, and a restart with a healed device repairs it.
+// kills the device, the commit fails in doubt (its handle is done),
+// Health reports degraded, reads keep working, and a restart with a
+// healed device repairs it.
 func TestFaultDirOptionAndHealth(t *testing.T) {
 	store := fault.NewDir(fault.Plan{})
 	db, err := Open(Options{FaultDir: store})
@@ -55,8 +57,8 @@ func TestFaultDirOptionAndHealth(t *testing.T) {
 	if _, err := db.Begin(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Begin in degraded mode = %v, want ErrDegraded", err)
 	}
-	if err := t2.Abort(); err != nil {
-		t.Fatalf("Abort in degraded mode = %v, want success", err)
+	if err := t2.Abort(); !errors.Is(err, ErrTxDone) {
+		t.Fatalf("Abort after an in-doubt commit = %v, want ErrTxDone", err)
 	}
 
 	// Heal the device and restart.
@@ -93,8 +95,8 @@ func TestFaultDirExcludesDir(t *testing.T) {
 
 // gatedDir is a wal.Dir whose device syncs, once armed, each announce
 // themselves on entered and then park until the gate is opened — holding
-// an early-lock-release commit in its pre-durable window for as long as
-// a test needs.  What the sync then does is the wrapped fault.Dir's call.
+// a commit's force at the device for as long as a test needs.  What the
+// sync then does is the wrapped fault.Dir's call.
 type gatedDir struct {
 	*fault.Dir
 	mu      sync.Mutex
@@ -130,17 +132,32 @@ func (s *gatedDev) Sync() error {
 	return s.Store.Sync()
 }
 
-// TestCommitAbortedContract drives ErrCommitAborted through the public
-// API.  H commits with early lock release and its flush is held at the
-// device; D overwrites H's pre-durable data and commits behind it; V
-// overwrites D's and stays active; W parks in Update behind V.  Then the
-// device dies.  Both committers must get ErrCommitAborted, V goes down
-// with them, W's Update must return rather than hang, Abort stays
-// available, and a restart on a healed device shows none of the writes.
-func TestCommitAbortedContract(t *testing.T) {
+// TestInDoubtContract drives ErrInDoubt through the public API, with and
+// without early lock release.  H commits and its force is held at the
+// device; D commits behind it — under early lock release after
+// overwriting H's pre-durable data, after which V overwrites D's and W
+// parks in Update behind V.  Then the device dies.  Both committers get
+// ErrInDoubt and their handles are done, the database degrades, and
+// nothing is rolled back: V stays live and its Abort succeeds, which
+// hands object 1 to W, whose Update returns ErrDegraded.  From there the
+// log decides.  When the device heals only after V's abort force failed,
+// nothing carries the two commit records and a restart shows object 1 at
+// "base"; when it heals first, V's abort force carries the tail and a
+// restart keeps D's write and H's.
+func TestInDoubtContract(t *testing.T) {
+	for _, elr := range []bool{false, true} {
+		for _, carried := range []bool{false, true} {
+			t.Run(fmt.Sprintf("elr=%v/carried=%v", elr, carried), func(t *testing.T) {
+				testInDoubtContract(t, elr, carried)
+			})
+		}
+	}
+}
+
+func testInDoubtContract(t *testing.T, elr, carried bool) {
 	store := fault.NewDir(fault.Plan{})
 	dir := &gatedDir{Dir: store, gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	db, err := Open(Options{EarlyLockRelease: true, FaultDir: dir})
+	db, err := Open(Options{EarlyLockRelease: elr, FaultDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,67 +169,96 @@ func TestCommitAbortedContract(t *testing.T) {
 		}
 		return tx
 	}
-	base := begin()
-	if err := base.Update(1, []byte("base")); err != nil {
-		t.Fatal(err)
+	update := func(tx *Tx, obj ObjectID, val string) {
+		t.Helper()
+		if err := tx.Update(obj, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	base := begin()
+	update(base, 1, "base")
 	if err := base.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
+	// H writes objects 1 and 2.  D writes object 1 under early lock
+	// release, violating H's released lock, and its own object 3
+	// otherwise; without early lock release V cannot follow D onto
+	// object 1, so it writes object 4 up front.
 	h, d, v, w := begin(), begin(), begin(), begin()
-	if err := h.Update(1, []byte("h")); err != nil {
-		t.Fatal(err)
+	update(h, 1, "h")
+	update(h, 2, "h2")
+	dObj := ObjectID(3)
+	if elr {
+		dObj = 1
+	} else {
+		update(v, 4, "v")
 	}
 	dir.mu.Lock()
 	dir.armed = true
 	dir.mu.Unlock()
 	hDone := make(chan error, 1)
 	go func() { hDone <- h.Commit() }()
-	<-dir.entered // H's locks are released, its commit record is not durable
+	<-dir.entered // H's commit record is appended, its force held
+	queued := db.Metrics().Counter("wal.flush_waiters")
 
-	if err := d.Update(1, []byte("d")); err != nil {
-		t.Fatal(err)
-	}
+	update(d, dObj, "d")
 	dDone := make(chan error, 1)
 	go func() { dDone <- d.Commit() }()
-	// V's update is granted only once D's commit has released object 1,
-	// which happens under the same latch hold that queues D's flush wait.
-	if err := v.Update(1, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
 	wDone := make(chan error, 1)
-	go func() { wDone <- w.Update(1, []byte("w")) }()
-	for db.Metrics().Gauge("lock.waiters") != 1 {
-		runtime.Gosched()
+	if elr {
+		// V's update is granted only once D's commit has released object
+		// 1, which happens under the same latch hold that queues D's
+		// flush wait.
+		update(v, 1, "v")
+		go func() { wDone <- w.Update(1, []byte("w")) }()
+		for db.Metrics().Gauge("lock.waiters") != 1 {
+			runtime.Gosched()
+		}
+	} else {
+		for db.Metrics().Counter("wal.flush_waiters") == queued {
+			runtime.Gosched()
+		}
 	}
 
 	store.SetFailAllSyncs(true)
 	close(dir.gate)
-	if err := <-hDone; !errors.Is(err, ErrCommitAborted) {
-		t.Fatalf("failed committer: Commit = %v, want ErrCommitAborted", err)
+	if err := <-hDone; !errors.Is(err, ErrInDoubt) {
+		t.Fatalf("failed committer: Commit = %v, want ErrInDoubt", err)
 	}
-	if err := <-dDone; !errors.Is(err, ErrCommitAborted) {
-		t.Fatalf("dependent committer: Commit = %v, want ErrCommitAborted", err)
+	if err := <-dDone; !errors.Is(err, ErrInDoubt) {
+		t.Fatalf("committer behind it: Commit = %v, want ErrInDoubt", err)
 	}
 	if !h.Done() || !d.Done() {
-		t.Fatal("a rolled-back committer's handle is still live")
+		t.Fatal("an in-doubt committer's handle is still live")
+	}
+	if err := h.Abort(); !errors.Is(err, ErrTxDone) {
+		t.Fatalf("Abort after ErrInDoubt = %v, want ErrTxDone", err)
 	}
 	if hl := db.Health(); hl.State != StateDegraded || hl.Err == nil {
 		t.Fatalf("Health = %+v, want degraded with a cause", hl)
 	}
-	// V was rolled back with its predecessors, which is what frees W.
-	if err := <-wDone; !errors.Is(err, ErrDegraded) {
-		t.Fatalf("blocked Update = %v, want ErrDegraded", err)
+
+	if carried {
+		store.SetFailAllSyncs(false)
 	}
-	if _, err := v.Read(1); !errors.Is(err, ErrTxGone) {
-		t.Fatalf("active dependant survived: Read = %v, want ErrTxGone", err)
+	// V was not rolled back with its predecessors: it is live, and its
+	// abort is what frees W.
+	if err := v.Abort(); err != nil {
+		t.Fatalf("Abort of the live dependant = %v, want success", err)
 	}
-	if err := w.Abort(); err != nil {
-		t.Fatalf("Abort in degraded mode = %v, want success", err)
+	if elr {
+		if err := <-wDone; !errors.Is(err, ErrDegraded) {
+			t.Fatalf("blocked Update = %v, want ErrDegraded", err)
+		}
+		if err := w.Abort(); err != nil {
+			t.Fatalf("Abort in degraded mode = %v, want success", err)
+		}
+	}
+	if !carried {
+		store.SetFailAllSyncs(false)
 	}
 
-	store.SetFailAllSyncs(false)
 	if _, err := store.CrashNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +271,18 @@ func TestCommitAbortedContract(t *testing.T) {
 	if hl := db.Health(); hl.State != StateHealthy {
 		t.Fatalf("Health after restart = %v, want healthy", hl.State)
 	}
-	if val, ok, err := db.ReadCommitted(1); err != nil || !ok || string(val) != "base" {
-		t.Fatalf("ReadCommitted after restart = %q/%v/%v, want the last acknowledged value", val, ok, err)
+	want := map[ObjectID]string{1: "base", 2: "", 3: "", 4: ""}
+	if carried {
+		want[1], want[2] = "h", "h2"
+		if elr {
+			want[1] = "d"
+		} else {
+			want[3] = "d"
+		}
+	}
+	for obj, val := range want {
+		if got, _, err := db.ReadCommitted(obj); err != nil || string(got) != val {
+			t.Errorf("object %d after restart = %q (%v), want %q", obj, got, err, val)
+		}
 	}
 }

@@ -215,12 +215,13 @@ func TestELRViolableMarkersClearedAfterDurability(t *testing.T) {
 	mustCommit(t, e, t2)
 }
 
-// TestELRFlushFailureRollsBackAndCascades: when the commit record cannot
-// reach the device, the ELR committer is rolled back (ErrCommitAborted)
-// and the rollback cascades to the violator that overwrote its
-// pre-durable data; the object returns to its last durable value and the
-// engine degrades.
-func TestELRFlushFailureRollsBackAndCascades(t *testing.T) {
+// TestELRFlushFailureLeavesViolatorLive: when the commit record cannot
+// reach the device, the ELR committer is in doubt (ErrInDoubt) and the
+// engine degrades, but nothing is rolled back: the violator that
+// overwrote the pre-durable data stays live with its own write, and its
+// abort compensates only that write — correct whichever way recovery
+// later decides the committer.
+func TestELRFlushFailureLeavesViolatorLive(t *testing.T) {
 	e, store := newELREngine(t)
 	setup := mustBegin(t, e)
 	mustUpdate(t, e, setup, 1, "init")
@@ -241,26 +242,23 @@ func TestELRFlushFailureRollsBackAndCascades(t *testing.T) {
 	store.failAll()
 	close(store.gate)
 
-	err := <-c1
-	if !errors.Is(err, ErrCommitAborted) {
-		t.Fatalf("t1 commit error = %v, want ErrCommitAborted", err)
+	if err := <-c1; !errors.Is(err, ErrInDoubt) {
+		t.Fatalf("t1 commit error = %v, want ErrInDoubt", err)
 	}
-	// The violator went down with it.
-	if _, err := e.Read(t2, 1); !errors.Is(err, ErrNoSuchTxn) {
-		t.Fatalf("violator survived its predecessor's lost commit: Read err = %v", err)
-	}
-	// The combined reverse-LSN sweep restored the last durable value:
-	// t2's after-image must not resurface over t1's undo.
-	wantValue(t, e, 1, "init")
 	if h := e.Health(); h.State != StateDegraded {
 		t.Fatalf("health = %v after persistent flush failure, want degraded", h.State)
 	}
-	m := e.Metrics()
-	if got := m.Counter("elr.failed_commits"); got != 1 {
-		t.Fatalf("elr.failed_commits = %d, want 1", got)
+	// The in-doubt committer cannot be aborted, and the violator is live.
+	if err := e.Abort(t1); !errors.Is(err, ErrNoSuchTxn) {
+		t.Fatalf("Abort of the in-doubt committer = %v, want ErrNoSuchTxn", err)
 	}
-	if got := m.Counter("elr.cascade_aborts"); got != 1 {
-		t.Fatalf("elr.cascade_aborts = %d, want 1", got)
+	if v, err := e.Read(t2, 1); err != nil || string(v) != "t2-dirty" {
+		t.Fatalf("violator's Read = %q, %v; want its own write", v, err)
+	}
+	mustAbort(t, e, t2)
+	wantValue(t, e, 1, "t1-dirty")
+	if orphans := e.LockOrphans(); len(orphans) != 0 {
+		t.Fatalf("lock table names terminated transactions %v", orphans)
 	}
 }
 
@@ -269,7 +267,7 @@ func TestELRFlushFailureRollsBackAndCascades(t *testing.T) {
 // to the device before the waiter reacquires the engine latch (under
 // group commit, rounds triggered by other queued waiters can do exactly
 // that).  The commit IS durable — its updates are visible and must stay
-// — so Commit must finish it and return nil, not ErrCommitAborted, and
+// — so Commit must finish it and return nil, not ErrInDoubt, and
 // must neither leak the transaction as Committed in the table nor
 // degrade the engine.
 func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
@@ -287,7 +285,7 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 	// queues on the same leader, so it must not arrive before the failing
 	// round is over or it is handed that round's error.
 	e.mu.Lock()
-	lsn := e.predurable[t1].lsn
+	lsn := e.predurable[t1]
 	failed := e.LogStats().FlushErrors
 	store.script <- true
 	store.reset()
@@ -317,9 +315,6 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 	if tracked != nil {
 		t.Fatal("durably committed transaction leaked in the txn table")
 	}
-	if got := e.Metrics().Counter("elr.failed_commits"); got != 0 {
-		t.Fatalf("elr.failed_commits = %d, want 0", got)
-	}
 	// The violable markers are gone too: a later acquirer of t1's object
 	// forms no edge on the long-durable committer.
 	t2 := mustBegin(t, e)
@@ -332,6 +327,66 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 	}
 	mustCommit(t, e, t2)
 	wantValue(t, e, 1, "v2")
+}
+
+// TestFailedRoundThenDurableCompletesCommit is the same failed round and
+// rescue flush for the commits that keep their locks across the force —
+// a plain Commit and a participant's CommitPrepared: the record is
+// durable, so the commit finishes, returns nil and releases its locks,
+// and the engine stays healthy.
+func TestFailedRoundThenDurableCompletesCommit(t *testing.T) {
+	for _, prepared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prepared=%v", prepared), func(t *testing.T) {
+			store := newELRStore()
+			e, err := New(Options{PoolSize: 16, LogDir: store, ShardID: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t1 := mustBegin(t, e)
+			mustUpdate(t, e, t1, 1, "v1")
+			commit := e.Commit
+			if prepared {
+				if err := e.Prepare(t1, 7, 0); err != nil {
+					t.Fatal(err)
+				}
+				commit = e.CommitPrepared
+			}
+
+			store.armScript()
+			c1 := make(chan error, 1)
+			go func() { c1 <- commit(t1) }()
+			<-store.entered // t1's commit record is at the device
+
+			e.mu.Lock()
+			lsn := e.log.Head()
+			failed := e.LogStats().FlushErrors
+			store.script <- true
+			store.reset()
+			for e.LogStats().FlushErrors == failed {
+				runtime.Gosched()
+			}
+			if err := e.log.Flush(lsn); err != nil {
+				e.mu.Unlock()
+				t.Fatalf("rescue flush: %v", err)
+			}
+			e.mu.Unlock()
+
+			if err := <-c1; err != nil {
+				t.Fatalf("commit returned %v with a durable commit record, want nil", err)
+			}
+			if h := e.Health(); h.State == StateDegraded {
+				t.Fatal("engine degraded although the commit became durable")
+			}
+			if n := len(e.InDoubt()); n != 0 {
+				t.Fatalf("%d transactions in doubt after a durable commit", n)
+			}
+			// The locks are released: a later writer of object 1 proceeds.
+			t2 := mustBegin(t, e)
+			mustUpdate(t, e, t2, 1, "v2")
+			mustCommit(t, e, t2)
+			wantValue(t, e, 1, "v2")
+		})
+	}
 }
 
 // TestELRSuccessPathBackstopsLostDurableDelivery: the WAL drops ALL
@@ -354,9 +409,7 @@ func TestELRSuccessPathBackstopsLostDurableDelivery(t *testing.T) {
 	<-store.entered // sync in flight, predurable entry live
 
 	e.mu.Lock()
-	pc := e.predurable[t1]
-	pc.lsn += 1 << 20 // durableNotify will see a mismatch and no-op
-	e.predurable[t1] = pc
+	e.predurable[t1] += 1 << 20 // durableNotify will see a mismatch and no-op
 	e.mu.Unlock()
 
 	store.disarm()
@@ -384,9 +437,10 @@ func TestELRSuccessPathBackstopsLostDurableDelivery(t *testing.T) {
 }
 
 // TestELRDelegationCarriesDependency: a violator that delegates the
-// dirty scope hands the abort dependency to the delegatee — the
-// delegator's own abort no longer undoes those updates, so the edge must
-// travel with responsibility.
+// dirty scope hands the abort dependency to the delegatee — the edge
+// travels with responsibility.  When the predecessor's force then fails,
+// nothing is rolled back: the delegatee stays live and its abort undoes
+// the delegated update.
 func TestELRDelegationCarriesDependency(t *testing.T) {
 	e, store := newELREngine(t)
 	setup := mustBegin(t, e)
@@ -405,7 +459,7 @@ func TestELRDelegationCarriesDependency(t *testing.T) {
 	if err := e.Update(t2, 1, []byte("t2-dirty")); err != nil {
 		t.Fatal(err)
 	}
-	// t2 delegates the violating scope to t3 and commits its way out...
+	// t2 delegates the violating scope to t3.
 	if err := e.Delegate(t2, t3, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -423,15 +477,16 @@ func TestELRDelegationCarriesDependency(t *testing.T) {
 
 	store.failAll()
 	close(store.gate)
-	if err := <-c1; !errors.Is(err, ErrCommitAborted) {
-		t.Fatalf("t1 commit error = %v, want ErrCommitAborted", err)
+	if err := <-c1; !errors.Is(err, ErrInDoubt) {
+		t.Fatalf("t1 commit error = %v, want ErrInDoubt", err)
 	}
-	// t3 owns the dirty delegated scope: it must be gone, and the
-	// delegated update undone.
-	if _, err := e.Read(t3, 1); !errors.Is(err, ErrNoSuchTxn) {
-		t.Fatalf("delegatee of dirty scope survived: Read err = %v", err)
+	// Nothing is rolled back: t3 owns the delegated scope and is live, and
+	// its abort undoes exactly the delegated update.
+	if v, err := e.Read(t3, 1); err != nil || string(v) != "t2-dirty" {
+		t.Fatalf("delegatee's Read = %q, %v; want the delegated write", v, err)
 	}
-	wantValue(t, e, 1, "init")
+	mustAbort(t, e, t3)
+	wantValue(t, e, 1, "t1-dirty")
 }
 
 // TestELRDelegateThenViolate: the delegator commits pre-durably AFTER
@@ -560,11 +615,11 @@ func TestAbortWhileBlockedReleasesStaleGrant(t *testing.T) {
 
 // TestELRCascadeOntoLockWaiterLeaksNoGrant is the scripted form of the
 // tier-1 wedge: T builds on a pre-durable committer H and then parks in
-// the lock manager behind K.  H's flush fails; the rollback cascades onto
-// T (terminating it with its request still queued) and degrades the
-// engine.  When K then aborts, T's request is granted posthumously, and
-// the operation must drop that grant before the degraded check returns —
-// otherwise the object stays X-locked by a transaction nobody can abort.
+// the lock manager behind K.  H's flush fails: H is in doubt and the
+// engine degrades, but no rollback reaches T — it stays live, parked.
+// When K then aborts, T is granted the lock, its operation must return
+// ErrDegraded, and T must abort cleanly, leaving no lock held by a
+// transaction the table no longer knows.
 func TestELRCascadeOntoLockWaiterLeaksNoGrant(t *testing.T) {
 	ops := map[string]func(*Engine, wal.TxID, wal.ObjectID) error{
 		"update": func(e *Engine, tx wal.TxID, obj wal.ObjectID) error {
@@ -599,17 +654,20 @@ func TestELRCascadeOntoLockWaiterLeaksNoGrant(t *testing.T) {
 
 			store.failAll()
 			close(store.gate)
-			if err := <-ch; !errors.Is(err, ErrCommitAborted) {
-				t.Fatalf("H commit error = %v, want ErrCommitAborted", err)
+			if err := <-ch; !errors.Is(err, ErrInDoubt) {
+				t.Fatalf("H commit error = %v, want ErrInDoubt", err)
 			}
 			if h := e.Health(); h.State != StateDegraded {
 				t.Fatalf("health = %v, want degraded", h.State)
 			}
-			// K's abort hands object 2 to the dead T.
+			// K's abort hands object 2 to the live T, whose operation then
+			// meets the degraded engine.
 			mustAbort(t, e, k)
-			if err := <-opDone; !errors.Is(err, ErrNoSuchTxn) {
-				t.Fatalf("posthumous %s error = %v, want ErrNoSuchTxn", name, err)
+			if err := <-opDone; !errors.Is(err, ErrDegraded) {
+				t.Fatalf("%s after K's abort = %v, want ErrDegraded", name, err)
 			}
+			mustAbort(t, e, tx)
+			wantValue(t, e, 1, "h-dirty")
 			if orphans := e.LockOrphans(); len(orphans) != 0 {
 				t.Fatalf("lock table names terminated transactions %v", orphans)
 			}
@@ -734,8 +792,9 @@ func TestELRCommitStatusDuringWindow(t *testing.T) {
 // read a pre-durable committer's data it releases its locks at Commit
 // and then waits for that committer's commit record: it must not return
 // while the device still holds the record, it returns nil once the
-// record is durable and ErrCommitAborted when the flush fails, and in
-// both cases it appends nothing.
+// record is durable and ErrInDoubt when the flush fails (it is ended
+// either way: it logged nothing to roll back), and in both cases it
+// appends nothing.
 func TestELRReadOnlyCommitWaitsForPredecessor(t *testing.T) {
 	for _, fail := range []bool{false, true} {
 		e, store := newELREngine(t)
@@ -776,11 +835,11 @@ func TestELRReadOnlyCommitWaitsForPredecessor(t *testing.T) {
 		close(store.gate)
 		err1, errR := <-c1, <-cr
 		if fail {
-			if !errors.Is(err1, ErrCommitAborted) || !errors.Is(errR, ErrCommitAborted) {
-				t.Fatalf("flush failed: predecessor %v, reader %v; want ErrCommitAborted for both", err1, errR)
+			if !errors.Is(err1, ErrInDoubt) || !errors.Is(errR, ErrInDoubt) {
+				t.Fatalf("flush failed: predecessor %v, reader %v; want ErrInDoubt for both", err1, errR)
 			}
 			if _, err := e.Read(reader, 1); !errors.Is(err, ErrNoSuchTxn) {
-				t.Fatalf("reader survived its predecessor's rollback: Read err = %v", err)
+				t.Fatalf("in-doubt reader was not ended: Read err = %v", err)
 			}
 		} else {
 			if err1 != nil || errR != nil {

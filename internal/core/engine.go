@@ -63,14 +63,15 @@ var (
 	// aborts need no durability, recovery re-aborts them idempotently —
 	// and Crash+Recover clears the state once the device is healthy.
 	ErrDegraded = errors.New("core: engine degraded to read-only (persistent log device error)")
-	// ErrCommitAborted is returned by Commit when an early-lock-release
-	// commit could not be made durable: the transaction's locks were
-	// already released at commit-record append, so — unlike the default
-	// path, where a failed force returns the transaction to Active — it
-	// cannot keep living under strict two-phase locking.  It has been
-	// rolled back, together with (cascading) every transaction that
-	// violated its early-released locks.  Wraps the device error.
-	ErrCommitAborted = errors.New("core: commit aborted (early-released locks could not be made durable)")
+	// ErrInDoubt is returned (wrapped around the device error) when a
+	// commit record was appended but the force meant to make it durable
+	// failed: the record may or may not reach the device, so the outcome
+	// is unknown.  Once a commit record is appended only the log decides —
+	// nothing rolls the transaction back.  It stays committed in the
+	// tables, keeping its locks (or, under early lock release, its
+	// violable markers), the engine degrades, and the next Crash + Recover
+	// settles it: a winner if the record is durable, a loser otherwise.
+	ErrInDoubt = errors.New("core: commit outcome in doubt until recovery")
 )
 
 // HealthState classifies engine availability; see (*Engine).Health.
@@ -171,19 +172,18 @@ type Options struct {
 	// durability.  A violator's own commit record necessarily follows
 	// its predecessor's in the log, and flushes are prefix-ordered, so a
 	// dependent can never be acknowledged — or survive recovery — unless
-	// every predecessor's commit is durable too.  What changes is the
-	// failure mode before the ack: if the flush fails (device error) and
-	// the commit record is still above the durable horizon when the
-	// committer observes the failure, the committer cannot return to
-	// Active, because its locks are gone; Commit instead rolls the
-	// transaction back — undoing it and every dependent in one combined
-	// reverse-LSN sweep — and returns ErrCommitAborted.  (If a later
-	// group round made the record durable first, the commit completes
-	// normally and returns nil.)  A crash in the window between lock release and
-	// flush completion needs no special handling at all: recovery judges
-	// every transaction purely from the durable log, and prefix flushing
-	// guarantees no dependent's commit record survives a predecessor's
-	// lost one.
+	// every predecessor's commit is durable too.  A failed flush is
+	// settled as on the default path: if a later group round made the
+	// record durable first, the commit completes and returns nil;
+	// otherwise Commit returns ErrInDoubt and the transaction stays
+	// committed, in doubt, keeping its violable markers until Crash +
+	// Recover decides it from the log.  Nothing is rolled back live, so
+	// no cascade is needed: a dependent's commit record follows its
+	// predecessor's, and an active dependent that aborts compensates only
+	// its own updates, which is correct whichever way the predecessor is
+	// decided.  A crash in the window between lock release and flush
+	// completion likewise needs no special handling: recovery judges every
+	// transaction purely from the durable log.
 	EarlyLockRelease bool
 	// ParallelRecovery rebuilds Recover (and Promote) as the three-stage
 	// instant-restart pipeline: a manifest-driven parallel scan of the
@@ -247,10 +247,11 @@ type Engine struct {
 	// deps holds the ASSET form-dependency graph (volatile).
 	deps map[wal.TxID][]depEdge
 	// predurable maps each early-lock-release committer whose commit
-	// record is appended but not yet durable to its pending-commit
-	// bookkeeping.  Entries leave via durableNotify (record reached the
-	// device), elrFlushFailureLocked (flush failed; rollback), or Crash.
-	predurable map[wal.TxID]pendingCommit
+	// record is appended but not yet durable to that record's LSN.
+	// Entries leave via durableNotify (record reached the device), the
+	// committer's own ack, or Crash; an in-doubt committer keeps its
+	// entry until Crash.
+	predurable map[wal.TxID]wal.LSN
 	// prepared maps each in-doubt 2PC participant (status txn.Prepared)
 	// to its global-transaction bookkeeping; globals retains coordinator-
 	// side commit decisions until ReleaseGlobal, pinning the archive at
@@ -327,7 +328,7 @@ func New(opts Options) (*Engine, error) {
 		txns:       txn.NewTable(),
 		state:      delegation.State{},
 		deps:       make(map[wal.TxID][]depEdge),
-		predurable: make(map[wal.TxID]pendingCommit),
+		predurable: make(map[wal.TxID]wal.LSN),
 		prepared:   make(map[wal.TxID]preparedInfo),
 		globals:    make(map[uint64]globalDecision),
 		master:     &masterRecord{store: opts.MasterStore},
@@ -670,7 +671,7 @@ func (e *Engine) Crash() error {
 	// their wal.OnDurable callbacks fire with an error and validate
 	// against this (now empty) map, so a post-recovery reuse of the same
 	// TxID/LSN pair can never be touched by a stale delivery.
-	e.predurable = make(map[wal.TxID]pendingCommit)
+	e.predurable = make(map[wal.TxID]wal.LSN)
 	// 2PC state is volatile too: recovery rebuilds in-doubt participants
 	// and retained decisions from the durable log and checkpoint.
 	e.prepared = make(map[wal.TxID]preparedInfo)

@@ -91,10 +91,19 @@ func TestPersistentSyncErrorReleasesAllFlushWaiters(t *testing.T) {
 	if err := e.Update(txs[0], 1, []byte("x")); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Update in degraded mode = %v, want ErrDegraded", err)
 	}
-	// Abort is the sanctioned way out for the failed committers: it needs
-	// no new durable bytes and must succeed (releasing locks) even now.
-	if err := e.Abort(txs[0]); err != nil {
-		t.Fatalf("Abort in degraded mode = %v, want success", err)
+	// A committer turned away at the door (ErrDegraded) is still active,
+	// and Abort — which needs no new durable bytes — releases it even now.
+	// One whose commit record was appended is in doubt: only the log
+	// decides it, so Abort refuses.
+	for i, cerr := range errs {
+		err := e.Abort(txs[i])
+		if errors.Is(cerr, ErrInDoubt) {
+			if !errors.Is(err, ErrNoSuchTxn) {
+				t.Fatalf("Abort of in-doubt committer %d = %v, want ErrNoSuchTxn", i, err)
+			}
+		} else if err != nil {
+			t.Fatalf("Abort in degraded mode = %v, want success", err)
+		}
 	}
 	if got := e.Metrics().Gauge("core.degraded"); got != 1 {
 		t.Fatalf("core.degraded gauge = %d, want 1", got)

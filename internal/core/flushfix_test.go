@@ -161,70 +161,87 @@ func TestConcurrentAbortsCoalesceSyncs(t *testing.T) {
 	}
 }
 
-// TestCommitFlushErrorRestoresBackwardChain is the regression test for
-// the group-commit error path leaving info.LastLSN pointing at the
-// never-flushed commit record after the flush failed.  The transaction is
-// returned to Active, so a subsequent Abort writes CLRs — and pre-fix
-// those CLRs chained off the dead commit record instead of the
-// transaction's last update.  Post-fix the chain must head at the last
-// update, and the abort/crash/recover sequence must leave the object
-// clean.
-func TestCommitFlushErrorRestoresBackwardChain(t *testing.T) {
-	store := newSyncStore()
-	e, err := New(Options{LogDir: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := mustBegin(t, e)
-	mustUpdate(t, e, tx, 7, "not durable")
-	updateLSN := e.Log().Head()
+// TestFailedCommitForceIsDecidedByLog is the half-commit regression.
+// Once a commit record is appended, only the log decides: the force of
+// tx's commit record fails, tx is in doubt, and an abort is refused,
+// because CLRs after a commit record would be redone by recovery on top
+// of a winner.  The device then heals, the log is flushed through the
+// record after the commit record (a torn prefix of whatever followed
+// it), and the engine crashes and recovers.  Objects 1 and 2 must come
+// back both committed or both absent — under sequential recovery and the
+// pipeline, for Commit, early-lock-release Commit and a participant's
+// CommitPrepared.
+func TestFailedCommitForceIsDecidedByLog(t *testing.T) {
+	modes := []struct {
+		name          string
+		elr, prepared bool
+	}{{"commit", false, false}, {"elr", true, false}, {"prepared", false, true}}
+	for _, m := range modes {
+		for _, parallel := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/parallel=%v", m.name, parallel), func(t *testing.T) {
+				store := newSyncStore()
+				e, err := New(Options{LogDir: store, EarlyLockRelease: m.elr, ParallelRecovery: parallel, ShardID: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tx := mustBegin(t, e)
+				mustUpdate(t, e, tx, 1, "a")
+				mustUpdate(t, e, tx, 2, "b")
+				commit, abort := e.Commit, e.Abort
+				if m.prepared {
+					if err := e.Prepare(tx, 7, 0); err != nil {
+						t.Fatal(err)
+					}
+					commit, abort = e.CommitPrepared, e.AbortPrepared
+				}
 
-	store.fail(true)
-	cerr := e.Commit(tx)
-	store.fail(false)
-	if !errors.Is(cerr, errInjectedSync) {
-		t.Fatalf("Commit error = %v, want injected sync failure", cerr)
-	}
+				store.fail(true)
+				if err := commit(tx); !errors.Is(err, ErrInDoubt) {
+					t.Errorf("commit on a failing device = %v, want ErrInDoubt", err)
+				}
+				if err := abort(tx); err == nil {
+					t.Error("abort of a transaction whose commit record is appended succeeded")
+				}
+				store.fail(false)
 
-	// The transaction is back to Active and its backward chain heads at
-	// the update, not at the unflushed commit record.
-	info := e.txns.Get(tx)
-	if info == nil {
-		t.Fatal("transaction vanished after failed commit")
-	}
-	if info.LastLSN != updateLSN {
-		t.Fatalf("LastLSN = %d after failed commit, want %d (the last update; the commit record was never flushed)",
-			info.LastLSN, updateLSN)
-	}
-
-	// Aborting now must chain the CLR off the update.
-	mustAbort(t, e, tx)
-	var clr *wal.Record
-	head := e.Log().Head()
-	for k := updateLSN; k <= head; k++ {
-		rec, err := e.Log().Get(k)
-		if err != nil {
-			t.Fatal(err)
+				var commitLSN wal.LSN
+				if err := e.Log().Scan(1, wal.NilLSN, func(rec *wal.Record) (bool, error) {
+					if rec.Type == wal.TypeCommit && rec.TxID == tx {
+						commitLSN = rec.LSN
+					}
+					return true, nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if commitLSN == wal.NilLSN {
+					t.Fatal("no commit record appended")
+				}
+				if err := e.Log().Flush(commitLSN + 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Recover(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.WaitRecovered(); err != nil {
+					t.Fatal(err)
+				}
+				v1, _, err1 := e.ReadObject(1)
+				v2, _, err2 := e.ReadObject(2)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				both := string(v1) == "a" && string(v2) == "b"
+				neither := len(v1) == 0 && len(v2) == 0
+				if !both && !neither {
+					t.Fatalf("half-committed after recovery: obj 1 = %q, obj 2 = %q", v1, v2)
+				}
+				if !both {
+					t.Fatal("the durable commit record lost its updates")
+				}
+			})
 		}
-		if rec.Type == wal.TypeCLR && rec.Compensates == updateLSN {
-			clr = rec
-			break
-		}
 	}
-	if clr == nil {
-		t.Fatal("no CLR compensating the update after abort")
-	}
-	if clr.PrevLSN != updateLSN {
-		t.Fatalf("CLR.PrevLSN = %d, want %d (pre-fix it points at the never-flushed commit record)",
-			clr.PrevLSN, updateLSN)
-	}
-
-	// End-to-end: crash and recover; the aborted update must stay undone.
-	if err := e.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	wantValue(t, e, 7, "")
 }

@@ -36,10 +36,9 @@ type engineMetrics struct {
 	replReplayed *obs.Gauge
 
 	// Early-lock-release accounting: commits that released their locks
-	// pre-durably, violations admitted (dependency edges formed on a
-	// pre-durable committer), ELR commits rolled back by a failed flush,
-	// and the transactions those rollbacks cascaded into.
-	elrCommits, elrViolations, elrFailedCommits, elrCascadeAborts *obs.Counter
+	// pre-durably and violations admitted (dependency edges formed on a
+	// pre-durable committer).
+	elrCommits, elrViolations *obs.Counter
 
 	// Cross-shard 2PC accounting (internal/shard): prepares voted,
 	// prepared transactions committed/aborted by a decision, and in-doubt
@@ -89,8 +88,6 @@ func bindEngineMetrics(r *obs.Registry) engineMetrics {
 		replReplayed:      r.Gauge("repl.replayed_lsn"),
 		elrCommits:        r.Counter("elr.commits"),
 		elrViolations:     r.Counter("elr.violations"),
-		elrFailedCommits:  r.Counter("elr.failed_commits"),
-		elrCascadeAborts:  r.Counter("elr.cascade_aborts"),
 		elrAckDeferNs:     r.Histogram("elr.ack_defer_ns"),
 		prepares:          r.Counter("twopc.prepares"),
 		twopcCommits:      r.Counter("twopc.commits"),

@@ -255,13 +255,13 @@ func (e *Engine) delegateAsLocked(tor, tee wal.TxID, obj wal.ObjectID, typ wal.R
 			return err
 		}
 	}
-	// A delegated scope carries its recoverability lineage: if the
-	// delegator's updates were built over a pre-durable committer's
-	// early-released locks (it holds an abort dependency on one), the
-	// delegatee now owns those updates and must share their fate — the
-	// delegator's own abort no longer undoes them.  Copying all such
-	// edges (not just ones attributable to obj) is conservative: it can
-	// only over-abort, never let dirty data survive.
+	// A delegated scope carries its lineage: if the delegator's updates
+	// were built over a pre-durable committer's early-released locks (it
+	// holds an abort dependency on one), the delegatee now owns those
+	// updates, so it inherits the edge and the dependency graph keeps
+	// naming whoever is responsible for data built on a record that is
+	// not yet durable.  Copying all such edges (not just ones
+	// attributable to obj) is conservative.
 	if len(e.predurable) > 0 {
 		for _, edge := range e.deps[tor] {
 			if edge.kind != AbortDependency {
@@ -354,6 +354,14 @@ func (e *Engine) ObjectsOf(tx wal.TxID) ([]wal.ObjectID, error) {
 // queued meanwhile, and unrelated operations (Update/Delegate/Read)
 // proceed during the sync instead of stalling behind it.
 //
+// Crash contract: a nil return means the commit record is durable.  Once
+// the record is appended only the log decides the outcome: if the force
+// fails, Commit returns ErrInDoubt wrapping the device error and the
+// engine degrades.  The transaction stays committed, in doubt — it keeps
+// its locks, and Abort refuses it — until Crash + Recover settles it by
+// whether the record reached the device.  (A failed round that a later
+// round made durable anyway is simply a commit: Commit returns nil.)
+//
 // A transaction that never logged a record (LastLSN NilLSN) has nothing
 // for recovery to read: it appends no commit record and forces nothing
 // (see commitUnlogged).
@@ -373,11 +381,10 @@ func (e *Engine) Commit(tx wal.TxID) error {
 		e.mu.Unlock()
 		return err
 	}
-	prevLast := info.LastLSN
-	if prevLast == wal.NilLSN {
+	if info.LastLSN == wal.NilLSN {
 		return e.commitUnlogged(tx, info, start)
 	}
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: prevLast})
+	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
 	if err != nil {
 		e.mu.Unlock()
 		return err
@@ -386,7 +393,7 @@ func (e *Engine) Commit(tx wal.TxID) error {
 	if e.opts.EarlyLockRelease {
 		// Early lock release: release the locks at the commit point and
 		// defer only the durability ack.  See internal/core/elr.go.
-		return e.commitELR(tx, info, lsn, prevLast, start)
+		return e.commitELR(tx, info, lsn, start)
 	}
 
 	// The appended commit record is the commit point: mark the transaction
@@ -404,35 +411,39 @@ func (e *Engine) Commit(tx wal.TxID) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.crashed {
-		// A crash interleaved with the flush wait.  Whether the commit
-		// record reached the device before the crash decides the
-		// transaction's fate at Recover — the usual commit-ack
-		// ambiguity of a crash during commit processing.
-		return ErrCrashed
-	}
-	if ferr != nil {
-		// The device refused the flush: the commit is not durable and
-		// was never acknowledged.  Return the transaction to Active
-		// (retriable, abortable, cascadable) and rewind LastLSN past the
-		// never-flushed commit record: the backward chain must head at
-		// its last update/CLR, or a subsequent Abort would hang its
-		// CLRs off a commit record that recovery may never see.
-		if info := e.txns.Get(tx); info != nil && info.Status == txn.Committed {
-			info.Status = txn.Active
-			info.LastLSN = prevLast
-		}
-		// A force failure past the WAL's retry budget is a persistent
-		// device problem: degrade so later mutations are turned away
-		// instead of queuing more never-flushable records.
-		e.degradeLocked(ferr)
-		return ferr
+	if err := e.settleForceLocked(lsn, ferr); err != nil {
+		return err
 	}
 	if e.txns.Get(tx) == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
 	e.endCommitLocked(tx, lsn, start)
 	return nil
+}
+
+// settleForceLocked decides a commit after the force of its record at lsn
+// returned ferr, and is the one place a failed commit force is handled
+// (Commit, commitELR, commitUnlogged's horizon, CommitPrepared).  A crash
+// during the wait leaves the outcome to recovery (ErrCrashed).  If the
+// record is durable — the force succeeded, or a later round carried it
+// past a failed one — it returns nil and the caller finishes the commit.
+// Otherwise the record sits in the volatile tail, where nothing can take
+// it back: the engine degrades and the error wraps ErrInDoubt.  The caller
+// then leaves the transaction exactly as it is; Crash + Recover decide it.
+func (e *Engine) settleForceLocked(lsn wal.LSN, ferr error) error {
+	switch {
+	case e.crashed || errors.Is(ferr, wal.ErrLogCrashed):
+		// The log instance went down while the ack was pending.  The
+		// engine's crashed flag may not be visible yet (Crash takes the WAL
+		// lock before the engine latch), but the outcome is the same
+		// commit-ack ambiguity: report the crash rather than degrading a
+		// healthy device.
+		return ErrCrashed
+	case ferr == nil || lsn <= e.log.FlushedLSN():
+		return nil
+	}
+	e.degradeLocked(ferr)
+	return fmt.Errorf("%w: %w", ErrInDoubt, ferr)
 }
 
 // endCommitLocked releases a committed transaction's locks, drops it from
@@ -462,9 +473,10 @@ func (e *Engine) endCommitLocked(tx wal.TxID, lsn wal.LSN, start time.Time) {
 // committers (it holds abort dependencies on them).  It then releases its
 // locks and waits off-latch for the highest such commit record to become
 // durable — never for a record of its own — so a nil return still means
-// everything it read survives a crash.  If that flush fails, the rollback
-// of the stranded committers takes tx with them (elrFlushFailureLocked)
-// and Commit returns ErrCommitAborted.
+// everything it read survives a crash.  If that flush fails, tx logged
+// nothing to roll back: it is ended all the same, and Commit returns
+// ErrInDoubt, because whether the data it read survives is now up to
+// recovery.
 func (e *Engine) commitUnlogged(tx wal.TxID, info *txn.Info, start time.Time) error {
 	wait := e.predurableHorizonLocked(tx)
 	if wait == wal.NilLSN {
@@ -472,8 +484,7 @@ func (e *Engine) commitUnlogged(tx wal.TxID, info *txn.Info, start time.Time) er
 		e.mu.Unlock()
 		return nil
 	}
-	// Committed keeps further operations on tx out during the wait;
-	// elrFlushFailureLocked still finds it as a never-logged dependent.
+	// Committed keeps further operations on tx out during the wait.
 	info.Status = txn.Committed
 	e.locks.ReleaseAll(tx)
 	ch := e.log.FlushAsync(wait)
@@ -482,24 +493,12 @@ func (e *Engine) commitUnlogged(tx wal.TxID, info *txn.Info, start time.Time) er
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.crashed || errors.Is(ferr, wal.ErrLogCrashed) {
-		return ErrCrashed
-	}
-	if ferr != nil && wait > e.log.FlushedLSN() {
-		e.degradeLocked(ferr)
-		if err := e.elrFlushFailureLocked(); err != nil {
-			return err
-		}
-	}
-	if e.txns.Get(tx) != info {
-		// Rolled back together with a committer it read from.
-		if ferr == nil {
-			return fmt.Errorf("%w: t%d read from a rolled-back commit", ErrCommitAborted, tx)
-		}
-		return fmt.Errorf("%w: %w", ErrCommitAborted, ferr)
+	err := e.settleForceLocked(wait, ferr)
+	if errors.Is(err, ErrCrashed) {
+		return err
 	}
 	e.endCommitLocked(tx, wal.NilLSN, start)
-	return nil
+	return err
 }
 
 // Abort rolls back tx (§3.5): every update tx is responsible for — whether

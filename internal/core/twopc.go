@@ -146,9 +146,11 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 //
 // Crash contract: a nil return means the commit record is durable and the
 // transaction is finished (locks released, tables cleaned).  On a failed
-// force the transaction REMAINS Prepared — unlike Commit's return to
-// Active — because the vote already stands; the caller retries or leaves
-// it in-doubt for recovery, and the engine degrades.
+// force the transaction stays committed, in doubt, exactly as Commit
+// leaves it: the error wraps ErrInDoubt, the engine degrades, the
+// transaction keeps its locks and its prepared entry (InDoubt lists it,
+// AbortPrepared refuses it), and the next Recover settles it from the
+// log — committed if the record is durable, prepared again otherwise.
 func (e *Engine) CommitPrepared(tx wal.TxID) error {
 	start := time.Now()
 	e.mu.Lock()
@@ -162,8 +164,7 @@ func (e *Engine) CommitPrepared(tx wal.TxID) error {
 		e.mu.Unlock()
 		return fmt.Errorf("%w: t%d", ErrNotPrepared, tx)
 	}
-	prevLast := info.LastLSN
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: prevLast})
+	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
 	if err != nil {
 		e.mu.Unlock()
 		return err
@@ -177,18 +178,8 @@ func (e *Engine) CommitPrepared(tx wal.TxID) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.crashed {
-		return ErrCrashed
-	}
-	if ferr != nil {
-		// The decision is not durable: stay Prepared (the prepare record
-		// IS durable; the vote cannot be taken back) and degrade.
-		if info := e.txns.Get(tx); info != nil && info.Status == txn.Committed {
-			info.Status = txn.Prepared
-			info.LastLSN = prevLast
-		}
-		e.degradeLocked(ferr)
-		return ferr
+	if err := e.settleForceLocked(lsn, ferr); err != nil {
+		return err
 	}
 	if e.txns.Get(tx) == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
@@ -229,16 +220,18 @@ func (e *Engine) AbortPrepared(tx wal.TxID) error {
 }
 
 // InDoubt returns the prepared local transactions whose global decision
-// this engine does not itself hold, sorted by local transaction id.
-// After recovery these are exactly the transactions a shard must resolve
-// against their coordinator shards before serving writes.
+// this engine does not itself hold, sorted by local transaction id: every
+// transaction with a live prepare, whether still Prepared or committed
+// and waiting on (or in doubt after) its decision force.  After recovery
+// these are exactly the transactions a shard must resolve against their
+// coordinator shards before serving writes.
 func (e *Engine) InDoubt() []InDoubtTxn {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []InDoubtTxn
 	for tx, pi := range e.prepared {
-		if info := e.txns.Get(tx); info == nil || info.Status != txn.Prepared {
-			continue
+		if e.txns.Get(tx) == nil {
+			continue // recovery drops a checkpointed committer, not its entry
 		}
 		out = append(out, InDoubtTxn{Tx: tx, GID: pi.gid, Coord: pi.coord})
 	}

@@ -300,7 +300,8 @@ func (f *dirFile) Sync() error {
 		d.injected++
 		return ErrCrashPoint
 	}
-	if d.plan.FailAllSyncs {
+	failing := d.plan.FailSyncsFrom > 0 && n >= d.plan.FailSyncsFrom && n-d.plan.FailSyncsFrom < d.plan.FailSyncsCount
+	if d.plan.FailAllSyncs || failing {
 		d.injected++
 		return ErrDeviceFailed
 	}

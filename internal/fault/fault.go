@@ -78,6 +78,15 @@ type Plan struct {
 	// disarmed with SetFailAllSyncs(false).
 	FailAllSyncs bool
 
+	// FailSyncsFrom and FailSyncsCount fail a window of Sync attempts
+	// (1-based, counting every attempt including retries): attempts
+	// FailSyncsFrom through FailSyncsFrom+FailSyncsCount-1 fail with
+	// ErrDeviceFailed, and the device then works again.  A window of
+	// wal.FlushAttempts that opens at a force's first attempt fails that
+	// one force past the WAL's retry budget — a failed-then-healed force.
+	// FailSyncsFrom 0 disables.
+	FailSyncsFrom, FailSyncsCount uint64
+
 	// SyncDelay and DelayEveryNthSync inject latency spikes: every Nth
 	// Sync sleeps SyncDelay before proceeding.  Either zero disables.
 	SyncDelay         time.Duration

@@ -350,3 +350,32 @@ func TestDirDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal("identical plans and workloads produced different crash images")
 	}
 }
+
+// TestFailSyncsWindowHeals checks the failed-then-healed mode through a
+// log: a window of wal.FlushAttempts sync attempts opening at a flush's
+// first attempt fails that flush past the retry budget with
+// ErrDeviceFailed, leaves the stable image alone, and the next flush
+// makes everything durable.
+func TestFailSyncsWindowHeals(t *testing.T) {
+	d := NewDir(Plan{FailSyncsFrom: initSyncs + 1, FailSyncsCount: wal.FlushAttempts})
+	l, err := wal.NewLog(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRecords(t, l, 1, 2)
+	if err := l.Flush(l.Head()); !errors.Is(err, ErrDeviceFailed) {
+		t.Fatalf("flush in the failing window = %v, want ErrDeviceFailed", err)
+	}
+	if got := d.Syncs(); got != initSyncs+wal.FlushAttempts {
+		t.Fatalf("syncs = %d, want %d: one flush's attempts", got, initSyncs+wal.FlushAttempts)
+	}
+	if _, recs, err := wal.ReadDurable(d.StableDir()); err != nil || len(recs) != 0 {
+		t.Fatalf("durable after the failed flush: %d records, %v; want none", len(recs), err)
+	}
+	if err := l.Flush(l.Head()); err != nil {
+		t.Fatalf("flush after the window = %v, want success", err)
+	}
+	if _, recs, err := wal.ReadDurable(d.StableDir()); err != nil || len(recs) != 2 {
+		t.Fatalf("durable after healing: %d records, %v; want 2", len(recs), err)
+	}
+}

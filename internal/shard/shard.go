@@ -48,14 +48,15 @@ var (
 	// ErrBadShards is returned by Open for an invalid shard count or a
 	// LogDirs slice whose length disagrees with Shards.
 	ErrBadShards = errors.New("shard: invalid shard configuration")
-	// ErrInDoubt is returned (wrapped around the device error) by
-	// Txn.Commit when the coordinator's decision force failed: the commit
-	// record may or may not be durable, so the global outcome is unknown.
-	// Every branch stays prepared, holding its locks, until the next
-	// Recover settles them all from the coordinator's durable log —
-	// commit if the record made it to the device, presumed abort
-	// otherwise.
-	ErrInDoubt = errors.New("shard: commit outcome in doubt until recovery")
+	// ErrInDoubt is core.ErrInDoubt: a commit record was appended but its
+	// force failed, so the outcome is unknown until the next Recover reads
+	// the log.  Txn.Commit returns it (wrapped around the device error)
+	// when the coordinator's decision force failed — every branch stays
+	// prepared, holding its locks, until Recover settles them all from the
+	// coordinator's durable log (commit if the record made it to the
+	// device, presumed abort otherwise) — and when a single-shard commit
+	// or a read-only branch's wait for a pre-durable writer failed.
+	ErrInDoubt = core.ErrInDoubt
 )
 
 // Router maps objects to shards.  Implementations must be pure

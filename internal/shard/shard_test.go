@@ -162,8 +162,8 @@ func (g *gatedDev) Sync() error {
 // record is held at shard 1's device.  Its read-only branch logs
 // nothing there, so nothing of its own makes that read durable: the
 // global Commit must not return before the writer's commit record is
-// durable, and must return ErrCommitAborted — rolling back any branch
-// it wrote on shard 0 — when that flush fails.  Either way the
+// durable, and must return ErrInDoubt — aborting any branch it wrote
+// on shard 0 — when that flush fails.  Either way the
 // read-only branch appends nothing to shard 1's log.
 func TestELRReadOnlyBranchWaitsForPredecessor(t *testing.T) {
 	for _, writesOther := range []bool{false, true} {
@@ -236,11 +236,11 @@ func TestELRReadOnlyBranchWaitsForPredecessor(t *testing.T) {
 				got = &a
 			}
 			if fail {
-				if !errors.Is(errW, core.ErrCommitAborted) || !errors.Is(got.err, core.ErrCommitAborted) {
-					t.Fatalf("%s: flush failed: writer %v, reader %v; want ErrCommitAborted for both", name, errW, got.err)
+				if !errors.Is(errW, ErrInDoubt) || !errors.Is(got.err, ErrInDoubt) {
+					t.Fatalf("%s: flush failed: writer %v, reader %v; want ErrInDoubt for both", name, errW, got.err)
 				}
 				if !r.Done() {
-					t.Fatalf("%s: reader's handle still live after ErrCommitAborted", name)
+					t.Fatalf("%s: reader's handle still live after ErrInDoubt", name)
 				}
 				if v := mustRead(t, db, 2); v != "" {
 					t.Fatalf("%s: obj 2 = %q after the reader aborted, want it rolled back", name, v)

@@ -232,8 +232,11 @@ func (t *Txn) Delegate(to *Txn, obj wal.ObjectID) error {
 // early lock release and all — with no two-phase overhead.  Read-only
 // branches on other shards commit without logging or forcing; under
 // early lock release one that read data of a pre-durable committer
-// first waits for that commit record, and if it cannot be made durable
-// the whole transaction aborts and Commit returns ErrCommitAborted.
+// first waits for that commit record; if that force fails, the writing
+// branches (none of which has voted yet) are aborted and Commit returns
+// ErrInDoubt, because whether the data the transaction read survives is
+// up to recovery.  A single-shard commit whose force fails returns
+// ErrInDoubt too: the branch stays committed, in doubt, until Recover.
 //
 // A transaction that wrote on several shards runs two-phase commit on
 // the participants' own logs, coordinated by the first shard it wrote
@@ -251,11 +254,12 @@ func (t *Txn) Delegate(to *Txn, obj wal.ObjectID) error {
 // abort is safe everywhere.  A failed DECISION force is different —
 // the commit record may or may not have reached the device, so
 // aborting anything could contradict a decision that is in fact
-// durable.  Commit therefore aborts nothing: every branch (the
-// coordinator's included) stays prepared, in doubt, holding its locks,
-// and the error returned wraps ErrInDoubt; the next Recover settles
-// all branches from the coordinator's durable log — commit if the
-// record made it, presumed abort otherwise.
+// durable.  Commit therefore aborts nothing: every branch stays in
+// doubt, holding its locks — the participants prepared, the
+// coordinator committed in its tables with its record in the volatile
+// tail — and the error returned wraps ErrInDoubt; the next Recover
+// settles all branches from the coordinator's durable log — commit if
+// the record made it, presumed abort otherwise.
 //
 // A participant failure AFTER the decision (degraded device) leaves
 // that branch prepared and the decision retained — pinning the
@@ -290,9 +294,9 @@ func (t *Txn) Commit() error {
 			continue
 		}
 		if err := t.db.engs[s].Commit(t.local[s]); err != nil {
-			if errors.Is(err, core.ErrCommitAborted) {
-				// The branch read from a rolled-back commit and is gone;
-				// the global transaction cannot commit either.
+			if errors.Is(err, ErrInDoubt) {
+				// The read-only branch is ended; the writers have not voted,
+				// so the global transaction aborts.
 				t.Abort()
 			}
 			return err
@@ -309,9 +313,9 @@ func (t *Txn) Commit() error {
 	if len(parts) == 0 {
 		// Single-shard fast path: the ordinary commit, untouched.
 		if err := t.db.engs[coord].Commit(t.local[coord]); err != nil {
-			if errors.Is(err, core.ErrCommitAborted) {
-				// The early-lock-release rollback terminated the local
-				// transaction; the global handle is dead too.
+			if errors.Is(err, ErrInDoubt) {
+				// The local commit stays in doubt until Recover; the
+				// global handle is finished.
 				t.done = true
 			}
 			return err
@@ -353,7 +357,10 @@ func (t *Txn) Commit() error {
 		// from the coordinator's durable log.
 		t.done = true
 		t.db.met.commitsInDoubt.Inc()
-		return fmt.Errorf("%w: coordinator shard %d decision force: %w", ErrInDoubt, coord, err)
+		if !errors.Is(err, ErrInDoubt) {
+			err = fmt.Errorf("%w: %w", ErrInDoubt, err)
+		}
+		return fmt.Errorf("coordinator shard %d decision force: %w", coord, err)
 	}
 	// Decision durable.  Phase 2: commit the participants.
 	var stuck bool

@@ -38,10 +38,17 @@ type sweep struct {
 	// injected before every sync of every device.
 	devices   int
 	syncDelay time.Duration
+	// healed replaces the crash points by failed-then-healed forces at
+	// every healEvery-th sync (see point).
+	healed bool
 	// open brings the target up over dirs.  A crash signal means the
 	// armed device froze inside a log's bootstrap.
 	open func(dirs []*fault.Dir) (target, error)
 }
+
+// healEvery samples the syncs a healed sweep fails: every healEvery-th
+// of each device.
+const healEvery = 8
 
 // target is what a sweep crashes: one engine, a primary+replica pair, a
 // shard cluster.
@@ -103,11 +110,14 @@ func (t *tally) add(o tally) {
 	t.readOnlyDeferred += o.readOnlyDeferred
 }
 
-// point is one crash point: device dev frozen after its k-th sync.  The
-// zero point arms nothing (the probe).
+// point is one crash point: device dev frozen after its k-th sync — or,
+// with heal, failing sync attempts k through k+wal.FlushAttempts-1, one
+// whole force, and then working again, the crash coming after the
+// workload.  The zero point arms nothing (the probe).
 type point struct {
-	dev int
-	k   uint64
+	dev  int
+	k    uint64
+	heal bool
 }
 
 // boundary is one crash point's run: the devices, what survived on
@@ -243,6 +253,16 @@ func (s *sweep) run() (tally, target, error) {
 		return total, nil, fmt.Errorf("torture: %s probe close: %w", s.name, err)
 	}
 	total.boundaries = len(pts)
+	if s.healed {
+		var healed []point
+		for _, p := range pts {
+			if p.k%healEvery == 0 {
+				p.heal = true
+				healed = append(healed, p)
+			}
+		}
+		pts = healed
+	}
 	if s.maxBoundaries > 0 && len(pts) > s.maxBoundaries {
 		pts = pts[:s.maxBoundaries]
 	}
@@ -289,11 +309,17 @@ func (s *sweep) newDevices(p point) []*fault.Dir {
 	for i := range dirs {
 		plan := fault.Plan{SyncDelay: s.syncDelay, DelayEveryNthSync: 1}
 		if i == p.dev && p.k > 0 {
+			crashAt, failFrom, failCount := p.k, uint64(0), uint64(0)
+			if p.heal {
+				crashAt, failFrom, failCount = 0, p.k, wal.FlushAttempts
+			}
 			plan = fault.Plan{
 				// Decorrelate the torn-tail length choice across crash
 				// points while keeping each individually reproducible.
 				Seed:              s.seed ^ int64(uint64(p.dev)<<32) ^ int64(p.k*0x9E3779B97F4A7C15),
-				CrashAtSync:       p.k,
+				CrashAtSync:       crashAt,
+				FailSyncsFrom:     failFrom,
+				FailSyncsCount:    failCount,
 				TornTail:          s.tornEvery > 0 && p.k%uint64(s.tornEvery) == 0,
 				SyncDelay:         s.syncDelay,
 				DelayEveryNthSync: 1,
@@ -334,7 +360,7 @@ func (s *sweep) runBoundary(p point) (tally, error) {
 	// Materialize the crash on every device: the armed one rewinds to its
 	// frozen boundary plus the plan's torn tail, the others simply lose
 	// their unsynced bytes.
-	if b.dirs[p.dev].Frozen() {
+	if d := b.dirs[p.dev]; d.Frozen() || d.InjectedErrors() > 0 {
 		b.fired = 1
 	}
 	b.base = make([]wal.LSN, len(b.dirs))
@@ -367,7 +393,9 @@ func (s *sweep) runBoundary(p point) (tally, error) {
 	for i, recs := range v.expect {
 		b.oracles[i] = newLogOracle()
 		for _, rec := range recs {
-			b.oracles[i].apply(rec)
+			if err := b.oracles[i].apply(rec); err != nil {
+				return b.tally, fmt.Errorf("device %d: %w", i, err)
+			}
 		}
 		b.oracles[i].settle(v.committed)
 		b.winners += len(durableWinners(recs))

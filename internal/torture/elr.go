@@ -215,15 +215,15 @@ func (ev *elrEvidence) judge(b *boundary, winners []map[wal.TxID]bool) error {
 }
 
 // elrStop reports whether a worker should stop: the device is frozen or
-// the engine has left normal processing.  ErrCommitAborted means this
-// worker's own commit was rolled back by a flush failure — under the
-// injected crash schedule the device never heals, so there is no point
+// failed, or the engine has left normal processing.  ErrInDoubt means
+// this worker's own commit force failed — its outcome now belongs to
+// recovery, and the engine has degraded, so there is no point
 // continuing.
 func elrStop(err error) bool {
 	return errors.Is(err, fault.ErrCrashPoint) ||
 		errors.Is(err, core.ErrDegraded) ||
 		errors.Is(err, core.ErrCrashed) ||
-		errors.Is(err, core.ErrCommitAborted)
+		errors.Is(err, core.ErrInDoubt)
 }
 
 // elrBenign reports whether a worker error is an expected casualty of the
@@ -261,10 +261,19 @@ func elrVerdict(err error) (stop bool, bad error) {
 // aggregated result.  The probe run's sync count is only a sample — the
 // interleaving decides how forces coalesce — which is why a boundary
 // past the swept run's own count may never fire.
-func ELRRun(cfg ELRConfig) (ELRResult, error) {
+func ELRRun(cfg ELRConfig) (ELRResult, error) { return elrSweep(cfg, "elr", false) }
+
+// ELRRunHealed is ELRRun with a failed-then-healed force in place of each
+// freeze, as RunHealed is Run's: the committers of the failed round are
+// in doubt and their workers stop, every other worker aborts its round on
+// the degraded engine, and those aborts' forces may carry the in-doubt
+// commit records to the healed device before the crash.
+func ELRRunHealed(cfg ELRConfig) (ELRResult, error) { return elrSweep(cfg, "elr-healed", true) }
+
+func elrSweep(cfg ELRConfig, name string, healed bool) (ELRResult, error) {
 	cfg = cfg.withDefaults()
 	s := &sweep{
-		name:          "elr",
+		name:          name,
 		seed:          cfg.Seed,
 		maxBoundaries: cfg.MaxBoundaries,
 		tornEvery:     cfg.TornEvery,
@@ -272,6 +281,7 @@ func ELRRun(cfg ELRConfig) (ELRResult, error) {
 		counters:      cfg.Counters,
 		devices:       1,
 		syncDelay:     cfg.SyncDelay,
+		healed:        healed,
 		open: func(dirs []*fault.Dir) (target, error) {
 			eng, err := core.New(core.Options{
 				LogDir:           dirs[0],

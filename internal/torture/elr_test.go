@@ -99,3 +99,21 @@ func TestELRSweepSecondSeed(t *testing.T) {
 		t.Fatalf("sweep did no useful work: %+v", res)
 	}
 }
+
+// TestELRHealedForceSweep runs the ELR workload with a failed-then-healed
+// force at every 8th sync boundary, judged as TestELRCrashSweep is, with
+// the oracle's refusal of a CLR after a commit record on top.
+func TestELRHealedForceSweep(t *testing.T) {
+	cfg := ELRConfig{Seed: 11}
+	if testing.Short() {
+		cfg.MaxBoundaries = 6
+	}
+	res, err := ELRRunHealed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("elr healed sweep: %+v", res)
+	if res.Crashes == 0 || res.Fired == 0 {
+		t.Fatalf("no failed force fired inside the workload: %+v", res)
+	}
+}

@@ -17,6 +17,12 @@
 //	RunShards               shard.DB, cross-shard 2PC trace     cluster Recover + in-doubt resolution
 //	ShardELRRun             ELR shard.DB, concurrent workers    cluster Recover + in-doubt resolution
 //
+// RunHealed and ELRRunHealed are the base and ELR sweeps with a
+// failed-then-healed force in place of the freeze: at every 8th boundary
+// one whole force fails past the WAL's retry budget and the device then
+// works again, the workload aborts what it has live, and the crash comes
+// after it.
+//
 // The driver owns everything else.  A fault-free probe run counts the
 // syncs each device performs; the workload is then re-run once per
 // (device, k) with a fault.Plan that freezes that device after its sync
@@ -173,11 +179,11 @@ type Result struct {
 }
 
 // isCrashSignal reports whether a replay error is the expected face of an
-// armed crash schedule: the frozen device surfacing through a commit
-// force, or the engine having already moved to degraded mode because an
-// abort absorbed the device error.
+// armed fault schedule: the frozen or failing device surfacing through a
+// commit force (an in-doubt commit wraps the device error), or the engine
+// having already moved to degraded mode because an abort absorbed it.
 func isCrashSignal(err error) bool {
-	return errors.Is(err, fault.ErrCrashPoint) || errors.Is(err, core.ErrDegraded)
+	return errors.Is(err, fault.ErrCrashPoint) || errors.Is(err, fault.ErrDeviceFailed) || errors.Is(err, core.ErrDegraded)
 }
 
 // decodeStable decodes a post-crash directory image into its durable
@@ -258,14 +264,20 @@ type logOracle struct {
 	// global id: at settlement they are winners iff the cluster decided
 	// commit for that gid, losers otherwise (presumed abort).
 	prepared map[wal.TxID]uint64
+	// committed holds the transactions closed at a commit record.  Once
+	// that record is in the log only the log decides, so a CLR of one
+	// after it — which recovery would redo on top of a winner — is a
+	// defect, not a state to predict.
+	committed map[wal.TxID]bool
 }
 
 func newLogOracle() *logOracle {
 	return &logOracle{
-		values:   make(map[wal.ObjectID][]byte),
-		counters: make(map[wal.ObjectID]int64),
-		live:     make(map[wal.TxID]map[wal.ObjectID]map[wal.LSN]*logOp),
-		prepared: make(map[wal.TxID]uint64),
+		values:    make(map[wal.ObjectID][]byte),
+		counters:  make(map[wal.ObjectID]int64),
+		live:      make(map[wal.TxID]map[wal.ObjectID]map[wal.LSN]*logOp),
+		prepared:  make(map[wal.TxID]uint64),
+		committed: make(map[wal.TxID]bool),
 	}
 }
 
@@ -281,7 +293,7 @@ func (o *logOracle) addLive(tx wal.TxID, op *logOp) {
 	objs[op.obj][op.lsn] = op
 }
 
-func (o *logOracle) apply(rec *wal.Record) {
+func (o *logOracle) apply(rec *wal.Record) error {
 	switch rec.Type {
 	case wal.TypeUpdate:
 		o.values[rec.Object] = append([]byte(nil), rec.After...)
@@ -299,6 +311,9 @@ func (o *logOracle) apply(rec *wal.Record) {
 			delta:   rec.Delta,
 		})
 	case wal.TypeCLR:
+		if o.committed[rec.TxID] {
+			return fmt.Errorf("CLR at LSN %d compensates t%d after its commit record", rec.LSN, rec.TxID)
+		}
 		// A CLR both applies its compensation and extinguishes the
 		// compensated update's undo obligation.
 		if rec.Logical {
@@ -313,7 +328,7 @@ func (o *logOracle) apply(rec *wal.Record) {
 		// fields only describe the cross-shard acquirer.
 		moved := o.live[rec.Tor][rec.Object]
 		if len(moved) == 0 {
-			return
+			return nil
 		}
 		delete(o.live[rec.Tor], rec.Object)
 		for _, op := range moved {
@@ -329,7 +344,11 @@ func (o *logOracle) apply(rec *wal.Record) {
 		// become permanent, an abort's were all extinguished by its CLRs.
 		delete(o.live, rec.TxID)
 		delete(o.prepared, rec.TxID)
+		if rec.Type == wal.TypeCommit {
+			o.committed[rec.TxID] = true
+		}
 	}
+	return nil
 }
 
 // settle resolves this shard's prepared transactions against the
@@ -374,6 +393,26 @@ func (o *logOracle) crashUndo() {
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	t, _, err := cfg.replaySweep("base", false, func(rt *replayTarget) (target, error) { return rt, nil }).run()
+	return t.result(), err
+}
+
+// RunHealed is Run with a failed-then-healed force in place of each
+// freeze, at every 8th boundary: sync attempts k through
+// k+wal.FlushAttempts-1 fail, so one whole force fails past the WAL's
+// retry budget, and the device then works again.  The replay stops at
+// the error and aborts every transaction it still has live, as a client
+// would; whatever those aborts force carries the failed force's records
+// too.  The crash comes after the workload.  A commit whose force failed
+// must then be decided by the log alone: the oracle refuses a CLR after
+// a commit record.
+func RunHealed(cfg Config) (Result, error) {
+	cfg = cfg.withDefaults()
+	s := cfg.replaySweep("base-healed", false, func(rt *replayTarget) (target, error) {
+		rt.healed = true
+		return rt, nil
+	})
+	s.healed = true
+	t, _, err := s.run()
 	return t.result(), err
 }
 
@@ -434,6 +473,9 @@ type replayTarget struct {
 	// failedIdx is the index of the one action that observed the device
 	// error, -1 if none did.
 	failedIdx int
+	// healed: the device works again after the failed force, so the
+	// workload ends by aborting what it has live (abortLive).
+	healed bool
 }
 
 // workload replays until the crash schedule surfaces (or the trace ends,
@@ -446,11 +488,25 @@ func (t *replayTarget) workload(context.Context) error {
 				return fmt.Errorf("unexpected replay error: %w", err)
 			}
 			t.failedIdx = t.r.Pos() - 1
+			if t.healed {
+				t.abortLive()
+			}
 			return nil
 		}
 		if !ok {
 			return nil
 		}
+	}
+}
+
+// abortLive aborts every transaction the replay still has live, as a
+// client does after a failed commit.  A transaction whose commit record
+// was appended is in doubt and refuses; the refusal leaves it to
+// recovery, so the error is dropped.
+func (t *replayTarget) abortLive() {
+	ids := t.r.IDs()
+	for _, slot := range t.r.LiveSlots() {
+		_ = t.eng.Abort(ids[slot])
 	}
 }
 

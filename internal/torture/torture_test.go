@@ -58,6 +58,27 @@ func TestCrashSweepSecondSeed(t *testing.T) {
 	}
 }
 
+// TestHealedForceSweep runs the base workload with a failed-then-healed
+// force at every 8th sync boundary: one whole force fails past the WAL's
+// retry budget, the device heals, the replay aborts what it has live and
+// the crash comes after.  A commit whose force failed is in doubt, and
+// only the log may decide it — the oracle rejects a CLR after a commit
+// record, so a live rollback of it fails the sweep.
+func TestHealedForceSweep(t *testing.T) {
+	cfg := Config{Seed: 1}
+	if testing.Short() {
+		cfg.MaxBoundaries = 10
+	}
+	res, err := RunHealed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("healed sweep: %+v", res)
+	if res.Crashes == 0 || res.Winners == 0 || res.Losers == 0 {
+		t.Fatalf("sweep did no useful work: %+v", res)
+	}
+}
+
 // TestSweepDeterminism pins the reproducibility contract: one seed fully
 // determines the sweep, so two runs must aggregate identically.
 func TestSweepDeterminism(t *testing.T) {
@@ -171,7 +192,9 @@ func TestPersistentFailureDegradesMidTrace(t *testing.T) {
 	}
 	oracle := newLogOracle()
 	for _, rec := range recs {
-		oracle.apply(rec)
+		if err := oracle.apply(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	oracle.crashUndo()
 	for obj := 1; obj <= cfg.Objects; obj++ {

@@ -293,6 +293,11 @@ const (
 	retryBackoff = 200 * time.Microsecond
 )
 
+// FlushAttempts is how many device write+Sync attempts one flush makes
+// before it surfaces a retriable device error: the first and retryMax
+// retries.
+const FlushAttempts = retryMax + 1
+
 // writeSyncRetry performs a device write+Sync for a flush, retrying
 // transient failures per the retry policy.  It returns the number of
 // retries performed and the final error (nil on success).  Errors
