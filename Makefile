@@ -16,12 +16,13 @@ GO ?= go
 check: vet build test race
 
 # The CI pipeline (ci.yml calls this target and nothing else of its
-# own): full race (not -short) on the latch-heavy packages and on the
-# page layers whose frames are recycled across the off-latch Prefault
-# path, the whole short torture set under race, the nested benchmark
-# module, and a short fuzz pass over the decoders.
+# own): full race (not -short) on the latch-heavy packages, the lock
+# manager among them, and on the page layers whose frames are recycled
+# across the off-latch Prefault path, the whole short torture set under
+# race, the nested benchmark module, and a short fuzz pass over the
+# decoders.
 ci: vet staticcheck build test
-	$(GO) test -race ./internal/core ./internal/wal ./internal/repl ./internal/shard ./internal/buffer ./internal/object ./internal/storage
+	$(GO) test -race ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/shard ./internal/buffer ./internal/object ./internal/storage
 	$(GO) test -race -short -timeout 120s ./internal/torture ./internal/fault
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz-short
@@ -68,12 +69,13 @@ test:
 	$(GO) test -timeout 120s ./...
 
 # The packages whose hot paths drop and re-take latches: the core engine
-# (group commit, DelegateAll), the WAL (leader flusher and tail
-# subscriptions), the replication stream, the page layers (a buffer miss
+# (group commit, DelegateAll), the lock manager (a waiter parks off its
+# latch and the releasing goroutine grants it), the WAL (leader flusher
+# and tail subscriptions), the replication stream, the page layers (a buffer miss
 # decodes into a recycled frame, also off the engine latch), and the sim
 # stress tests that drive them concurrently.
 race:
-	$(GO) test -race -short ./internal/core ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/torture ./internal/buffer ./internal/object ./internal/storage
+	$(GO) test -race -short ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/torture ./internal/buffer ./internal/object ./internal/storage
 
 # Full fault-injection pass under the race detector: the complete crash
 # sweep at fixed seeds (no -short boundary cap), the replication

@@ -225,6 +225,61 @@ func TestFullScanUndoAblationEquivalent(t *testing.T) {
 	}
 }
 
+// TestAbortCancelsBlockedUpdate: aborting a transaction whose Update is
+// queued for a lock ends that Update with an error at once, and takes its
+// request out of the object's queue, so a reader queued behind it is
+// granted while the first reader still holds its shared lock.
+func TestAbortCancelsBlockedUpdate(t *testing.T) {
+	e := newEngine(t)
+	setup := mustBegin(t, e)
+	mustUpdate(t, e, setup, 1, "v")
+	mustCommit(t, e, setup)
+
+	reader := mustBegin(t, e)
+	if _, err := e.Read(reader, 1); err != nil {
+		t.Fatal(err)
+	}
+	writer := mustBegin(t, e)
+	updated := make(chan error, 1)
+	go func() { updated <- e.Update(writer, 1, []byte("blocked")) }()
+	for e.Metrics().Gauge("lock.waiters") != 1 {
+		runtime.Gosched()
+	}
+	late := mustBegin(t, e)
+	read := make(chan error, 1)
+	go func() {
+		_, err := e.Read(late, 1)
+		read <- err
+	}()
+	for e.Metrics().Gauge("lock.waiters") != 2 {
+		runtime.Gosched()
+	}
+
+	mustAbort(t, e, writer)
+	select {
+	case err := <-updated:
+		if !errors.Is(err, ErrNoSuchTxn) {
+			t.Fatalf("Update of an aborted transaction returned %v, want ErrNoSuchTxn", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Update still queued after its transaction aborted")
+	}
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("reader held behind the aborted writer's request")
+	}
+	mustCommit(t, e, late)
+	mustCommit(t, e, reader)
+	if orphans := e.LockOrphans(); len(orphans) != 0 {
+		t.Fatalf("lock table names terminated transactions %v", orphans)
+	}
+	wantValue(t, e, 1, "v")
+}
+
 // TestCrashFailsLockWaiters is the regression test for a lock wait that
 // outlived Crash: the lock table was reset under a blocked Read, Update or
 // Increment, whose request then waited on holders nothing would ever

@@ -41,22 +41,27 @@ func (e *Engine) activeInfo(tx wal.TxID) (*txn.Info, error) {
 
 // acquireLock blocks, without the engine latch, until tx holds obj in
 // mode.  A wait that Crash cut short — the lock table was reset under it —
-// reports ErrCrashed.
+// reports ErrCrashed; a wait that tx's termination cancelled reports
+// ErrNoSuchTxn, as activeInfo would for the terminated transaction.
 func (e *Engine) acquireLock(tx wal.TxID, obj wal.ObjectID, mode lock.Mode) error {
 	err := e.locks.Acquire(tx, obj, mode)
-	if errors.Is(err, lock.ErrReset) {
+	switch {
+	case errors.Is(err, lock.ErrReset):
 		return ErrCrashed
+	case errors.Is(err, lock.ErrCancelled):
+		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
 	return err
 }
 
-// activeAfterLockLocked revalidates tx after an unlatched lock wait.  A
-// transaction can terminate while one of its operations is blocked in
-// lock.Acquire — a cascading abort, or a deadlock victimization on
-// another of its own goroutines — and the grant then re-registers a lock
-// hold for a dead transaction.  That stale grant must be dropped here,
-// or the object stays blocked forever.  The caller holds the engine
-// latch, having re-acquired it after the lock grant.
+// activeAfterLockLocked revalidates tx after an unlatched lock wait.
+// Termination cancels a queued request (lock.ErrCancelled), so the one
+// window left is between the caller dropping the latch and entering
+// lock.Acquire: a transaction terminated there — a cascading abort, or a
+// deadlock victimization on another of its own goroutines — is granted
+// afresh, and that hold must be dropped here, or the object stays blocked
+// forever.  The caller holds the engine latch, having re-acquired it
+// after the lock grant.
 func (e *Engine) activeAfterLockLocked(tx wal.TxID) (*txn.Info, error) {
 	info, err := e.activeInfo(tx)
 	if err != nil {

@@ -20,6 +20,7 @@ func BenchmarkAcquireReleaseUncontended(b *testing.B) {
 
 func BenchmarkSharedParallel(b *testing.B) {
 	m := NewManager()
+	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		tx := wal.TxID(1)
 		for pb.Next() {
@@ -37,6 +38,7 @@ func BenchmarkSharedParallel(b *testing.B) {
 
 func BenchmarkIncrementModeParallel(b *testing.B) {
 	m := NewManager()
+	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		tx := wal.TxID(1)
 		for pb.Next() {
