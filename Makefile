@@ -19,13 +19,14 @@ check: vet build test race
 # own): full race (not -short) on the latch-heavy packages, the lock
 # manager among them, and on the page layers whose frames are recycled
 # across the off-latch Prefault path, the whole short torture set under
-# race, the nested benchmark module, and a short fuzz pass over the
-# decoders.
+# race, the nested benchmark module, a short fuzz pass over the
+# decoders, and the end-to-end standby failover demo.
 ci: vet staticcheck build test
 	$(GO) test -race ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/shard ./internal/buffer ./internal/object ./internal/storage
 	$(GO) test -race -short -timeout 120s ./internal/torture ./internal/fault
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz-short
+	$(MAKE) standby-demo
 
 # staticcheck is optional tooling: CI installs it, dev environments may
 # only have the go toolchain — skip (loudly) where it isn't on PATH

@@ -121,9 +121,9 @@ type Options struct {
 	// EarlyLockRelease enables controlled lock violation: Commit
 	// releases the transaction's locks at commit-record append and
 	// defers only the durability ack to the group flusher, trading lock
-	// hold time for commit-dependency tracking.  The commit ack still
-	// implies durability; see core.Options.EarlyLockRelease for the full
-	// crash contract.
+	// hold time for one commit-LSN stamp per released write lock.  The
+	// commit ack still implies durability; see
+	// core.Options.EarlyLockRelease for the full crash contract.
 	EarlyLockRelease bool
 	// Shards, when >= 2, opens a sharded database: that many
 	// independent engines — each with its own write-ahead log, group
@@ -320,7 +320,9 @@ func (db *DB) Recover() error {
 // WaitRecovered blocks until the in-flight parallel recovery (or
 // promotion) pipeline completes and returns its outcome: nil once the
 // database is writable, or the pipeline's error — after which the
-// database is back in StateCrashed and Recover may be retried.  Without
+// database is back in StateCrashed and Recover may be retried.  A caller
+// that arrives after the pipeline failed gets ErrCrashed wrapped
+// together with that error, until the next Recover or Crash.  Without
 // Options.ParallelRecovery (or with no recovery running) it returns
 // immediately: nil when healthy, ErrCrashed between Crash and Recover.
 func (db *DB) WaitRecovered() error {

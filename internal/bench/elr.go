@@ -100,9 +100,9 @@ func runE12Cell(committers, txnsPer, updatesPer, hotObjects int, syncDelay time.
 // across the commit-record flush, so under contention every competitor
 // queues behind the device sync and lock wait grows with the committer
 // count.  With ELR the locks are released the moment the commit record is
-// appended; competitors run inside the pre-durable window (forming commit
-// dependencies, counted as violations) and the sync latency drops out of
-// the lock hold time.
+// appended; competitors run inside the pre-durable window (passing the
+// released locks' stamps, counted as violations) and the sync latency
+// drops out of the lock hold time.
 func E12EarlyLockRelease(committerCounts []int, txnsPer, updatesPer, hotObjects int, syncDelay time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "E12",

@@ -78,7 +78,7 @@ func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, e
 	if err := e.writableLocked(); err != nil {
 		return 0, err
 	}
-	e.noteViolationsLocked(tx, obj, lock.Increment)
+	e.passStampLocked(info, obj, lock.Increment)
 	curBytes, _, err := e.store.Read(obj)
 	if err != nil {
 		return 0, err

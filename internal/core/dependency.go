@@ -85,22 +85,6 @@ func (e *Engine) FormDependency(dep, on wal.TxID, kind DependencyKind) error {
 	return nil
 }
 
-// addDependencyEdgeLocked records dep→on without FormDependency's
-// public-API validation.  The early-lock-release path uses it to charge
-// a violator with an abort dependency on a pre-durable committer: `on`
-// is already Committed (never Active), so the activeInfo checks would
-// wrongly reject the edge, and a cycle is impossible — a committed
-// transaction forms no further dependencies of its own.  Duplicate
-// edges are coalesced.
-func (e *Engine) addDependencyEdgeLocked(dep, on wal.TxID, kind DependencyKind) {
-	for _, edge := range e.deps[dep] {
-		if edge.on == on && edge.kind == kind {
-			return
-		}
-	}
-	e.deps[dep] = append(e.deps[dep], depEdge{on: on, kind: kind})
-}
-
 // dependencyPathLocked reports whether from transitively depends on to.
 func (e *Engine) dependencyPathLocked(from, to wal.TxID) bool {
 	seen := map[wal.TxID]bool{}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ariesrh/internal/lock"
 	"ariesrh/internal/txn"
 	"ariesrh/internal/wal"
 )
@@ -110,6 +111,24 @@ func newELREngine(t *testing.T) (*Engine, *elrStore) {
 	return e, store
 }
 
+// horizonOf returns tx's horizon (NilLSN if tx is not in the table).
+func horizonOf(e *Engine, tx wal.TxID) wal.LSN {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if info := e.txns.Get(tx); info != nil {
+		return info.Horizon
+	}
+	return wal.NilLSN
+}
+
+// commitLSN returns the commit record of tx, a committer whose ack is
+// still pending.
+func commitLSN(e *Engine, tx wal.TxID) wal.LSN {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.txns.Get(tx).LastLSN
+}
+
 // commitAsync starts Commit on its own goroutine and returns the error
 // channel.
 func commitAsync(e *Engine, tx wal.TxID) <-chan error {
@@ -120,8 +139,8 @@ func commitAsync(e *Engine, tx wal.TxID) <-chan error {
 
 // TestELRReleasesLocksBeforeDurability is the tentpole's core property:
 // with EarlyLockRelease a committer's X lock is available to others
-// while its commit record is still waiting on the device, the violator
-// gains an abort dependency on it, and both commits complete once the
+// while its commit record is still waiting on the device, the violator's
+// horizon rises to that record, and both commits complete once the
 // flush lands.
 func TestELRReleasesLocksBeforeDurability(t *testing.T) {
 	e, store := newELREngine(t)
@@ -146,16 +165,8 @@ func TestELRReleasesLocksBeforeDurability(t *testing.T) {
 		t.Fatal("update blocked on an early-released lock: ELR did not release at commit-record append")
 	}
 
-	e.mu.Lock()
-	var hasEdge bool
-	for _, edge := range e.deps[t2] {
-		if edge.on == t1 && edge.kind == AbortDependency {
-			hasEdge = true
-		}
-	}
-	e.mu.Unlock()
-	if !hasEdge {
-		t.Fatal("violator formed no abort dependency on the pre-durable committer")
+	if got, want := horizonOf(e, t2), commitLSN(e, t1); got != want {
+		t.Fatalf("violator's horizon = %d, want the pre-durable commit record %d", got, want)
 	}
 
 	store.disarm()
@@ -173,46 +184,12 @@ func TestELRReleasesLocksBeforeDurability(t *testing.T) {
 	if got := m.Counter("elr.violations"); got != 1 {
 		t.Fatalf("elr.violations = %d, want 1", got)
 	}
-	if got := m.Counter("lock.violable_marks"); got == 0 {
-		t.Fatal("lock.violable_marks not counted")
+	if got := m.Counter("lock.stamps"); got == 0 {
+		t.Fatal("lock.stamps not counted")
 	}
 	if m.Histogram("elr.ack_defer_ns").Count == 0 {
 		t.Fatal("elr.ack_defer_ns not observed")
 	}
-}
-
-// TestELRViolableMarkersClearedAfterDurability: once the committer's
-// record is durable, later acquirers must not keep forming edges.
-func TestELRViolableMarkersClearedAfterDurability(t *testing.T) {
-	e, _ := newELREngine(t)
-	t1 := mustBegin(t, e)
-	mustUpdate(t, e, t1, 1, "v1")
-	if err := e.Commit(t1); err != nil {
-		t.Fatal(err)
-	}
-	// The OnDurable callback runs asynchronously; give it a moment.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		e.mu.Lock()
-		n := len(e.predurable)
-		e.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("predurable entry never cleared after a durable commit")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t2 := mustBegin(t, e)
-	mustUpdate(t, e, t2, 1, "v2")
-	e.mu.Lock()
-	edges := len(e.deps[t2])
-	e.mu.Unlock()
-	if edges != 0 {
-		t.Fatalf("edge formed on a durably committed transaction (%d edges)", edges)
-	}
-	mustCommit(t, e, t2)
 }
 
 // TestELRFlushFailureLeavesViolatorLive: when the commit record cannot
@@ -277,7 +254,7 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 
 	store.armScript()
 	c1 := commitAsync(e, t1)
-	<-store.entered // t1's round is at the device, predurable entry live
+	<-store.entered // t1's round is at the device, its stamp live
 
 	// Hold the latch so the waiter cannot act on its failure delivery
 	// until the record is durable, fail the round, then land the record
@@ -285,7 +262,7 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 	// queues on the same leader, so it must not arrive before the failing
 	// round is over or it is handed that round's error.
 	e.mu.Lock()
-	lsn := e.predurable[t1]
+	lsn := e.txns.Get(t1).LastLSN
 	failed := e.LogStats().FlushErrors
 	store.script <- true
 	store.reset()
@@ -306,24 +283,16 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 		t.Fatal("engine degraded although the commit became durable")
 	}
 	e.mu.Lock()
-	pending := len(e.predurable)
 	tracked := e.txns.Get(t1)
 	e.mu.Unlock()
-	if pending != 0 {
-		t.Fatalf("predurable entries = %d after a durable commit, want 0", pending)
-	}
 	if tracked != nil {
 		t.Fatal("durably committed transaction leaked in the txn table")
 	}
-	// The violable markers are gone too: a later acquirer of t1's object
-	// forms no edge on the long-durable committer.
+	// t1's stamp is dead: a later acquirer of its object passes nothing.
 	t2 := mustBegin(t, e)
 	mustUpdate(t, e, t2, 1, "v2")
-	e.mu.Lock()
-	edges := len(e.deps[t2])
-	e.mu.Unlock()
-	if edges != 0 {
-		t.Fatalf("edge formed on a durably committed transaction (%d edges)", edges)
+	if h := horizonOf(e, t2); h != wal.NilLSN {
+		t.Fatalf("horizon %d raised by a durably committed transaction's stamp", h)
 	}
 	mustCommit(t, e, t2)
 	wantValue(t, e, 1, "v2")
@@ -389,58 +358,11 @@ func TestFailedRoundThenDurableCompletesCommit(t *testing.T) {
 	}
 }
 
-// TestELRSuccessPathBackstopsLostDurableDelivery: the WAL drops ALL
-// OnDurable registrations with an error on any failed flush attempt —
-// including a direct Flush of a smaller prefix (a checkpoint, say) that
-// never tried the registrant's LSN — and durableNotify ignores error
-// deliveries.  If the record then becomes durable via a succeeding
-// round, the success path itself must clear the predurable entry and
-// the violable markers, or later acquirers keep forming abort edges on
-// a long-durable committer forever.  The lost delivery is simulated by
-// skewing the recorded LSN so the pending success callback validates
-// against the entry and no-ops, exactly as if it had been dropped.
-func TestELRSuccessPathBackstopsLostDurableDelivery(t *testing.T) {
-	e, store := newELREngine(t)
-	t1 := mustBegin(t, e)
-	mustUpdate(t, e, t1, 1, "v1")
-
-	store.arm()
-	c1 := commitAsync(e, t1)
-	<-store.entered // sync in flight, predurable entry live
-
-	e.mu.Lock()
-	e.predurable[t1] += 1 << 20 // durableNotify will see a mismatch and no-op
-	e.mu.Unlock()
-
-	store.disarm()
-	close(store.gate)
-	if err := <-c1; err != nil {
-		t.Fatalf("t1 commit: %v", err)
-	}
-
-	e.mu.Lock()
-	pending := len(e.predurable)
-	e.mu.Unlock()
-	if pending != 0 {
-		t.Fatalf("predurable entries = %d after the ack, want 0", pending)
-	}
-	t2 := mustBegin(t, e)
-	mustUpdate(t, e, t2, 1, "v2")
-	e.mu.Lock()
-	edges := len(e.deps[t2])
-	e.mu.Unlock()
-	if edges != 0 {
-		t.Fatalf("spurious edge on a durably committed transaction (%d edges)", edges)
-	}
-	mustCommit(t, e, t2)
-	wantValue(t, e, 1, "v2")
-}
-
 // TestELRDelegationCarriesDependency: a violator that delegates the
-// dirty scope hands the abort dependency to the delegatee — the edge
-// travels with responsibility.  When the predecessor's force then fails,
-// nothing is rolled back: the delegatee stays live and its abort undoes
-// the delegated update.
+// dirty scope hands its horizon to the delegatee — what the delegated
+// update rests on travels with responsibility.  When the predecessor's
+// force then fails, nothing is rolled back: the delegatee stays live and
+// its abort undoes the delegated update.
 func TestELRDelegationCarriesDependency(t *testing.T) {
 	e, store := newELREngine(t)
 	setup := mustBegin(t, e)
@@ -463,16 +385,8 @@ func TestELRDelegationCarriesDependency(t *testing.T) {
 	if err := e.Delegate(t2, t3, 1); err != nil {
 		t.Fatal(err)
 	}
-	e.mu.Lock()
-	var t3HasEdge bool
-	for _, edge := range e.deps[t3] {
-		if edge.on == t1 && edge.kind == AbortDependency {
-			t3HasEdge = true
-		}
-	}
-	e.mu.Unlock()
-	if !t3HasEdge {
-		t.Fatal("delegatee did not inherit the delegator's dependency on the pre-durable committer")
+	if got, want := horizonOf(e, t3), commitLSN(e, t1); got != want {
+		t.Fatalf("delegatee's horizon = %d, want the delegator's %d", got, want)
 	}
 
 	store.failAll()
@@ -490,23 +404,43 @@ func TestELRDelegationCarriesDependency(t *testing.T) {
 }
 
 // TestELRDelegateThenViolate: the delegator commits pre-durably AFTER
-// delegating a scope away; the delegatee commits while the delegator's
-// record is still in flight.  The delegated updates belong to the
-// delegatee — delegation rewrote history — so both survive once the
-// flush lands, in commit order dictated by the log.
+// delegating a scope away, and the delegatee then violates the
+// delegator's early-released lock on its own object: its horizon rises
+// to the delegator's commit record, on top of the horizon it inherited.
+// The delegatee commits while that record is still in flight.  The
+// delegated updates belong to the delegatee — delegation rewrote history
+// — so both survive once the flush lands, in the commit order the log
+// dictates.
 func TestELRDelegateThenViolate(t *testing.T) {
 	e, store := newELREngine(t)
+	// t0's commit record is durable: t1 reads over a dead stamp and
+	// hands the delegatee nothing.
+	t0 := mustBegin(t, e)
+	mustUpdate(t, e, t0, 3, "t0")
+	mustCommit(t, e, t0)
 	t1 := mustBegin(t, e)
+	if _, err := e.Read(t1, 3); err != nil {
+		t.Fatal(err)
+	}
 	mustUpdate(t, e, t1, 1, "delegated")
 	mustUpdate(t, e, t1, 2, "t1-own")
 	t2 := mustBegin(t, e)
 	if err := e.Delegate(t1, t2, 1); err != nil {
 		t.Fatal(err)
 	}
+	if h := horizonOf(e, t2); h != wal.NilLSN {
+		t.Fatalf("delegatee inherited horizon %d from a delegator that passed only dead stamps", h)
+	}
 
 	store.arm()
 	c1 := commitAsync(e, t1) // t1 pre-durable, locks released
 	<-store.entered
+	if v, err := e.Read(t2, 2); err != nil || string(v) != "t1-own" {
+		t.Fatalf("delegatee's read of the delegator's object = %q, %v", v, err)
+	}
+	if got, want := horizonOf(e, t2), commitLSN(e, t1); got != want {
+		t.Fatalf("delegatee's horizon = %d, want the delegator's commit record %d", got, want)
+	}
 	c2 := commitAsync(e, t2) // delegatee commits before delegator durable
 
 	// Both acks are pending on the same (or later) flush rounds; neither
@@ -758,7 +692,8 @@ func TestFormDependencyConcurrentNoCycle(t *testing.T) {
 
 // TestELRCommitStatusDuringWindow: while the ack is deferred the
 // transaction reports Committed (not Active), so cascading aborts cannot
-// victimize it and dependents observe the right state.
+// victimize it and dependents observe the right state, and its released
+// lock carries a live stamp of its commit record.
 func TestELRCommitStatusDuringWindow(t *testing.T) {
 	e, store := newELREngine(t)
 	t1 := mustBegin(t, e)
@@ -772,13 +707,13 @@ func TestELRCommitStatusDuringWindow(t *testing.T) {
 	if info != nil {
 		status = info.Status
 	}
-	pending := len(e.predurable)
+	stampLSN, stampTx := e.locks.Stamp(1, lock.Exclusive, e.log.FlushedLSN())
 	e.mu.Unlock()
 	if status != txn.Committed {
 		t.Fatalf("pre-durable ELR committer status = %v, want Committed", status)
 	}
-	if pending != 1 {
-		t.Fatalf("predurable entries = %d, want 1", pending)
+	if stampLSN != info.LastLSN || stampTx != t1 {
+		t.Fatalf("live stamp = (%d, t%d), want t%d's commit record %d", stampLSN, stampTx, t1, info.LastLSN)
 	}
 	store.disarm()
 	close(store.gate)
@@ -857,5 +792,32 @@ func TestELRReadOnlyCommitWaitsForPredecessor(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestELRWriterAllocatesNoMoreThanPlain: early lock release costs no
+// allocation of its own.  A serial in-memory writer of four updates per
+// transaction allocates no more per commit with it than without it.
+func TestELRWriterAllocatesNoMoreThanPlain(t *testing.T) {
+	perTxn := func(elr bool) float64 {
+		e, err := New(Options{PoolSize: 16, EarlyLockRelease: elr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := []byte("value")
+		return testing.AllocsPerRun(500, func() {
+			tx := mustBegin(t, e)
+			for obj := wal.ObjectID(1); obj <= 4; obj++ {
+				if err := e.Update(tx, obj, val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustCommit(t, e, tx)
+		})
+	}
+	plain, elr := perTxn(false), perTxn(true)
+	t.Logf("allocations per transaction: %.1f without early lock release, %.1f with it", plain, elr)
+	if elr > plain {
+		t.Fatalf("early lock release allocates %.1f per transaction, %.1f without it", elr, plain)
 	}
 }

@@ -68,8 +68,8 @@ var (
 	// failed: the record may or may not reach the device, so the outcome
 	// is unknown.  Once a commit record is appended only the log decides —
 	// nothing rolls the transaction back.  It stays committed in the
-	// tables, keeping its locks (or, under early lock release, its
-	// violable markers), the engine degrades, and the next Crash + Recover
+	// tables, keeping its locks (or, under early lock release, its live
+	// stamps), the engine degrades, and the next Crash + Recover
 	// settles it: a winner if the record is durable, a loser otherwise.
 	ErrInDoubt = errors.New("core: commit outcome in doubt until recovery")
 )
@@ -160,30 +160,31 @@ type Options struct {
 	Follower bool
 	// EarlyLockRelease enables controlled lock violation in the commit
 	// path: Commit appends the commit record, releases the transaction's
-	// locks immediately — marking write (X/Increment) locks violable —
-	// and defers only the durability ack to the group flusher, so lock
-	// hold time no longer includes the device sync.  A transaction that
-	// then acquires a conflicting lock on a marked object has violated
-	// the pre-durable committer's lock: it forms an abort dependency on
-	// it, and a delegation of such data carries the edge to the
-	// delegatee.
+	// locks immediately — stamping each write (X/Increment) lock with
+	// the record's LSN — and defers only the durability ack to the group
+	// flusher, so lock hold time no longer includes the device sync.  A
+	// transaction that then acquires a conflicting lock over a stamp not
+	// yet durable has violated the committer's lock: its horizon rises
+	// to that commit record, and a delegation hands the delegator's
+	// horizon to the delegatee.
 	//
 	// Crash contract.  Nothing weakens: the commit ack still implies
 	// durability.  A violator's own commit record necessarily follows
 	// its predecessor's in the log, and flushes are prefix-ordered, so a
 	// dependent can never be acknowledged — or survive recovery — unless
-	// every predecessor's commit is durable too.  A failed flush is
-	// settled as on the default path: if a later group round made the
-	// record durable first, the commit completes and returns nil;
-	// otherwise Commit returns ErrInDoubt and the transaction stays
-	// committed, in doubt, keeping its violable markers until Crash +
-	// Recover decides it from the log.  Nothing is rolled back live, so
-	// no cascade is needed: a dependent's commit record follows its
-	// predecessor's, and an active dependent that aborts compensates only
-	// its own updates, which is correct whichever way the predecessor is
-	// decided.  A crash in the window between lock release and flush
-	// completion likewise needs no special handling: recovery judges every
-	// transaction purely from the durable log.
+	// every predecessor's commit is durable too; a violator that never
+	// logs waits for its horizon instead.  A failed flush is settled as
+	// on the default path: if a later group round made the record
+	// durable first, the commit completes and returns nil; otherwise
+	// Commit returns ErrInDoubt and the transaction stays committed, in
+	// doubt, its stamps live until Crash + Recover decides it from the
+	// log.  Nothing is rolled back live, so no cascade is needed: a
+	// dependent's commit record follows its predecessor's, and an active
+	// dependent that aborts compensates only its own updates, which is
+	// correct whichever way the predecessor is decided.  A crash in the
+	// window between lock release and flush completion likewise needs no
+	// special handling: recovery judges every transaction purely from
+	// the durable log.
 	EarlyLockRelease bool
 	// ParallelRecovery rebuilds Recover (and Promote) as the three-stage
 	// instant-restart pipeline: a manifest-driven parallel scan of the
@@ -246,12 +247,6 @@ type Engine struct {
 	state delegation.State
 	// deps holds the ASSET form-dependency graph (volatile).
 	deps map[wal.TxID][]depEdge
-	// predurable maps each early-lock-release committer whose commit
-	// record is appended but not yet durable to that record's LSN.
-	// Entries leave via durableNotify (record reached the device), the
-	// committer's own ack, or Crash; an in-doubt committer keeps its
-	// entry until Crash.
-	predurable map[wal.TxID]wal.LSN
 	// prepared maps each in-doubt 2PC participant (status txn.Prepared)
 	// to its global-transaction bookkeeping; globals retains coordinator-
 	// side commit decisions until ReleaseGlobal, pinning the archive at
@@ -295,6 +290,9 @@ type Engine struct {
 	// and all page applications; every other path must either route
 	// through it (reads) or reject with ErrRecovering (writes).
 	recovering *recoveryPipeline
+	// recoveryErr is the error of the last recovery pipeline that failed
+	// and left the engine crashed; Recover and Crash clear it.
+	recoveryErr error
 	// recoveryHold, when non-nil, makes the next pipeline block right
 	// before flipping the engine back to healthy until the channel is
 	// closed — a deterministic window for tests that must observe the
@@ -322,19 +320,18 @@ func New(opts Options) (*Engine, error) {
 	}
 	reg := obs.NewRegistry()
 	e := &Engine{
-		log:        log,
-		disk:       opts.Disk,
-		locks:      lock.NewManager(),
-		txns:       txn.NewTable(),
-		state:      delegation.State{},
-		deps:       make(map[wal.TxID][]depEdge),
-		predurable: make(map[wal.TxID]wal.LSN),
-		prepared:   make(map[wal.TxID]preparedInfo),
-		globals:    make(map[uint64]globalDecision),
-		master:     &masterRecord{store: opts.MasterStore},
-		opts:       opts,
-		reg:        reg,
-		met:        bindEngineMetrics(reg),
+		log:      log,
+		disk:     opts.Disk,
+		locks:    lock.NewManager(),
+		txns:     txn.NewTable(),
+		state:    delegation.State{},
+		deps:     make(map[wal.TxID][]depEdge),
+		prepared: make(map[wal.TxID]preparedInfo),
+		globals:  make(map[uint64]globalDecision),
+		master:   &masterRecord{store: opts.MasterStore},
+		opts:     opts,
+		reg:      reg,
+		met:      bindEngineMetrics(reg),
 	}
 	e.log.Instrument(reg)
 	e.locks.Instrument(reg)
@@ -397,11 +394,12 @@ func (e *Engine) Health() Health {
 }
 
 // LockOrphans returns the transactions that hold locks but are absent
-// from the transaction table.  The invariant is held ⊆ active ∪ prepared
-// ∪ predurable (all three live in the table until their commit or abort
-// completes, and that releases their locks in the same latched step), so
-// on a quiescent engine the result must be empty: nobody can ever release
-// an orphan's locks.  Mid-operation a waiter granted posthumously is an
+// from the transaction table.  The invariant is held ⊆ table: active and
+// prepared transactions, and committers whose force is pending or in
+// doubt, stay in the table until their commit or abort completes, and
+// that releases their locks in the same latched step.  So on a quiescent
+// engine the result must be empty: nobody can ever release an orphan's
+// locks.  Mid-operation a waiter granted posthumously is an
 // orphan until its operation re-latches and drops the grant (see
 // activeAfterLockLocked), so only a quiescent reading is a verdict.
 func (e *Engine) LockOrphans() []wal.TxID {
@@ -667,16 +665,12 @@ func (e *Engine) Crash() error {
 	e.txns.Reset(1)
 	e.state = delegation.State{}
 	e.deps = make(map[wal.TxID][]depEdge)
-	// Pending early-lock-release commits die with the volatile state;
-	// their wal.OnDurable callbacks fire with an error and validate
-	// against this (now empty) map, so a post-recovery reuse of the same
-	// TxID/LSN pair can never be touched by a stale delivery.
-	e.predurable = make(map[wal.TxID]wal.LSN)
 	// 2PC state is volatile too: recovery rebuilds in-doubt participants
 	// and retained decisions from the durable log and checkpoint.
 	e.prepared = make(map[wal.TxID]preparedInfo)
 	e.globals = make(map[uint64]globalDecision)
 	e.crashed = true
+	e.recoveryErr = nil
 	// A crash clears degraded mode: the restart is the repair action —
 	// if the device is still broken, Recover's final flush fails and the
 	// engine stays crashed instead.

@@ -126,21 +126,24 @@ type recoveryPipeline struct {
 // WaitRecovered blocks until any in-flight parallel recovery (or
 // promotion) pipeline completes and returns its error.  With no pipeline
 // in flight it returns nil immediately — or ErrCrashed if the engine is
-// crashed, which is what a failed pipeline leaves behind for callers that
-// arrive after the fact.
+// crashed.  A caller that arrives after a recovery pipeline failed gets
+// ErrCrashed wrapped together with the pipeline's error, until the next
+// Recover or Crash.
 func (e *Engine) WaitRecovered() error {
 	e.mu.Lock()
 	p := e.recovering
-	crashed := e.crashed
+	crashed, cause := e.crashed, e.recoveryErr
 	e.mu.Unlock()
-	if p == nil {
-		if crashed {
-			return ErrCrashed
-		}
-		return nil
+	switch {
+	case p != nil:
+		<-p.done
+		return p.err
+	case crashed && cause != nil:
+		return fmt.Errorf("%w: %w", ErrCrashed, cause)
+	case crashed:
+		return ErrCrashed
 	}
-	<-p.done
-	return p.err
+	return nil
 }
 
 // recoverParallel is Recover with Options.ParallelRecovery set: it runs
@@ -160,6 +163,7 @@ func (e *Engine) recoverParallel() error {
 	}
 	// Clean slate, exactly as sequential Recover: a previous attempt may
 	// have died midway.
+	e.recoveryErr = nil
 	e.txns.Reset(1)
 	e.state = delegation.State{}
 	e.prepared = make(map[wal.TxID]preparedInfo)
@@ -482,6 +486,9 @@ func (p *recoveryPipeline) run() {
 	}
 	e.mu.Lock()
 	e.recovering = nil
+	// Reads keep routing through the pipeline until this flip, so the
+	// trace's count is final only now.
+	e.lastTrace.OnDemandReads = p.onDemand.Load()
 	e.mu.Unlock()
 	close(p.done)
 }
@@ -498,6 +505,7 @@ func (p *recoveryPipeline) fail(err error) {
 		e.frs = p.savedFrs
 	} else {
 		e.crashed = true
+		e.recoveryErr = err
 	}
 	e.recovering = nil
 	e.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -225,6 +226,36 @@ func TestParallelRecoveryFailpoint(t *testing.T) {
 	mustDo(t, e.WaitRecovered())
 	wantValue(t, e, 1, "base")
 	wantValue(t, e, 2, "base2")
+}
+
+// TestParallelRecoveryFailpointLateWait is TestParallelRecoveryFailpoint
+// with the race decided: the pipeline has failed and left the engine
+// crashed before the first WaitRecovered, which must still report the
+// pipeline's error, together with ErrCrashed, until the next Recover.
+func TestParallelRecoveryFailpointLateWait(t *testing.T) {
+	e, err := New(Options{PoolSize: 16, ParallelRecovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loser := mustBegin(t, e)
+	mustUpdate(t, e, loser, 1, "dirty")
+	mustDo(t, e.Log().Flush(e.Log().Head()))
+
+	e.SetRecoveryFailpoint(1)
+	mustDo(t, e.Crash())
+	mustDo(t, e.Recover())
+	for e.Health().State != StateCrashed {
+		runtime.Gosched()
+	}
+	for i := 0; i < 2; i++ {
+		err := e.WaitRecovered()
+		if !errors.Is(err, ErrInjectedRecoveryFailure) || !errors.Is(err, ErrCrashed) {
+			t.Fatalf("WaitRecovered #%d after the failure = %v, want the injected failure with ErrCrashed", i+1, err)
+		}
+	}
+	mustDo(t, e.Recover())
+	mustDo(t, e.WaitRecovered())
+	wantValue(t, e, 1, "")
 }
 
 // TestParallelPromotionConcurrentReads: follower reads keep flowing while

@@ -98,10 +98,11 @@ func (e *Engine) Read(tx wal.TxID, obj wal.ObjectID) ([]byte, error) {
 	if e.crashed {
 		return nil, ErrCrashed
 	}
-	if _, err := e.activeAfterLockLocked(tx); err != nil {
+	info, err := e.activeAfterLockLocked(tx)
+	if err != nil {
 		return nil, err
 	}
-	e.noteViolationsLocked(tx, obj, lock.Shared)
+	e.passStampLocked(info, obj, lock.Shared)
 	v, _, err := e.store.Read(obj)
 	if err != nil {
 		return nil, err
@@ -153,7 +154,7 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 	if err := e.writableLocked(); err != nil {
 		return err
 	}
-	e.noteViolationsLocked(tx, obj, lock.Exclusive)
+	e.passStampLocked(info, obj, lock.Exclusive)
 	before, _, err := e.store.Read(obj)
 	if err != nil {
 		return err
@@ -260,24 +261,9 @@ func (e *Engine) delegateAsLocked(tor, tee wal.TxID, obj wal.ObjectID, typ wal.R
 			return err
 		}
 	}
-	// A delegated scope carries its lineage: if the delegator's updates
-	// were built over a pre-durable committer's early-released locks (it
-	// holds an abort dependency on one), the delegatee now owns those
-	// updates, so it inherits the edge and the dependency graph keeps
-	// naming whoever is responsible for data built on a record that is
-	// not yet durable.  Copying all such edges (not just ones
-	// attributable to obj) is conservative.
-	if len(e.predurable) > 0 {
-		for _, edge := range e.deps[tor] {
-			if edge.kind != AbortDependency {
-				continue
-			}
-			if _, pending := e.predurable[edge.on]; !pending {
-				continue
-			}
-			e.addDependencyEdgeLocked(tee, edge.on, AbortDependency)
-		}
-	}
+	// The delegatee now owns updates that may rest on pre-durable data
+	// the delegator read, so it waits on whatever the delegator would.
+	teeInfo.Horizon = max(teeInfo.Horizon, torInfo.Horizon)
 	// The delegate record heads both backward chains.
 	torInfo.LastLSN = lsn
 	teeInfo.LastLSN = lsn
@@ -437,12 +423,9 @@ func (e *Engine) Commit(tx wal.TxID) error {
 // then leaves the transaction exactly as it is; Crash + Recover decide it.
 func (e *Engine) settleForceLocked(lsn wal.LSN, ferr error) error {
 	switch {
-	case e.crashed || errors.Is(ferr, wal.ErrLogCrashed):
-		// The log instance went down while the ack was pending.  The
-		// engine's crashed flag may not be visible yet (Crash takes the WAL
-		// lock before the engine latch), but the outcome is the same
-		// commit-ack ambiguity: report the crash rather than degrading a
-		// healthy device.
+	case e.crashed:
+		// The log instance went down while the ack was pending: report
+		// the crash rather than degrading a healthy device.
 		return ErrCrashed
 	case ferr == nil || lsn <= e.log.FlushedLSN():
 		return nil
@@ -474,17 +457,17 @@ func (e *Engine) endCommitLocked(tx wal.TxID, lsn wal.LSN, start time.Time) {
 // nothing of its own to force.  Entered with the latch held; returns with
 // it released.
 //
-// Under early lock release tx may have read data of pre-durable
-// committers (it holds abort dependencies on them).  It then releases its
-// locks and waits off-latch for the highest such commit record to become
-// durable — never for a record of its own — so a nil return still means
-// everything it read survives a crash.  If that flush fails, tx logged
-// nothing to roll back: it is ended all the same, and Commit returns
-// ErrInDoubt, because whether the data it read survives is now up to
-// recovery.
+// Under early lock release tx may have read data whose commit record was
+// not yet durable: its horizon names the newest such record.  Unless the
+// log is durable through it already, tx releases its locks and waits
+// off-latch for that record — never for one of its own — so a nil
+// return still means everything it read survives a crash.  If that
+// flush fails, tx logged nothing to roll back: it is ended all the same,
+// and Commit returns ErrInDoubt, because whether the data it read
+// survives is now up to recovery.
 func (e *Engine) commitUnlogged(tx wal.TxID, info *txn.Info, start time.Time) error {
-	wait := e.predurableHorizonLocked(tx)
-	if wait == wal.NilLSN {
+	wait := info.Horizon
+	if wait <= e.log.FlushedLSN() {
 		e.endCommitLocked(tx, wal.NilLSN, start)
 		e.mu.Unlock()
 		return nil

@@ -117,9 +117,11 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 		return ErrCrashed
 	}
 	if ferr != nil {
-		// The vote was never cast: return the transaction to Active with
-		// its chain rewound past the never-flushed prepare record, as
-		// Commit does for a failed commit force.
+		// The vote was never cast: the coordinator is told no and,
+		// under presumed abort, aborts.  Unlike a commit record, a
+		// prepare record decides nothing by itself, so the vote can be
+		// taken back live: return the transaction to Active, abortable,
+		// with its chain rewound past the prepare record.
 		if info := e.txns.Get(tx); info != nil && info.Status == txn.Prepared {
 			info.Status = txn.Active
 			info.LastLSN = prevLast

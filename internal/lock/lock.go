@@ -13,10 +13,17 @@
 // wake channel.  A change to that object's holders or queue — a release, a
 // Transfer or Share, a cancelled or victimized request — grants the
 // requests it made grantable and wakes exactly those.  Terminating a
-// transaction (ReleaseAll, ReleaseAllViolable) also cancels its queued
-// requests, which fail with ErrCancelled.  Emptied object states,
-// transaction records and wait requests are recycled through bounded
-// free lists, so an uncontended acquire and release allocate nothing.
+// transaction (ReleaseAll) also cancels its queued requests, which fail
+// with ErrCancelled.  Emptied object states, transaction records and
+// wait requests are recycled through bounded free lists, so an
+// uncontended acquire and release allocate nothing.
+//
+// Early lock release leaves one stamp per object and write mode: a
+// committer that releases before its commit record is durable stamps
+// each object it held in X or I mode with that record's LSN.  An
+// acquirer that passes a conflicting stamp not yet durable has read or
+// overwritten pre-durable data (see Stamp).  A stamp dies once the log
+// is durable through it, and the next early release prunes it.
 package lock
 
 import (
@@ -85,8 +92,8 @@ var ErrDeadlock = errors.New("lock: deadlock")
 var ErrReset = errors.New("lock: lock table reset")
 
 // ErrCancelled is returned to a requester whose transaction terminated
-// (ReleaseAll or ReleaseAllViolable) while the request was queued: a
-// terminated transaction is never granted a lock.
+// (ReleaseAll) while the request was queued: a terminated transaction is
+// never granted a lock.
 var ErrCancelled = errors.New("lock: request cancelled by transaction termination")
 
 // Free-list bounds.  A free list only has to absorb the swing in live
@@ -127,23 +134,39 @@ func (w *waiter) wake(err error) {
 	w.ready <- struct{}{}
 }
 
+// stamp is what an early release of a write lock leaves on its object:
+// the releaser's commit record and the releaser.  The zero stamp is none.
+type stamp struct {
+	lsn wal.LSN
+	tx  wal.TxID
+}
+
 type lockState struct {
 	holders []holder
 	// queue is the object's FIFO list of requests that must wait.
 	queue []*waiter
-	// violable maps each transaction that released a write lock (X or I)
-	// on this object pre-durably — via ReleaseAllViolable, the early-
-	// lock-release commit path — to the mode it held.  A later acquirer
-	// whose mode conflicts with a recorded mode has "violated" that
-	// lock in the controlled-lock-violation sense: it may observe data
-	// whose commit record is not yet on stable storage, and the engine
-	// forms a commit dependency on the releaser.  An entry lasts until
-	// ClearViolable, which the engine calls once the releaser's commit
-	// record is durable; a releaser whose commit force failed keeps its
-	// entries until Reset discards the table.  Shared releases are never
-	// recorded: a pre-durable reader leaves no dirty data behind, so
-	// overwriting what it read creates no recoverability obligation.
-	violable map[wal.TxID]Mode
+	// stampX and stampI are the newest early releases of an Exclusive
+	// and of an Increment lock on the object.  Early releases come in
+	// commit-record order and the log is flushed in prefix order, so
+	// the newest stamp of a mode covers every older one.  Shared
+	// releases are never stamped: a pre-durable reader leaves no dirty
+	// data behind, so overwriting what it read creates no
+	// recoverability obligation.
+	stampX, stampI stamp
+}
+
+// liveStamp returns the newest stamp above flushed whose mode conflicts
+// with mode, or the zero stamp.  Every mode conflicts with Exclusive;
+// only Increment is compatible with Increment.
+func (ls *lockState) liveStamp(mode Mode, flushed wal.LSN) stamp {
+	s := ls.stampX
+	if mode != Increment && ls.stampI.lsn > s.lsn {
+		s = ls.stampI
+	}
+	if s.lsn <= flushed {
+		return stamp{}
+	}
+	return s
 }
 
 func (ls *lockState) holderIndex(tx wal.TxID) int {
@@ -211,9 +234,11 @@ type Manager struct {
 	mu    sync.Mutex
 	locks map[wal.ObjectID]*lockState
 	txs   map[wal.TxID]*txLocks
-	// violableBy indexes, per pre-durable releaser, the objects carrying
-	// its violable markers, so ClearViolable is O(objects released).
-	violableBy map[wal.TxID]map[wal.ObjectID]struct{}
+	// stamped lists each stamp an early release set, in commit-LSN
+	// order, by object.  The next early release prunes its prefix that
+	// the log has made durable, so the states kept only by a stamp are
+	// bounded by what one flush window commits.
+	stamped []stampedObj
 	// Emptied states, released transaction records and finished waiters,
 	// recycled so that taking and dropping a lock allocates nothing.
 	// Not a sync.Pool: a collection would empty it mid-run.
@@ -237,9 +262,9 @@ type lockMetrics struct {
 	// Per-mode acquire counts (satellite contention observability: the
 	// S/X/I mix tells whether a hot object is read- or write-contended).
 	acquiresShared, acquiresExclusive, acquiresIncrement *obs.Counter
-	// violableMarks counts objects marked by pre-durable releases;
-	// violations counts conflicting acquisitions over a live marker.
-	violableMarks, violations *obs.Counter
+	// stamps counts objects stamped by early releases; violations
+	// counts conflicting acquisitions over a live stamp.
+	stamps, violations *obs.Counter
 	// waiters is the number of transactions currently blocked in Acquire.
 	waiters *obs.Gauge
 	// waitNs observes time spent blocked per Acquire that waited; holdNs
@@ -257,7 +282,7 @@ func bindLockMetrics(r *obs.Registry) lockMetrics {
 		acquiresShared:    r.Counter("lock.acquires.shared"),
 		acquiresExclusive: r.Counter("lock.acquires.exclusive"),
 		acquiresIncrement: r.Counter("lock.acquires.increment"),
-		violableMarks:     r.Counter("lock.violable_marks"),
+		stamps:            r.Counter("lock.stamps"),
 		violations:        r.Counter("lock.violations"),
 		waiters:           r.Gauge("lock.waiters"),
 		waitNs:            r.Histogram("lock.wait_ns"),
@@ -276,11 +301,10 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 // NewManager returns an empty lock manager.
 func NewManager() *Manager {
 	return &Manager{
-		locks:      make(map[wal.ObjectID]*lockState),
-		txs:        make(map[wal.TxID]*txLocks),
-		violableBy: make(map[wal.TxID]map[wal.ObjectID]struct{}),
-		seen:       make(map[wal.TxID]struct{}),
-		met:        bindLockMetrics(obs.NewRegistry()),
+		locks: make(map[wal.ObjectID]*lockState),
+		txs:   make(map[wal.TxID]*txLocks),
+		seen:  make(map[wal.TxID]struct{}),
+		met:   bindLockMetrics(obs.NewRegistry()),
 	}
 }
 
@@ -301,11 +325,11 @@ func (m *Manager) stateLocked(obj wal.ObjectID) *lockState {
 }
 
 // dropStateIfEmptyLocked retires an object's lock state once nothing
-// references it — no holders, no queued requests, no violable markers
-// awaiting their releaser's durability — and recycles it.  Keeping empty
-// states in the table instead would grow it to every object ever locked.
+// references it — no holders, no queued requests, no stamp awaiting its
+// releaser's durability — and recycles it.  Keeping empty states in the
+// table instead would grow it to every object ever locked.
 func (m *Manager) dropStateIfEmptyLocked(obj wal.ObjectID, ls *lockState) {
-	if len(ls.holders) > 0 || len(ls.queue) > 0 || len(ls.violable) > 0 {
+	if len(ls.holders) > 0 || len(ls.queue) > 0 || ls.stampX.lsn != wal.NilLSN || ls.stampI.lsn != wal.NilLSN {
 		return
 	}
 	delete(m.locks, obj)
@@ -613,31 +637,38 @@ func (m *Manager) holdLocked(tx wal.TxID, obj wal.ObjectID) (*lockState, int) {
 	return ls, ls.holderIndex(tx)
 }
 
+// Early describes a committer that releases its locks before its commit
+// record is durable: the record is at Commit, and the log is durable
+// through Flushed.
+type Early struct {
+	Commit, Flushed wal.LSN
+}
+
+// stampedObj is one entry of Manager.stamped.
+type stampedObj struct {
+	obj wal.ObjectID
+	lsn wal.LSN
+}
+
 // ReleaseAll terminates tx in the lock manager (strict 2PL): it cancels
 // tx's queued requests, which fail with ErrCancelled, drops every lock tx
 // holds, and wakes the requests on those objects that can now be granted.
-func (m *Manager) ReleaseAll(tx wal.TxID) {
+//
+// A committer releasing early passes one Early.  The stamps the log has
+// made durable are pruned first; then each object tx held in a write
+// mode (X or I) is stamped with its commit record, unless that record is
+// durable already.  Early releases must come in commit-record order: the
+// engine makes each under its latch right after appending the record.
+// A stamp whose record never becomes durable, because its force failed,
+// stays live until Reset.
+func (m *Manager) ReleaseAll(tx wal.TxID, early ...Early) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.releaseAllLocked(tx, false)
-}
-
-// ReleaseAllViolable terminates tx exactly like ReleaseAll, but
-// additionally marks each object tx held in a write mode (Exclusive or
-// Increment) as carrying tx's violable lock: tx's commit record is
-// appended but not yet durable, and a later conflicting acquirer must
-// form a commit dependency on tx (see Violators).  This is the lock-
-// manager half of early lock release / controlled lock violation.  The
-// engine clears the markers with ClearViolable once tx's commit record
-// reaches stable storage; if that force fails, the markers stay until
-// Reset discards the table.
-func (m *Manager) ReleaseAllViolable(tx wal.TxID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.releaseAllLocked(tx, true)
-}
-
-func (m *Manager) releaseAllLocked(tx wal.TxID, violable bool) {
+	var at Early
+	if len(early) > 0 {
+		at = early[0]
+		m.pruneStampsLocked(at.Flushed)
+	}
 	rec := m.txs[tx]
 	if rec == nil {
 		return
@@ -667,16 +698,14 @@ func (m *Manager) releaseAllLocked(tx wal.TxID, violable bool) {
 			continue
 		}
 		mode := ls.removeHolder(ls.holderIndex(tx))
-		if violable && mode != Shared {
-			if ls.violable == nil {
-				ls.violable = make(map[wal.TxID]Mode)
+		if at.Commit > at.Flushed && mode != Shared {
+			if mode == Exclusive {
+				ls.stampX = stamp{lsn: at.Commit, tx: tx}
+			} else {
+				ls.stampI = stamp{lsn: at.Commit, tx: tx}
 			}
-			ls.violable[tx] = mode
-			if m.violableBy[tx] == nil {
-				m.violableBy[tx] = make(map[wal.ObjectID]struct{})
-			}
-			m.violableBy[tx][obj] = struct{}{}
-			m.met.violableMarks.Inc()
+			m.stamped = append(m.stamped, stampedObj{obj: obj, lsn: at.Commit})
+			m.met.stamps.Inc()
 		}
 		m.settleLocked(obj, ls)
 		m.dropStateIfEmptyLocked(obj, ls)
@@ -687,49 +716,49 @@ func (m *Manager) releaseAllLocked(tx wal.TxID, violable bool) {
 	m.dropTxLocked(tx, rec)
 }
 
-// ClearViolable removes every violable marker left by tx's early lock
-// release.  The engine calls it once tx's commit record is durable, when
-// the markers impose no constraint any more; nothing else removes them
-// short of Reset, so a releaser whose commit is in doubt keeps its
-// markers until the crash that settles it.
-func (m *Manager) ClearViolable(tx wal.TxID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for obj := range m.violableBy[tx] {
-		if ls, ok := m.locks[obj]; ok {
-			delete(ls.violable, tx)
-			m.dropStateIfEmptyLocked(obj, ls)
+// pruneStampsLocked clears every stamp at or below flushed, whose commit
+// record is durable and so constrains nobody, and retires the states
+// only such stamps kept.
+func (m *Manager) pruneStampsLocked(flushed wal.LSN) {
+	n := 0
+	for ; n < len(m.stamped) && m.stamped[n].lsn <= flushed; n++ {
+		obj := m.stamped[n].obj
+		// A state dropped by an earlier entry for obj is gone already.
+		ls, ok := m.locks[obj]
+		if !ok {
+			continue
 		}
+		if ls.stampX.lsn <= flushed {
+			ls.stampX = stamp{}
+		}
+		if ls.stampI.lsn <= flushed {
+			ls.stampI = stamp{}
+		}
+		m.dropStateIfEmptyLocked(obj, ls)
 	}
-	delete(m.violableBy, tx)
+	m.stamped = m.stamped[:copy(m.stamped, m.stamped[n:])]
 }
 
-// Violators returns the transactions whose early-released (violable)
-// lock on obj conflicts with an acquisition in mode by tx — the
-// pre-durable committers tx has violated and must form commit
-// dependencies on.  A compatible acquisition (Increment over a released
-// Increment) is not a violation: it could have been granted while the
-// releaser still held its lock.  The caller is expected to filter the
-// result against its own pre-durable set: a marker may outlive its
-// releaser's durability by the breadth of a callback race.
-func (m *Manager) Violators(tx wal.TxID, obj wal.ObjectID, mode Mode) []wal.TxID {
+// Stamp returns the newest live stamp an acquisition of obj in mode
+// passes: the commit record and TxID of the latest early releaser of a
+// conflicting write lock (X over X or I; S over X or I; I over X), if
+// the log is not durable through that record (flushed).  Such an
+// acquirer has violated the releaser's lock: it may read or overwrite
+// data whose commit record is not yet durable.  Each live stamp found
+// counts as a violation.  It returns NilLSN if there is none; an I
+// acquisition over a released I is compatible and passes nothing.
+func (m *Manager) Stamp(obj wal.ObjectID, mode Mode, flushed wal.LSN) (wal.LSN, wal.TxID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ls, ok := m.locks[obj]
-	if !ok || len(ls.violable) == 0 {
-		return nil
+	if !ok {
+		return wal.NilLSN, wal.NilTx
 	}
-	var out []wal.TxID
-	for releaser, rm := range ls.violable {
-		if releaser == tx || compatibleModes(rm, mode) {
-			continue
-		}
-		out = append(out, releaser)
+	s := ls.liveStamp(mode, flushed)
+	if s.lsn != wal.NilLSN {
+		m.met.violations.Inc()
 	}
-	if len(out) > 0 {
-		m.met.violations.Add(uint64(len(out)))
-	}
-	return out
+	return s.lsn, s.tx
 }
 
 // Holds reports the mode tx holds on obj, if any.
@@ -759,8 +788,8 @@ func (m *Manager) Holders() []wal.TxID {
 	return out
 }
 
-// Reset discards all lock state (crash simulation: locks are volatile).
-// Every Acquire still waiting fails with ErrReset.
+// Reset discards all lock state, stamps included (crash simulation:
+// locks are volatile).  Every Acquire still waiting fails with ErrReset.
 func (m *Manager) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -772,6 +801,6 @@ func (m *Manager) Reset() {
 	}
 	m.locks = make(map[wal.ObjectID]*lockState)
 	m.txs = make(map[wal.TxID]*txLocks)
-	m.violableBy = make(map[wal.TxID]map[wal.ObjectID]struct{})
+	m.stamped = nil
 	m.freeStates, m.freeTxs, m.freeWaiters = nil, nil, nil
 }

@@ -328,7 +328,8 @@ func (db *DB) resolveInDoubt() error {
 
 // WaitRecovered blocks until every shard's in-flight parallel recovery
 // pipeline completes, returning the first failure (that shard is back
-// in the crashed state; Recover may be retried).
+// in the crashed state; Recover may be retried).  The error names the
+// shard and, after a failed pipeline, carries its cause with ErrCrashed.
 func (db *DB) WaitRecovered() error {
 	for i, e := range db.engs {
 		if err := e.WaitRecovered(); err != nil {

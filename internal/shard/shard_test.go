@@ -816,6 +816,35 @@ func TestParallelRecoverySharded(t *testing.T) {
 	}
 }
 
+// TestShardWaitRecoveredReportsCause: once a shard's recovery pipeline
+// has failed, a late WaitRecovered still names the failing shard and
+// carries the pipeline's error together with ErrCrashed.
+func TestShardWaitRecoveredReportsCause(t *testing.T) {
+	db, err := Open(Options{Shards: 2, Router: modRouter{}, ParallelRecovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loser, _ := db.Begin()
+	if err := loser.Update(121, []byte("dirty")); err != nil {
+		t.Fatal(err)
+	}
+	e := db.Engine(1)
+	if err := e.Log().Flush(e.Log().Head()); err != nil {
+		t.Fatal(err)
+	}
+	e.SetRecoveryFailpoint(1)
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Recover(); !errors.Is(err, core.ErrInjectedRecoveryFailure) {
+		t.Fatalf("Recover = %v, want the injected failure", err)
+	}
+	err = db.WaitRecovered()
+	if !errors.Is(err, core.ErrCrashed) || !errors.Is(err, core.ErrInjectedRecoveryFailure) {
+		t.Fatalf("late WaitRecovered = %v, want ErrCrashed with the injected failure", err)
+	}
+}
+
 // TestBadShardConfigs pins Open's validation.
 func TestBadShardConfigs(t *testing.T) {
 	if _, err := Open(Options{Shards: 0}); err == nil {

@@ -61,6 +61,12 @@ type Info struct {
 	// UndoNextLSN is the next record to undo during rollback (advanced
 	// past already-compensated records by CLRs).
 	UndoNextLSN wal.LSN
+	// Horizon is the newest commit record, not durable when seen, of an
+	// early lock release whose data this transaction read or overwrote,
+	// or took over by delegation (NilLSN if none).  A transaction that
+	// never logs is acknowledged only once the log is durable through
+	// it; a logged one's own commit record follows it anyway.
+	Horizon wal.LSN
 }
 
 // Table is the transaction table.  It is safe for concurrent use.

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"ariesrh/internal/obs"
@@ -322,4 +323,41 @@ func TestFailedManifestAttemptRemoved(t *testing.T) {
 	if l2.Base() != NilLSN || l2.Head() != 6 {
 		t.Fatalf("reopen after failed archive: base=%d head=%d", l2.Base(), l2.Head())
 	}
+}
+
+// failSyncDir wraps a MemDir so every device's Sync fails with a
+// configurable error — the failure mode of a dying disk.
+type failSyncDir struct {
+	*MemDir
+	mu  sync.Mutex
+	err error
+}
+
+func (d *failSyncDir) FailSyncsWith(err error) {
+	d.mu.Lock()
+	d.err = err
+	d.mu.Unlock()
+}
+
+func (d *failSyncDir) Open(name string) (Store, error) {
+	s, err := d.MemDir.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &failSyncDev{Store: s, dir: d}, nil
+}
+
+type failSyncDev struct {
+	Store
+	dir *failSyncDir
+}
+
+func (s *failSyncDev) Sync() error {
+	s.dir.mu.Lock()
+	err := s.dir.err
+	s.dir.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.Store.Sync()
 }

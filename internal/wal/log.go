@@ -85,15 +85,6 @@ func errArchived(lsn, base LSN) error {
 // errors, by contrast, are treated as possibly transient and retried.
 var ErrNoRetry = errors.New("wal: device error is not retriable")
 
-// ErrLogCrashed is the sentinel wrapped into every OnDurable failure
-// delivery caused by (*Log).Crash: the registered record's durability
-// was still pending when the log instance went down, so no completion
-// will ever follow.  Callers match it with errors.Is to distinguish a
-// crash (the durable log alone decides the record's fate at recovery)
-// from a live device refusing a flush (the record is NOT durable and
-// the caller must act on that).
-var ErrLogCrashed = errors.New("wal: log crashed")
-
 // LogOptions tunes a Log at construction time.
 type LogOptions struct {
 	// SegmentBytes is the rotation threshold: once the active segment
@@ -143,10 +134,6 @@ type Log struct {
 	flushLeader   bool
 	flushInFlight bool
 	flushIdle     *sync.Cond
-
-	// durableCBs holds OnDurable registrations not yet covered by the
-	// durable horizon; each fires exactly once (see OnDurable).
-	durableCBs []durableCB
 
 	// Tail subscriptions (see Subscribe): tailCond is broadcast whenever
 	// the durable horizon advances (or a subscription closes), waking
@@ -250,14 +237,6 @@ func (l *Log) Instrument(reg *obs.Registry) {
 type flushWaiter struct {
 	upTo LSN
 	ch   chan error
-}
-
-// durableCB is one OnDurable registration: fn is invoked, on its own
-// goroutine, once every record with LSN ≤ upTo is durable — or with the
-// error that stopped the durable horizon short of upTo.
-type durableCB struct {
-	upTo LSN
-	fn   func(error)
 }
 
 // NewLog creates a log over dir with default options, recovering any
@@ -545,59 +524,6 @@ func (l *Log) Segments() []SegmentInfo {
 	return out
 }
 
-// OnDurable registers fn to be invoked exactly once: with nil after
-// every record with LSN ≤ upTo reaches stable storage, or with a non-nil
-// error when this log instance stops advancing toward it (a failed flush
-// round, or a crash — matching ErrLogCrashed — that discards the
-// volatile tail).  fn runs on its own goroutine, so it may take
-// arbitrary locks and re-enter the log.  An error delivery does not by
-// itself say whether the records survived — only that no completion will
-// follow; the registrant must re-validate against durable state
-// (FlushedLSN, or post-recovery analysis).
-//
-// This is the commit-pipelining hook for early lock release: the engine
-// registers the post-durability work of a commit (clearing violable lock
-// markers, accounting the ack) here instead of holding the committer on
-// the device sync.
-func (l *Log) OnDurable(upTo LSN, fn func(error)) {
-	l.mu.Lock()
-	if upTo <= l.flushedLSN {
-		l.mu.Unlock()
-		go fn(nil)
-		return
-	}
-	l.durableCBs = append(l.durableCBs, durableCB{upTo: upTo, fn: fn})
-	l.mu.Unlock()
-}
-
-// runDurableCBsLocked dispatches OnDurable callbacks after a flush
-// attempt: with nil for every registration the durable horizon now
-// covers, and — when the attempt failed — with err for all remaining (a
-// registrant always has a matching flush in flight, so the failed round
-// is the one that was meant to cover it).  Callbacks run on fresh
-// goroutines; dispatching under l.mu is therefore deadlock-free even
-// when the callback re-enters the log or takes the engine latch.
-func (l *Log) runDurableCBsLocked(err error) {
-	if len(l.durableCBs) == 0 {
-		return
-	}
-	rest := l.durableCBs[:0]
-	for _, cb := range l.durableCBs {
-		switch {
-		case cb.upTo <= l.flushedLSN:
-			go cb.fn(nil)
-		case err != nil:
-			go cb.fn(err)
-		default:
-			rest = append(rest, cb)
-		}
-	}
-	l.durableCBs = rest
-	if err != nil {
-		l.durableCBs = nil
-	}
-}
-
 // flushChunk is one contiguous device write of a flush: bytes
 // [start,end) of seg.data, viewed by buf, which once synced advance the
 // durable horizon to endLSN.
@@ -724,7 +650,6 @@ func (l *Log) groupFlushLoop() {
 			err = l.flushRangeUnlatched(target)
 			head = l.headLocked()
 		}
-		l.runDurableCBsLocked(err)
 		queued := len(l.flushQ)
 		rest := l.flushQ[:0]
 		for _, w := range l.flushQ {
@@ -937,12 +862,6 @@ func (l *Log) Crash() error {
 	// replication connections); replicas reattach after recovery with
 	// their LSN cursor.
 	l.closeAllSubsLocked(fmt.Errorf("%w: log crashed", ErrSubscriptionClosed))
-	// Pending durability callbacks can never complete: their records may
-	// be in the discarded tail, and even if durable, the instance they
-	// registered against is being torn down.  Deliver the failure —
-	// wrapping ErrLogCrashed so registrants can errors.Is-match it; the
-	// registrant re-validates against post-recovery state.
-	l.runDurableCBsLocked(fmt.Errorf("%w before durability", ErrLogCrashed))
 	stats := l.stats
 	if err := l.loadFromDir(); err != nil {
 		return err

@@ -117,3 +117,16 @@ func TestFreshInitLeavesUnknownNamesAlone(t *testing.T) {
 		t.Fatalf("fresh init left headerless stray %s (dir: %v)", segmentName(3), names)
 	}
 }
+
+func appendN(t *testing.T, l *Log, n int) LSN {
+	t.Helper()
+	var last LSN
+	for i := 0; i < n; i++ {
+		lsn, err := l.Append(&Record{Type: TypeUpdate, TxID: 1, Object: 1, After: []byte{byte(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = lsn
+	}
+	return last
+}
