@@ -17,12 +17,13 @@ check: vet build test race
 
 # The CI pipeline (ci.yml calls this target and nothing else of its
 # own): full race (not -short) on the latch-heavy packages, the lock
-# manager among them, and on the page layers whose frames are recycled
-# across the off-latch Prefault path, the whole short torture set under
+# manager among them, the sim stress tests that drive them concurrently,
+# and the page layers whose frames are recycled across the off-latch
+# Prefault path, the whole short torture set under
 # race, the nested benchmark module, a short fuzz pass over the
 # decoders, and the end-to-end standby failover demo.
 ci: vet staticcheck build test
-	$(GO) test -race ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/shard ./internal/buffer ./internal/object ./internal/storage
+	$(GO) test -race ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/buffer ./internal/object ./internal/storage
 	$(GO) test -race -short -timeout 120s ./internal/torture ./internal/fault
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz-short

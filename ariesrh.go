@@ -275,7 +275,10 @@ func (db *DB) Begin() (*Tx, error) {
 // Checkpoint takes a fuzzy checkpoint, bounding the work of the next
 // recovery.  Sharded databases checkpoint every shard (per-shard
 // checkpoints need no mutual atomicity: each shard's checkpoint
-// carries that shard's prepared transactions and retained decisions).
+// carries that shard's prepared transactions and retained decisions),
+// then release the decisions of cross-shard commits whose phase 2
+// finished before the checkpoints; a branch whose phase 2 failed keeps
+// its decision until Recover.
 func (db *DB) Checkpoint() error {
 	if db.sh != nil {
 		return db.sh.Checkpoint()
@@ -805,8 +808,8 @@ func (tx *Tx) RollbackTo(sp Savepoint) error {
 // need; the prefix before it is archivable.  Live delegated scopes can pin
 // the log arbitrarily far back — an operational consequence of delegation.
 // Unresolved two-phase state pins it too: an unreleased commit decision
-// holds the log at its prepare record until every participant has
-// learned the outcome.  ErrSharded on a sharded database (each shard
+// holds the log at its prepare record until every participant's commit
+// record is durable.  ErrSharded on a sharded database (each shard
 // has its own LSN space; archive per shard via internal tools).
 func (db *DB) MinRequiredLSN() (uint64, error) {
 	if db.sh != nil {

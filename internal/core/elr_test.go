@@ -300,9 +300,10 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 
 // TestFailedRoundThenDurableCompletesCommit is the same failed round and
 // rescue flush for the commits that keep their locks across the force —
-// a plain Commit and a participant's CommitPrepared: the record is
-// durable, so the commit finishes, returns nil and releases its locks,
-// and the engine stays healthy.
+// a plain Commit and a coordinator's CommitPrepared (the decision; a
+// participant's commit is not forced): the record is durable, so the
+// commit finishes, returns nil and releases its locks, and the engine
+// stays healthy.
 func TestFailedRoundThenDurableCompletesCommit(t *testing.T) {
 	for _, prepared := range []bool{false, true} {
 		t.Run(fmt.Sprintf("prepared=%v", prepared), func(t *testing.T) {
@@ -315,10 +316,13 @@ func TestFailedRoundThenDurableCompletesCommit(t *testing.T) {
 			mustUpdate(t, e, t1, 1, "v1")
 			commit := e.Commit
 			if prepared {
-				if err := e.Prepare(t1, 7, 0); err != nil {
+				if err := e.Prepare(t1, 7, 1); err != nil {
 					t.Fatal(err)
 				}
-				commit = e.CommitPrepared
+				commit = func(tx wal.TxID) error {
+					_, err := e.CommitPrepared(tx)
+					return err
+				}
 			}
 
 			store.armScript()

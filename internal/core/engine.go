@@ -669,6 +669,7 @@ func (e *Engine) Crash() error {
 	// and retained decisions from the durable log and checkpoint.
 	e.prepared = make(map[wal.TxID]preparedInfo)
 	e.globals = make(map[uint64]globalDecision)
+	e.noteGlobalsLocked()
 	e.crashed = true
 	e.recoveryErr = nil
 	// A crash clears degraded mode: the restart is the repair action —

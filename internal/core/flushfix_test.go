@@ -169,8 +169,9 @@ func TestConcurrentAbortsCoalesceSyncs(t *testing.T) {
 // record after the commit record (a torn prefix of whatever followed
 // it), and the engine crashes and recovers.  Objects 1 and 2 must come
 // back both committed or both absent — under sequential recovery and the
-// pipeline, for Commit, early-lock-release Commit and a participant's
-// CommitPrepared.
+// pipeline, for Commit, early-lock-release Commit and a coordinator's
+// CommitPrepared (the decision, whose force also carries its unforced
+// prepare record).
 func TestFailedCommitForceIsDecidedByLog(t *testing.T) {
 	modes := []struct {
 		name          string
@@ -189,10 +190,14 @@ func TestFailedCommitForceIsDecidedByLog(t *testing.T) {
 				mustUpdate(t, e, tx, 2, "b")
 				commit, abort := e.Commit, e.Abort
 				if m.prepared {
-					if err := e.Prepare(tx, 7, 0); err != nil {
+					if err := e.Prepare(tx, 7, 1); err != nil {
 						t.Fatal(err)
 					}
-					commit, abort = e.CommitPrepared, e.AbortPrepared
+					commit = func(tx wal.TxID) error {
+						_, err := e.CommitPrepared(tx)
+						return err
+					}
+					abort = e.AbortPrepared
 				}
 
 				store.fail(true)

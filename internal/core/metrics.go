@@ -50,8 +50,13 @@ type engineMetrics struct {
 	// Per-operation end-to-end latency (lock waits included).
 	updateNs, delegateNs, commitNs, abortNs *obs.Histogram
 
-	// prepareNs is the end-to-end prepare latency, force included.
+	// prepareNs is the latency of a participant's forced vote; a
+	// coordinator's prepare is not forced and is not observed.
 	prepareNs *obs.Histogram
+
+	// retainedDecisions is the number of commit decisions this shard
+	// retains for its peers (each pins the archive at its prepare record).
+	retainedDecisions *obs.Gauge
 
 	// elrAckDeferNs is the span an ELR committer spends between releasing
 	// its locks (commit-record append) and receiving the durability ack —
@@ -97,6 +102,7 @@ func bindEngineMetrics(r *obs.Registry) engineMetrics {
 		delegateOuts:      r.Counter("twopc.delegate_out"),
 		delegateIns:       r.Counter("twopc.delegate_in"),
 		prepareNs:         r.Histogram("twopc.prepare_ns"),
+		retainedDecisions: r.Gauge("twopc.retained_decisions"),
 		updateNs:          r.Histogram("core.update_ns"),
 		delegateNs:        r.Histogram("core.delegate_ns"),
 		commitNs:          r.Histogram("core.commit_ns"),

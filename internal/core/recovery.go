@@ -437,6 +437,7 @@ func (e *Engine) terminateLosers(losers []wal.TxID) error {
 		e.txns.Remove(id)
 		delete(e.state, id)
 	}
+	e.noteGlobalsLocked()
 	// With the losers gone the lock table is empty; in-doubt participants
 	// re-take their object locks so nothing can touch their data before
 	// the decision arrives.

@@ -18,6 +18,15 @@ import (
 // a global transaction with no durable commit decision on its coordinator
 // shard aborted.
 //
+// Only what another shard relies on is forced: a participant's vote (the
+// coordinator decides on it) and the coordinator's decision (every
+// participant resolves from it).  The coordinator's own prepare record
+// rides the decision's force, because flushes are prefix-ordered, and a
+// participant's phase-2 commit record rides whatever force comes next on
+// its shard: the decision already fixes the outcome, as long as the
+// coordinator retains it until that record is durable (internal/shard
+// releases it no sooner).
+//
 // After a crash, recovery's forward pass leaves every prepared-but-
 // undecided local transaction in the table with status txn.Prepared:
 // neither winner nor loser, its effects redone and not undone, its locks
@@ -63,18 +72,24 @@ type InDoubtTxn struct {
 
 // Prepare votes yes on behalf of tx for the cross-shard transaction gid
 // coordinated by shard coord: it appends a prepare record to tx's own
-// backward chain and forces the log through it.  On return the
+// backward chain and, on a participant shard (coord is not this
+// engine's ShardID), forces the log through it.  On return the
 // transaction is txn.Prepared — it holds its locks, refuses Update/
 // Delegate/Commit/Abort, and survives a crash as an in-doubt transaction
 // that only CommitPrepared, AbortPrepared or recovery-time resolution
 // can finish.
 //
-// Crash contract: a nil return means the prepare record is durable — the
-// vote stands, and after any crash the transaction re-enters the table
-// as in-doubt rather than being rolled back as a loser.  An error return
-// means the vote was never cast: the record may or may not be durable,
-// but the transaction stays Active (abortable), and a crash before a
-// durable prepare resolves it as an ordinary loser.
+// Crash contract: on a participant, a nil return means the prepare record
+// is durable — the vote stands, and after any crash the transaction
+// re-enters the table as in-doubt rather than being rolled back as a
+// loser.  An error return means the vote was never cast: the record may
+// or may not be durable, but the transaction stays Active (abortable),
+// and a crash before a durable prepare resolves it as an ordinary loser.
+// On the coordinator the record is not forced: nobody waits on the
+// coordinator's vote, and the decision's force covers it.  A crash before
+// that force leaves a coordinator branch that is either a plain loser (no
+// durable prepare) or in doubt with no decision on its own log, which
+// resolution presumes aborted.
 func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 	start := time.Now()
 	e.mu.Lock()
@@ -106,6 +121,11 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 	if gid > e.maxGID {
 		e.maxGID = gid
 	}
+	if coord == e.opts.ShardID {
+		e.met.prepares.Inc()
+		e.mu.Unlock()
+		return nil
+	}
 
 	ch := e.log.FlushAsync(lsn)
 	e.mu.Unlock()
@@ -135,44 +155,62 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 	return nil
 }
 
-// CommitPrepared commits a prepared transaction: the decision half of the
-// protocol.  On the coordinator shard (the engine whose ShardID the
-// prepare record named as coordinator) this is the global decision — the
-// forced commit record following tx's prepare record is what makes gid
-// committed, and the engine retains the decision (queryable via
-// GlobalDecision, archive-pinned at the prepare record) until
-// ReleaseGlobal.  On a participant shard it applies a decision already
-// durable at the coordinator, retaining nothing: only the coordinator's
-// log answers decision queries, so a participant entry would just pin
-// that shard's archive forever.
+// CommitPrepared commits a prepared transaction and returns the LSN of its
+// commit record: the decision half of the protocol.  On the coordinator
+// shard (the engine whose ShardID the prepare record named as
+// coordinator) this is the global decision — the forced commit record
+// following tx's prepare record is what makes gid committed, and the
+// engine retains the decision (queryable via GlobalDecision, archive-
+// pinned at the prepare record) until ReleaseGlobal.  On a participant
+// shard it applies a decision already durable at the coordinator: it
+// appends the commit record, releases the locks and returns without a
+// force, retaining nothing — only the coordinator's log answers decision
+// queries, so a participant entry would just pin that shard's archive
+// forever.
 //
-// Crash contract: a nil return means the commit record is durable and the
-// transaction is finished (locks released, tables cleaned).  On a failed
-// force the transaction stays committed, in doubt, exactly as Commit
-// leaves it: the error wraps ErrInDoubt, the engine degrades, the
-// transaction keeps its locks and its prepared entry (InDoubt lists it,
-// AbortPrepared refuses it), and the next Recover settles it from the
-// log — committed if the record is durable, prepared again otherwise.
-func (e *Engine) CommitPrepared(tx wal.TxID) error {
+// Crash contract, coordinator: a nil return means the commit record is
+// durable and the transaction is finished (locks released, tables
+// cleaned).  On a failed force the transaction stays committed, in doubt,
+// exactly as Commit leaves it: the error wraps ErrInDoubt, the engine
+// degrades, the transaction keeps its locks and its prepared entry
+// (InDoubt lists it, AbortPrepared refuses it), and the next Recover
+// settles it from the log — committed if the record is durable, a loser or
+// prepared again otherwise.
+//
+// Crash contract, participant: a nil return means the transaction is
+// finished in volatile state; its commit record is durable only once the
+// log is flushed through the returned LSN.  A crash before that brings
+// the transaction back in doubt, and resolution commits it again from the
+// coordinator's decision — so the coordinator must retain the decision
+// (not ReleaseGlobal it) until this shard's log is durable through the
+// returned LSN.
+func (e *Engine) CommitPrepared(tx wal.TxID) (wal.LSN, error) {
 	start := time.Now()
 	e.mu.Lock()
 	if err := e.writableLocked(); err != nil {
 		e.mu.Unlock()
-		return err
+		return wal.NilLSN, err
 	}
 	info := e.txns.Get(tx)
 	pi, ok := e.prepared[tx]
 	if info == nil || info.Status != txn.Prepared || !ok {
 		e.mu.Unlock()
-		return fmt.Errorf("%w: t%d", ErrNotPrepared, tx)
+		return wal.NilLSN, fmt.Errorf("%w: t%d", ErrNotPrepared, tx)
 	}
 	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
 	if err != nil {
 		e.mu.Unlock()
-		return err
+		return wal.NilLSN, err
 	}
 	info.Status = txn.Committed
 	info.LastLSN = lsn
+	if pi.coord != e.opts.ShardID {
+		delete(e.prepared, tx)
+		e.met.twopcCommits.Inc()
+		e.endCommitLocked(tx, lsn, start)
+		e.mu.Unlock()
+		return lsn, nil
+	}
 
 	ch := e.log.FlushAsync(lsn)
 	e.mu.Unlock()
@@ -181,18 +219,17 @@ func (e *Engine) CommitPrepared(tx wal.TxID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.settleForceLocked(lsn, ferr); err != nil {
-		return err
+		return wal.NilLSN, err
 	}
 	if e.txns.Get(tx) == nil {
-		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
+		return wal.NilLSN, fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
-	if pi.coord == e.opts.ShardID {
-		e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
-	}
+	e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
+	e.noteGlobalsLocked()
 	delete(e.prepared, tx)
 	e.met.twopcCommits.Inc()
 	e.endCommitLocked(tx, lsn, start)
-	return nil
+	return lsn, nil
 }
 
 // AbortPrepared rolls back a prepared transaction — the presumed-abort
@@ -223,10 +260,10 @@ func (e *Engine) AbortPrepared(tx wal.TxID) error {
 
 // InDoubt returns the prepared local transactions whose global decision
 // this engine does not itself hold, sorted by local transaction id: every
-// transaction with a live prepare, whether still Prepared or committed
-// and waiting on (or in doubt after) its decision force.  After recovery
-// these are exactly the transactions a shard must resolve against their
-// coordinator shards before serving writes.
+// transaction with a live prepare, whether still Prepared or — on the
+// coordinator — committed and waiting on (or in doubt after) its decision
+// force.  After recovery these are exactly the transactions a shard must
+// resolve against their coordinator shards before serving writes.
 func (e *Engine) InDoubt() []InDoubtTxn {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -265,13 +302,16 @@ func (e *Engine) GlobalDecision(gid uint64) (committed bool) {
 
 // ReleaseGlobal drops the retained commit decision for gid, unpinning
 // the archive below its prepare record.  Call it only when every
-// participant shard has acknowledged a durable commit — after that no
-// recovery anywhere can ask for the decision again (a participant with a
-// durable commit record resolves forward on its own).
+// participant's log is durable through its commit record (the LSN its
+// CommitPrepared returned) — after that no recovery anywhere can ask for
+// the decision again (a participant with a durable commit record resolves
+// forward on its own).  Released any sooner, a checkpoint here drops the
+// decision, and a crash then presumes a committed participant aborted.
 func (e *Engine) ReleaseGlobal(gid uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.globals, gid)
+	e.noteGlobalsLocked()
 }
 
 // ReleaseAllGlobals drops every retained commit decision at once.  A
@@ -282,6 +322,14 @@ func (e *Engine) ReleaseAllGlobals() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.globals = make(map[uint64]globalDecision)
+	e.noteGlobalsLocked()
+}
+
+// noteGlobalsLocked publishes the number of retained decisions — what
+// pins this shard's archive on behalf of its peers — as the
+// twopc.retained_decisions gauge.
+func (e *Engine) noteGlobalsLocked() {
+	e.met.retainedDecisions.Set(int64(len(e.globals)))
 }
 
 // MaxSeenGID returns the highest cross-shard transaction id this engine
@@ -302,10 +350,12 @@ func (e *Engine) MaxSeenGID() uint64 {
 //
 // Crash contract: that of CommitPrepared or AbortPrepared respectively;
 // resolution is idempotent across crashes — an unresolved participant
-// simply comes back in-doubt and is resolved again.
+// simply comes back in-doubt and is resolved again.  A commit resolution
+// on a participant is not forced, so the caller must flush this shard's
+// log before the coordinator releases the decision.
 func (e *Engine) ResolveInDoubt(tx wal.TxID, commit bool) error {
 	if commit {
-		if err := e.CommitPrepared(tx); err != nil {
+		if _, err := e.CommitPrepared(tx); err != nil {
 			return err
 		}
 		e.met.indoubtCommitted.Inc()

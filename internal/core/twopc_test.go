@@ -35,7 +35,7 @@ func TestPrepareCommitLifecycle(t *testing.T) {
 	if got := e.InDoubt(); len(got) != 1 || got[0].GID != 41 || got[0].Tx != tx {
 		t.Fatalf("InDoubt = %+v, want one entry for t%d gid 41", got, tx)
 	}
-	if err := e.CommitPrepared(tx); err != nil {
+	if _, err := e.CommitPrepared(tx); err != nil {
 		t.Fatal(err)
 	}
 	if !e.GlobalDecision(41) {
@@ -50,6 +50,60 @@ func TestPrepareCommitLifecycle(t *testing.T) {
 	}
 	if got := e.MaxSeenGID(); got != 41 {
 		t.Fatalf("MaxSeenGID = %d, want 41", got)
+	}
+}
+
+// TestCoordinatorPrepareRidesDecision pins the coordinator side of the
+// force rule: its prepare record is appended, not forced — nobody waits
+// on it — and the decision's force makes it durable; twopc.prepare_ns
+// observes only forced votes, and twopc.retained_decisions counts the
+// decision until ReleaseGlobal.
+func TestCoordinatorPrepareRidesDecision(t *testing.T) {
+	e, err := New(Options{ShardID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mustBegin(t, e)
+	mustUpdate(t, e, tx, 6, "decided")
+	if err := e.Prepare(tx, 12, 1); err != nil {
+		t.Fatal(err)
+	}
+	if flushed, head := e.Log().FlushedLSN(), e.Log().Head(); flushed >= head {
+		t.Fatalf("coordinator prepare forced: flushed %d, head %d", flushed, head)
+	}
+	m := e.Metrics()
+	if got := m.Counter("twopc.prepares"); got != 1 {
+		t.Fatalf("twopc.prepares = %d, want 1", got)
+	}
+	if got := m.Histogram("twopc.prepare_ns").Count; got != 0 {
+		t.Fatalf("twopc.prepare_ns observed %d unforced prepares, want 0", got)
+	}
+	lsn, err := e.CommitPrepared(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flushed := e.Log().FlushedLSN(); flushed < lsn {
+		t.Fatalf("decision at %d not durable (flushed %d)", lsn, flushed)
+	}
+	if got := e.Metrics().Gauge("twopc.retained_decisions"); got != 1 {
+		t.Fatalf("twopc.retained_decisions = %d, want 1", got)
+	}
+	e.ReleaseGlobal(12)
+	if got := e.Metrics().Gauge("twopc.retained_decisions"); got != 0 {
+		t.Fatalf("twopc.retained_decisions = %d after ReleaseGlobal, want 0", got)
+	}
+
+	// A participant's vote is forced and observed.
+	p := mustBegin(t, e)
+	mustUpdate(t, e, p, 7, "voted")
+	if err := e.Prepare(p, 13, 0); err != nil {
+		t.Fatal(err)
+	}
+	if flushed, head := e.Log().FlushedLSN(), e.Log().Head(); flushed < head {
+		t.Fatalf("participant vote not forced: flushed %d, head %d", flushed, head)
+	}
+	if got := e.Metrics().Histogram("twopc.prepare_ns").Count; got != 1 {
+		t.Fatalf("twopc.prepare_ns count = %d after one forced vote, want 1", got)
 	}
 }
 
@@ -118,7 +172,7 @@ func TestDecisionSurvivesCrash(t *testing.T) {
 		if err := e.Prepare(tx, 99, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.CommitPrepared(tx); err != nil {
+		if _, err := e.CommitPrepared(tx); err != nil {
 			t.Fatal(err)
 		}
 		if withCkpt {
@@ -145,8 +199,10 @@ func TestDecisionSurvivesCrash(t *testing.T) {
 // phase 2: committing a prepared branch whose coordinator is ANOTHER
 // shard must not retain a decision — only the coordinator's log answers
 // decision queries, and a participant entry would pin this shard's
-// archive forever (one leaked entry per cross-shard commit).  The same
-// holds for recovery's rebuild from the prepare+commit pair.
+// archive forever (one leaked entry per cross-shard commit).  The commit
+// is not forced: a crash before its record is durable brings the branch
+// back in doubt, and resolution commits it again.  Recovery's rebuild
+// from the durable prepare+commit pair retains nothing either.
 func TestParticipantCommitRetainsNoDecision(t *testing.T) {
 	e, err := New(Options{}) // shard 0
 	if err != nil {
@@ -157,8 +213,12 @@ func TestParticipantCommitRetainsNoDecision(t *testing.T) {
 	if err := e.Prepare(tx, 8, 2); err != nil { // coordinated elsewhere
 		t.Fatal(err)
 	}
-	if err := e.CommitPrepared(tx); err != nil {
+	lsn, err := e.CommitPrepared(tx)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if flushed := e.Log().FlushedLSN(); flushed >= lsn {
+		t.Fatalf("participant commit record %d forced (flushed through %d)", lsn, flushed)
 	}
 	if e.GlobalDecision(8) {
 		t.Fatal("participant retained a decision for gid 8")
@@ -172,11 +232,27 @@ func TestParticipantCommitRetainsNoDecision(t *testing.T) {
 	if err := e.Recover(); err != nil {
 		t.Fatal(err)
 	}
+	ind := e.InDoubt()
+	if len(ind) != 1 || ind[0].GID != 8 || ind[0].Coord != 2 {
+		t.Fatalf("InDoubt after losing the unforced commit = %+v, want gid 8 coordinated by 2", ind)
+	}
+	if err := e.ResolveInDoubt(ind[0].Tx, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Log().Flush(e.Log().Head()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	if e.GlobalDecision(8) {
 		t.Fatal("recovery rebuilt a participant-side decision for gid 8")
 	}
 	if len(e.InDoubt()) != 0 {
-		t.Fatal("committed participant branch came back in doubt")
+		t.Fatal("durably committed participant branch came back in doubt")
 	}
 	if v, _, _ := e.ReadObject(3); string(v) != "phase2" {
 		t.Fatalf("object 3 = %q after recovery, want phase2", v)
@@ -199,7 +275,7 @@ func TestArchiveClampedBelowUnreleasedDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	prepLSN := e.Log().Head() // prepare is the last record appended
-	if err := e.CommitPrepared(tx); err != nil {
+	if _, err := e.CommitPrepared(tx); err != nil {
 		t.Fatal(err)
 	}
 	// Pile on unrelated committed work so there is something to archive.
@@ -259,7 +335,8 @@ func TestArchiveClampedBelowUnreleasedDecision(t *testing.T) {
 // TestInDoubtRelockBlocksWriters verifies that recovery re-acquires an
 // in-doubt transaction's object locks: a new transaction trying to write
 // the object must not be granted the lock (it deadlocks against a holder
-// that never releases until resolution).
+// that never releases until resolution).  The prepare is coordinated by
+// another shard, so it is a forced vote that survives the crash.
 func TestInDoubtRelockBlocksWriters(t *testing.T) {
 	e, err := New(Options{})
 	if err != nil {
@@ -267,7 +344,7 @@ func TestInDoubtRelockBlocksWriters(t *testing.T) {
 	}
 	tx := mustBegin(t, e)
 	mustUpdate(t, e, tx, 11, "held")
-	if err := e.Prepare(tx, 1, 0); err != nil {
+	if err := e.Prepare(tx, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Crash(); err != nil {

@@ -9,13 +9,17 @@
 // prepare/commit/abort records ride each participant shard's own log:
 // there is no separate coordinator log.  The coordinator is simply the
 // first shard the transaction wrote on (read-only branches never
-// vote); its local transaction prepares like any participant (binding
-// the global id durably) and then commits — that forced commit record
-// IS the global decision.  If no
-// decision is durable anywhere, the outcome is abort (presumed abort):
-// recovery on each shard re-instates its prepared transactions as
-// in-doubt, asks the coordinator shard's recovered engine for the
-// decision, and resolves them locally.
+// vote).  A commit costs two forces in sequence: each other writer's
+// vote (a forced prepare record), then the coordinator's decision — its
+// local transaction appends a prepare record binding the global id and
+// forces a commit record, which IS the global decision and makes the
+// prepare durable with it.  The participants' phase-2 commit records
+// ride their shards' next force; the coordinator retains the decision
+// until they are durable.  If no decision is durable anywhere, the
+// outcome is abort (presumed abort): recovery on each shard
+// re-instates its prepared transactions as in-doubt, asks the
+// coordinator shard's recovered engine for the decision, and resolves
+// them locally.
 //
 // Cross-shard delegation — the headline primitive — transfers
 // responsibility for updates on an object between global transactions
@@ -32,6 +36,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"ariesrh/internal/core"
 	"ariesrh/internal/obs"
@@ -95,8 +100,10 @@ type Options struct {
 	// PoolSize is each shard's buffer-pool capacity in pages.
 	PoolSize int
 	// EarlyLockRelease enables controlled lock violation on each
-	// shard's single-shard commit path; cross-shard prepares and
-	// decisions keep their locks until their force returns.
+	// shard's single-shard commit path; cross-shard votes and decisions
+	// keep their locks until their force returns.  (A participant's
+	// phase-2 commit releases its locks at the append, with or without
+	// this option: the decision it applies is already durable.)
 	EarlyLockRelease bool
 	// ParallelRecovery runs each shard's recovery as the
 	// instant-restart pipeline.  Sharded recovery waits for every
@@ -119,6 +126,24 @@ type DB struct {
 
 	mu      sync.Mutex
 	nextGID uint64
+
+	// decided lists, oldest first, the participant commit records that
+	// retained decisions wait on; decMu guards it.  A coordinator
+	// releases a decision only once every participant's log is durable
+	// through its commit record (releaseDurableDecisions).  nDecided
+	// mirrors len(decided), so a commit finds an empty list without
+	// taking decMu.
+	decMu    sync.Mutex
+	decided  []retained
+	nDecided atomic.Int64
+}
+
+// retained is one participant's phase-2 commit record (at lsn on shard
+// part) that the decision for gid, retained on shard coord, must outlive.
+type retained struct {
+	gid         uint64
+	lsn         wal.LSN
+	coord, part uint32
 }
 
 // Open creates or reopens a sharded database.  Engines holding state
@@ -233,13 +258,71 @@ func (db *DB) Route(obj wal.ObjectID) uint32 {
 // not mutually atomic — they don't need to be: each shard's checkpoint
 // carries that shard's prepared transactions and retained decisions,
 // and recovery correctness depends only on each log individually.
+// Each checkpoint forces its shard's log, so Checkpoint then releases
+// the decisions of the cross-shard commits whose phase 2 finished
+// before it.  A commit whose phase 2 appends after a shard's checkpoint
+// keeps its decision until a later force, and a branch whose phase 2
+// failed keeps its decision until Recover.
 func (db *DB) Checkpoint() error {
 	for i, e := range db.engs {
 		if err := e.Checkpoint(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
+	db.releaseDurableDecisions()
 	return nil
+}
+
+// retainDecision records the phase-2 commit record of each of t's
+// participants, which the decision retained on t's coordinator must
+// outlive.  All of them are recorded at once, so a concurrent release
+// never sees only some.
+func (db *DB) retainDecision(t *Txn) {
+	coord := t.branches[t.coord].shard
+	db.decMu.Lock()
+	for i, b := range t.branches {
+		if b.wrote && i != t.coord {
+			db.decided = append(db.decided, retained{gid: t.gid, lsn: b.commit, coord: coord, part: b.shard})
+		}
+	}
+	db.nDecided.Store(int64(len(db.decided)))
+	db.decMu.Unlock()
+}
+
+// releaseDurableDecisions releases every retained decision whose
+// participants' commit records are all durable, and forgets those
+// records.  Releasing sooner is unsafe: a checkpoint on the coordinator
+// would then drop the decision, and a crash before the participant's
+// commit record reached its device would presume that branch aborted
+// while the coordinator's committed.
+func (db *DB) releaseDurableDecisions() {
+	if db.nDecided.Load() == 0 {
+		return
+	}
+	db.decMu.Lock()
+	defer db.decMu.Unlock()
+	kept := db.decided[:0]
+	for i, d := range db.decided {
+		if d.lsn > db.engs[d.part].Log().FlushedLSN() {
+			kept = append(kept, d)
+			continue
+		}
+		if !waitsOn(kept, d.gid) && !waitsOn(db.decided[i+1:], d.gid) {
+			db.engs[d.coord].ReleaseGlobal(d.gid)
+		}
+	}
+	db.decided = kept
+	db.nDecided.Store(int64(len(kept)))
+}
+
+// waitsOn reports whether rs holds a commit record of gid.
+func waitsOn(rs []retained, gid uint64) bool {
+	for _, r := range rs {
+		if r.gid == gid {
+			return true
+		}
+	}
+	return false
 }
 
 // Crash simulates a whole-cluster failure: every shard loses its
@@ -292,8 +375,9 @@ func (db *DB) Recover() error {
 }
 
 // resolveInDoubt settles every prepared transaction left by recovery
-// (or found at Open) using the coordinator's durable decision, then
-// releases all retained decisions and re-seeds the global-id counter.
+// (or found at Open) using the coordinator's durable decision, forces
+// each shard's log once so the resolutions are durable, then releases
+// all retained decisions and re-seeds the global-id counter.
 func (db *DB) resolveInDoubt() error {
 	for i, e := range db.engs {
 		for _, d := range e.InDoubt() {
@@ -307,8 +391,19 @@ func (db *DB) resolveInDoubt() error {
 			db.met.indoubtResolved.Inc()
 		}
 	}
+	// A committed resolution appends its commit record unforced; the
+	// decisions may go only once those records are durable.
+	for i, e := range db.engs {
+		if err := e.Log().Flush(e.Log().Head()); err != nil {
+			return fmt.Errorf("shard %d: force resolutions: %w", i, err)
+		}
+	}
 	// Every in-doubt participant is resolved, so no decision needs
 	// retaining (and pinning its shard's archive) any longer.
+	db.decMu.Lock()
+	db.decided = db.decided[:0]
+	db.nDecided.Store(0)
+	db.decMu.Unlock()
 	for _, e := range db.engs {
 		e.ReleaseAllGlobals()
 	}

@@ -377,7 +377,7 @@ func TestInDoubtCommitResolvedFromCoordinator(t *testing.T) {
 	if err := db.Engine(0).Prepare(c, gid, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Engine(0).CommitPrepared(c); err != nil {
+	if _, err := db.Engine(0).CommitPrepared(c); err != nil {
 		t.Fatal(err)
 	}
 	// Crash before phase 2 reaches the participant.
@@ -526,7 +526,9 @@ func TestDelegationToSameShardStaysLocal(t *testing.T) {
 // commit decision.  Instead every branch stays prepared (ErrInDoubt)
 // and the next Recover settles them all from the coordinator's durable
 // log — here by presumed abort, since the frozen device never got the
-// record.
+// record.  The coordinator's prepare record rode the failed decision
+// force, so its branch comes back a plain loser and only the
+// participant's is resolved.
 func TestDecisionForceFailureLeavesInDoubt(t *testing.T) {
 	// The scenario, identical across both runs: a two-shard transaction,
 	// shard 0 coordinating.  Nothing else runs, so no force shares a
@@ -556,7 +558,7 @@ func TestDecisionForceFailureLeavesInDoubt(t *testing.T) {
 	db.Close()
 
 	// Real run: freeze shard 0's device right before the decision force,
-	// so the coordinator's prepare is durable but the decision fails.
+	// which carries the coordinator's prepare record too.
 	fds := []*fault.Dir{
 		fault.NewDir(fault.Plan{CrashAtSync: syncs - 1}),
 		fault.NewDir(fault.Plan{}),
@@ -576,8 +578,9 @@ func TestDecisionForceFailureLeavesInDoubt(t *testing.T) {
 		t.Fatalf("commits_indoubt = %d, want 1", got)
 	}
 
-	// Crash and recover: the commit record never reached the device, so
-	// presumed abort settles both branches, and nothing stays in doubt.
+	// Crash and recover: neither the coordinator's prepare nor its commit
+	// record reached the device, so its branch is an ordinary loser, the
+	// participant's is presumed aborted, and nothing stays in doubt.
 	for _, fd := range fds {
 		if _, err := fd.CrashNow(); err != nil {
 			t.Fatal(err)
@@ -595,8 +598,11 @@ func TestDecisionForceFailureLeavesInDoubt(t *testing.T) {
 	if v := mustRead(t, db, 131); v != "" {
 		t.Fatalf("participant branch survived an undurable decision: obj 131 = %q", v)
 	}
-	if got := db.Metrics().Counter("router.indoubt_resolved"); got != 2 {
-		t.Fatalf("indoubt_resolved = %d, want 2", got)
+	if got := db.Metrics().Counter("router.indoubt_resolved"); got != 1 {
+		t.Fatalf("indoubt_resolved = %d, want 1 (the participant only)", got)
+	}
+	if got := db.Metrics().Counter("twopc.indoubt_aborted"); got != 1 {
+		t.Fatalf("twopc.indoubt_aborted = %d, want 1", got)
 	}
 }
 
@@ -645,12 +651,20 @@ func TestDelegateInRidesCommitCoordinator(t *testing.T) {
 	if v := mustRead(t, db, 5); v != "d" {
 		t.Fatalf("delegated update lost: obj 5 = %q", v)
 	}
-	// A fully-settled cross-shard commit retains no decision anywhere:
-	// the coordinator released its entry, and participants never retain
-	// one (each leaked entry would pin that shard's archive forever).
+	// The participant's phase-2 commit record is not forced, so the
+	// coordinator still retains the decision; a checkpoint forces every
+	// log and drains it.  Then no decision is retained anywhere:
+	// participants never retain one (each leaked entry would pin that
+	// shard's archive forever).
+	if !db.Engine(1).GlobalDecision(gid) {
+		t.Fatalf("coordinator released gid %d before the participant's commit record was durable", gid)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < db.Shards(); i++ {
 		if db.Engine(i).GlobalDecision(gid) {
-			t.Fatalf("shard %d still retains the decision for gid %d after full phase 2", i, gid)
+			t.Fatalf("shard %d still retains the decision for gid %d after a drain", i, gid)
 		}
 	}
 }
@@ -795,7 +809,7 @@ func TestParallelRecoverySharded(t *testing.T) {
 	if err := db.Engine(0).Prepare(c, tx.GID(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Engine(0).CommitPrepared(c); err != nil {
+	if _, err := db.Engine(0).CommitPrepared(c); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Crash(); err != nil {
@@ -852,5 +866,172 @@ func TestBadShardConfigs(t *testing.T) {
 	}
 	if _, err := Open(Options{Shards: 2, LogDirs: []wal.Dir{wal.NewMemDir()}}); err == nil {
 		t.Fatal("mismatched LogDirs accepted")
+	}
+}
+
+// TestCrossShardCommitForcesOncePerShard counts device syncs: a
+// two-shard write commit forces each shard's log once before it
+// returns — the participant's vote, then the coordinator's decision,
+// which carries the coordinator's prepare record.  The participant's
+// phase-2 commit record waits for that shard's next force.
+func TestCrossShardCommitForcesOncePerShard(t *testing.T) {
+	fds := []*fault.Dir{fault.NewDir(fault.Plan{}), fault.NewDir(fault.Plan{})}
+	db, err := Open(Options{Shards: 2, LogDirs: []wal.Dir{fds[0], fds[1]}, Router: modRouter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tx, _ := db.Begin()
+	if err := tx.Update(140, []byte("c")); err != nil { // shard 0 = coordinator
+		t.Fatal(err)
+	}
+	if err := tx.Update(141, []byte("p")); err != nil { // shard 1
+		t.Fatal(err)
+	}
+	before := []uint64{fds[0].Syncs(), fds[1].Syncs()}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, fd := range fds {
+		if n := fd.Syncs() - before[i]; n != 1 {
+			t.Errorf("shard %d: the commit cost %d device syncs, want 1", i, n)
+		}
+	}
+}
+
+// TestCrossShardCommitAllocs guards the allocation cost of a serial,
+// in-memory two-shard write commit, Begin through Commit: 21 per
+// transaction.  The global transaction keeps its branches in one slice
+// backed by an inline array, so it allocates no per-shard bookkeeping of
+// its own, and the two forces a commit no longer makes (the
+// coordinator's prepare, the participant's phase-2 commit) allocate no
+// flush waiters.  Two maps, two slices and four forces cost 35.
+func TestCrossShardCommitAllocs(t *testing.T) {
+	db := openTest(t, 2)
+	val := []byte("value")
+	commit := func() {
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Update(150, val); err != nil { // shard 0 = coordinator
+			t.Fatal(err)
+		}
+		if err := tx.Update(151, val); err != nil { // shard 1
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit() // first touch of the objects and pages
+	if n := testing.AllocsPerRun(200, commit); n > 24 {
+		t.Fatalf("two-shard commit allocates %.1f per transaction, want <= 24", n)
+	}
+}
+
+// TestDecisionOutlivesVolatileParticipantCommit is the retention rule's
+// regression: the coordinator keeps its decision until the participant's
+// phase-2 commit record is durable.  Here that record is still volatile
+// when the coordinator checkpoints — which writes its retained decisions
+// and moves its recovery start past the decision records — and then the
+// cluster crashes, losing the participant's commit.  Recovery brings the
+// participant back in doubt and must find the decision in the
+// coordinator's checkpoint: both branches survive.
+func TestDecisionOutlivesVolatileParticipantCommit(t *testing.T) {
+	db := openTest(t, 2)
+	tx, _ := db.Begin()
+	if err := tx.Update(160, []byte("c")); err != nil { // shard 0 = coordinator
+		t.Fatal(err)
+	}
+	if err := tx.Update(161, []byte("p")); err != nil { // shard 1
+		t.Fatal(err)
+	}
+	p, _ := tx.Local(1)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// The participant's commit record is the last record on shard 1.
+	if log := db.Engine(1).Log(); log.FlushedLSN() >= log.Head() {
+		t.Fatal("participant commit record already durable; the test needs it volatile")
+	}
+	if err := db.Engine(0).Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if v := mustRead(t, db, 160); v != "c" {
+		t.Fatalf("coordinator branch lost: obj 160 = %q", v)
+	}
+	if v := mustRead(t, db, 161); v != "p" {
+		t.Fatalf("participant branch t%d presumed aborted under a committed decision: obj 161 = %q", p, v)
+	}
+	if got := db.Metrics().Counter("twopc.indoubt_committed"); got != 1 {
+		t.Fatalf("twopc.indoubt_committed = %d, want 1", got)
+	}
+}
+
+// TestRetainedDecisionsGauge: twopc.retained_decisions counts the
+// decisions a coordinator keeps for its peers — what pins its archive —
+// and returns to 0 once a checkpoint has made every phase-2 commit
+// record durable.
+func TestRetainedDecisionsGauge(t *testing.T) {
+	db := openTest(t, 2)
+	for i := 0; i < 3; i++ {
+		tx, _ := db.Begin()
+		obj := wal.ObjectID(170 + 2*i)
+		if err := tx.Update(obj, []byte("c")); err != nil { // shard 0 = coordinator
+			t.Fatal(err)
+		}
+		if err := tx.Update(obj+1, []byte("p")); err != nil { // shard 1
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each commit's vote forces shard 1 through the previous commit's
+	// phase-2 record, so only the last decision is still retained.
+	m := db.Metrics()
+	if got := m.Gauge("shard.0.twopc.retained_decisions"); got != 1 {
+		t.Fatalf("shard.0.twopc.retained_decisions = %d, want 1", got)
+	}
+	if got := m.Gauge("shard.1.twopc.retained_decisions"); got != 0 {
+		t.Fatalf("shard.1.twopc.retained_decisions = %d, want 0 (participants retain nothing)", got)
+	}
+	// A single-shard commit on the participant forces its log through
+	// the last phase-2 record, and releases that decision.
+	tx, _ := db.Begin()
+	if err := tx.Update(181, []byte("s")); err != nil { // shard 1
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Metrics().Gauge("shard.0.twopc.retained_decisions"); got != 0 {
+		t.Fatalf("shard.0.twopc.retained_decisions = %d after a participant commit, want 0", got)
+	}
+	tx, _ = db.Begin()
+	if err := tx.Update(182, []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(183, []byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Metrics().Gauge("twopc.retained_decisions"); got != 1 {
+		t.Fatalf("twopc.retained_decisions = %d after a cross-shard commit, want 1", got)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Metrics().Gauge("twopc.retained_decisions"); got != 0 {
+		t.Fatalf("twopc.retained_decisions = %d after Checkpoint, want 0", got)
 	}
 }

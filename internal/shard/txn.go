@@ -20,18 +20,27 @@ type Txn struct {
 	db  *DB
 	gid uint64
 
-	// local maps each touched shard to the global transaction's local
-	// transaction there; order records the touch sequence; wrote marks
-	// shards holding undoable work (an update, increment, or
-	// responsibility acquired by delegation), with writeOrder recording
-	// the order shards first gained it — writeOrder[0] is the commit
-	// coordinator, stable from the transaction's first write.  Read-only
-	// branches skip the prepare force and simply abort.
-	local      map[uint32]wal.TxID
-	order      []uint32
-	wrote      map[uint32]bool
-	writeOrder []uint32
-	done       bool
+	// branches holds the global transaction's local transactions in the
+	// order their shards were first touched, backed by inline until a
+	// transaction touches more shards than it holds.  coord indexes the
+	// commit coordinator: the first branch that wrote, -1 before any did.
+	branches []branch
+	inline   [4]branch
+	coord    int
+	done     bool
+}
+
+// branch is a global transaction's local transaction on one shard.
+// wrote marks a branch holding undoable work (an update, increment, or
+// responsibility acquired by delegation); read-only branches skip the
+// prepare force and simply commit.
+type branch struct {
+	tx    wal.TxID
+	shard uint32
+	wrote bool
+	// commit is a participant's phase-2 commit record, which the
+	// coordinator's decision must outlive (DB.retainDecision).
+	commit wal.LSN
 }
 
 // Begin starts a global transaction.  No shard is touched (and no
@@ -41,12 +50,9 @@ func (db *DB) Begin() (*Txn, error) {
 	gid := db.nextGID
 	db.nextGID++
 	db.mu.Unlock()
-	return &Txn{
-		db:    db,
-		gid:   gid,
-		local: make(map[uint32]wal.TxID),
-		wrote: make(map[uint32]bool),
-	}, nil
+	t := &Txn{db: db, gid: gid, coord: -1}
+	t.branches = t.inline[:0]
+	return t, nil
 }
 
 // GID returns the transaction's cluster-wide identifier.  It appears
@@ -58,8 +64,10 @@ func (t *Txn) GID() uint64 { return t.gid }
 // order.  The commit coordinator is the first shard it WROTE on, which
 // need not be the first it touched.
 func (t *Txn) Shards() []uint32 {
-	out := make([]uint32, len(t.order))
-	copy(out, t.order)
+	out := make([]uint32, len(t.branches))
+	for i, b := range t.branches {
+		out[i] = b.shard
+	}
 	return out
 }
 
@@ -68,32 +76,42 @@ func (t *Txn) Shards() []uint32 {
 // torture harness, which drive two-phase state through the engines
 // directly to build crash schedules.
 func (t *Txn) Local(s uint32) (wal.TxID, bool) {
-	id, ok := t.local[s]
-	return id, ok
+	if i := t.find(s); i >= 0 {
+		return t.branches[i].tx, true
+	}
+	return 0, false
 }
 
-// ensureLocal returns the transaction's local transaction on shard s,
-// beginning one (and recording the touch) on first use.
-func (t *Txn) ensureLocal(s uint32) (wal.TxID, error) {
-	if id, ok := t.local[s]; ok {
-		return id, nil
+// find returns the index of the branch on shard s, or -1.
+func (t *Txn) find(s uint32) int {
+	for i := range t.branches {
+		if t.branches[i].shard == s {
+			return i
+		}
+	}
+	return -1
+}
+
+// ensureLocal returns the index of the transaction's branch on shard s,
+// beginning a local transaction there on first use.
+func (t *Txn) ensureLocal(s uint32) (int, error) {
+	if i := t.find(s); i >= 0 {
+		return i, nil
 	}
 	id, err := t.db.engs[s].Begin()
 	if err != nil {
 		return 0, err
 	}
-	t.local[s] = id
-	t.order = append(t.order, s)
-	return id, nil
+	t.branches = append(t.branches, branch{tx: id, shard: s})
+	return len(t.branches) - 1, nil
 }
 
-// markWrote records that shard s holds undoable work of this
-// transaction.  The first marked shard becomes — and remains — the
-// commit coordinator.
-func (t *Txn) markWrote(s uint32) {
-	if !t.wrote[s] {
-		t.wrote[s] = true
-		t.writeOrder = append(t.writeOrder, s)
+// markWrote records that branch i holds undoable work.  The first
+// marked branch becomes — and remains — the commit coordinator.
+func (t *Txn) markWrote(i int) {
+	t.branches[i].wrote = true
+	if t.coord < 0 {
+		t.coord = i
 	}
 }
 
@@ -104,30 +122,31 @@ func (t *Txn) Read(obj wal.ObjectID) ([]byte, error) {
 		return nil, ErrTxnDone
 	}
 	s := t.db.Route(obj)
-	id, err := t.ensureLocal(s)
+	i, err := t.ensureLocal(s)
 	if err != nil {
 		return nil, err
 	}
-	return t.db.engs[s].Read(id, obj)
+	return t.db.engs[s].Read(t.branches[i].tx, obj)
 }
 
 // Update sets obj to val under an exclusive lock on obj's home shard,
 // logging before/after images there.  Durability arrives with the
-// global commit (single-shard: the commit force; cross-shard: the
-// prepare force of the home shard's local transaction).
+// global commit (single-shard: the commit force; cross-shard: the home
+// shard's vote force, or the decision force when the home shard
+// coordinates).
 func (t *Txn) Update(obj wal.ObjectID, val []byte) error {
 	if t.done {
 		return ErrTxnDone
 	}
 	s := t.db.Route(obj)
-	id, err := t.ensureLocal(s)
+	i, err := t.ensureLocal(s)
 	if err != nil {
 		return err
 	}
-	if err := t.db.engs[s].Update(id, obj, val); err != nil {
+	if err := t.db.engs[s].Update(t.branches[i].tx, obj, val); err != nil {
 		return err
 	}
-	t.markWrote(s)
+	t.markWrote(i)
 	return nil
 }
 
@@ -138,15 +157,15 @@ func (t *Txn) Increment(obj wal.ObjectID, delta int64) (int64, error) {
 		return 0, ErrTxnDone
 	}
 	s := t.db.Route(obj)
-	id, err := t.ensureLocal(s)
+	i, err := t.ensureLocal(s)
 	if err != nil {
 		return 0, err
 	}
-	v, err := t.db.engs[s].Increment(id, obj, delta)
+	v, err := t.db.engs[s].Increment(t.branches[i].tx, obj, delta)
 	if err != nil {
 		return 0, err
 	}
-	t.markWrote(s)
+	t.markWrote(i)
 	return v, nil
 }
 
@@ -157,11 +176,11 @@ func (t *Txn) ReadCounter(obj wal.ObjectID) (int64, error) {
 		return 0, ErrTxnDone
 	}
 	s := t.db.Route(obj)
-	id, err := t.ensureLocal(s)
+	i, err := t.ensureLocal(s)
 	if err != nil {
 		return 0, err
 	}
-	return t.db.engs[s].ReadCounter(id, obj)
+	return t.db.engs[s].ReadCounter(t.branches[i].tx, obj)
 }
 
 // Delegate transfers responsibility for t's updates on obj over to the
@@ -188,39 +207,37 @@ func (t *Txn) Delegate(to *Txn, obj wal.ObjectID) error {
 		return ErrTxnDone
 	}
 	home := t.db.Route(obj)
-	torL, ok := t.local[home]
+	torL, ok := t.Local(home)
 	if !ok {
 		// Never touched the object's shard → holds no updates there.
 		return core.ErrNotResponsible
 	}
-	teeL, err := to.ensureLocal(home)
+	tee, err := to.ensureLocal(home)
 	if err != nil {
 		return err
 	}
+	teeL := to.branches[tee].tx
 	// The delegatee's coordinator: its first written shard, or — when
 	// this delegation is its first undoable work — the home shard
 	// itself, which the markWrote below then fixes as coordinator.
-	coordShard := home
-	if len(to.writeOrder) > 0 {
-		coordShard = to.writeOrder[0]
-	}
-	if coordShard == home {
+	if to.coord < 0 || to.branches[to.coord].shard == home {
 		// The delegatee coordinates on the object's own shard: a plain
 		// local delegation, byte-identical to the unsharded primitive.
 		if err := t.db.engs[home].Delegate(torL, teeL, obj); err != nil {
 			return err
 		}
 	} else {
-		if err := t.db.engs[home].DelegateOut(torL, teeL, obj, to.gid, coordShard); err != nil {
+		c := to.branches[to.coord]
+		if err := t.db.engs[home].DelegateOut(torL, teeL, obj, to.gid, c.shard); err != nil {
 			return err
 		}
-		if err := t.db.engs[coordShard].DelegateIn(to.local[coordShard], obj, to.gid, home); err != nil {
+		if err := t.db.engs[c.shard].DelegateIn(c.tx, obj, to.gid, home); err != nil {
 			return err
 		}
 		t.db.met.crossDelegations.Inc()
 	}
 	// The delegatee is now responsible for undoable history on home.
-	to.markWrote(home)
+	to.markWrote(tee)
 	return nil
 }
 
@@ -240,26 +257,33 @@ func (t *Txn) Delegate(to *Txn, obj wal.ObjectID) error {
 //
 // A transaction that wrote on several shards runs two-phase commit on
 // the participants' own logs, coordinated by the first shard it wrote
-// on: each other writing participant forces a prepare record (its
-// vote, binding the global id and coordinator shard), then the
-// coordinator's local transaction prepares and commits — that forced
-// commit record is the global decision — and finally the participants
-// commit.  A nil return means the decision
-// record is on the coordinator shard's stable storage: the transaction
-// is globally committed and will survive any crash.
+// on, in two forces one after the other: each other writing participant
+// forces a prepare record (its vote, binding the global id and
+// coordinator shard); then the coordinator's local transaction appends
+// its prepare record and forces its commit record — that force is the
+// global decision, and it carries the coordinator's prepare record with
+// it — and finally each participant appends its commit record and
+// releases its locks without a force of its own.  A nil return means
+// the decision record is on the coordinator shard's stable storage: the
+// transaction is globally committed and will survive any crash.  The
+// coordinator retains the decision until every participant's log is
+// durable through its commit record (see DB.Checkpoint), because until
+// then a crash brings that branch back in doubt and recovery commits it
+// again from the decision.
 //
-// A phase-1 failure (a prepare force that did not complete) aborts
-// every branch and returns the cause: the coordinator never appended
-// its commit record, so no durable decision can exist and presumed
-// abort is safe everywhere.  A failed DECISION force is different —
-// the commit record may or may not have reached the device, so
-// aborting anything could contradict a decision that is in fact
-// durable.  Commit therefore aborts nothing: every branch stays in
-// doubt, holding its locks — the participants prepared, the
-// coordinator committed in its tables with its record in the volatile
-// tail — and the error returned wraps ErrInDoubt; the next Recover
-// settles all branches from the coordinator's durable log — commit if
-// the record made it, presumed abort otherwise.
+// A phase-1 failure (a vote that was not cast) aborts every branch and
+// returns the cause: the coordinator never appended its commit record,
+// so no durable decision can exist and presumed abort is safe
+// everywhere.  A failed DECISION force is different — the commit record
+// may or may not have reached the device, so aborting anything could
+// contradict a decision that is in fact durable.  Commit therefore
+// aborts nothing: every branch stays in doubt, holding its locks — the
+// participants prepared, the coordinator committed in its tables with
+// its prepare and commit records in the volatile tail — and the error
+// returned wraps ErrInDoubt; the next Recover settles all branches from
+// the coordinator's durable log — commit if the record made it, presumed
+// abort otherwise (the coordinator's branch is then a plain loser, or an
+// in-doubt one whose own log holds no decision).
 //
 // A participant failure AFTER the decision (degraded device) leaves
 // that branch prepared and the decision retained — pinning the
@@ -275,7 +299,7 @@ func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnDone
 	}
-	if len(t.order) == 0 {
+	if len(t.branches) == 0 {
 		t.done = true
 		return nil
 	}
@@ -286,14 +310,17 @@ func (t *Txn) Commit() error {
 	// committer's data waits there for that commit record, so the global
 	// transaction is never acknowledged on reads a crash could take
 	// back; settling them before any decision lets such a read still
-	// abort the whole transaction.  What remains are the writers, in
-	// first-write order; the first of them coordinates (its log carries
-	// the decision).
-	for _, s := range t.order {
-		if t.wrote[s] {
+	// abort the whole transaction.  What remains are the writers; the
+	// first of them to write coordinates (its log carries the decision).
+	voters := 0
+	for i, b := range t.branches {
+		if b.wrote {
+			if i != t.coord {
+				voters++
+			}
 			continue
 		}
-		if err := t.db.engs[s].Commit(t.local[s]); err != nil {
+		if err := t.db.engs[b.shard].Commit(b.tx); err != nil {
 			if errors.Is(err, ErrInDoubt) {
 				// The read-only branch is ended; the writers have not voted,
 				// so the global transaction aborts.
@@ -302,17 +329,15 @@ func (t *Txn) Commit() error {
 			return err
 		}
 	}
-	writers := t.writeOrder
-	if len(writers) == 0 {
+	if t.coord < 0 {
 		t.done = true
 		return nil
 	}
-	coord := writers[0]
-	parts := writers[1:] // non-coordinator shards that must vote
+	coord := t.branches[t.coord]
 
-	if len(parts) == 0 {
+	if voters == 0 {
 		// Single-shard fast path: the ordinary commit, untouched.
-		if err := t.db.engs[coord].Commit(t.local[coord]); err != nil {
+		if err := t.db.engs[coord.shard].Commit(coord.tx); err != nil {
 			if errors.Is(err, ErrInDoubt) {
 				// The local commit stays in doubt until Recover; the
 				// global handle is finished.
@@ -322,6 +347,9 @@ func (t *Txn) Commit() error {
 		}
 		t.done = true
 		t.db.met.singleCommits.Inc()
+		// The commit forced its shard's log, which may carry the last
+		// phase-2 records a retained decision waits on.
+		t.db.releaseDurableDecisions()
 		return nil
 	}
 
@@ -331,23 +359,23 @@ func (t *Txn) Commit() error {
 	// decision can be durable and every branch aborts: the already-
 	// prepared ones by presumed abort, the failed one and the not-yet-
 	// prepared ones (still Active) by plain rollback.
-	for i, s := range parts {
-		if err := t.db.engs[s].Prepare(t.local[s], t.gid, coord); err != nil {
-			active := make([]uint32, 0, len(parts)-i+1)
-			active = append(active, parts[i:]...)
-			active = append(active, coord)
-			t.abortBranches(parts[:i], active)
+	for i, b := range t.branches {
+		if !b.wrote || i == t.coord {
+			continue
+		}
+		if err := t.db.engs[b.shard].Prepare(b.tx, t.gid, coord.shard); err != nil {
+			t.abortWriters(i)
 			return err
 		}
 	}
-	// The coordinator prepares too — binding the gid durably on the
-	// decision log — then commits; the forced commit record is the
-	// global decision.
-	if err := t.db.engs[coord].Prepare(t.local[coord], t.gid, coord); err != nil {
-		t.abortBranches(parts, []uint32{coord})
+	// The coordinator prepares too — binding the gid on the decision log,
+	// unforced — then commits; the forced commit record is the global
+	// decision, and its force makes the prepare record durable with it.
+	if err := t.db.engs[coord.shard].Prepare(coord.tx, t.gid, coord.shard); err != nil {
+		t.abortWriters(len(t.branches))
 		return err
 	}
-	if err := t.db.engs[coord].CommitPrepared(t.local[coord]); err != nil {
+	if _, err := t.db.engs[coord.shard].CommitPrepared(coord.tx); err != nil {
 		// The decision force failed, but the commit record MAY still be
 		// durable (core's crash contract for a failed force).  Aborting
 		// any branch here could durably contradict it — participants
@@ -360,43 +388,52 @@ func (t *Txn) Commit() error {
 		if !errors.Is(err, ErrInDoubt) {
 			err = fmt.Errorf("%w: %w", ErrInDoubt, err)
 		}
-		return fmt.Errorf("coordinator shard %d decision force: %w", coord, err)
+		return fmt.Errorf("coordinator shard %d decision force: %w", coord.shard, err)
 	}
-	// Decision durable.  Phase 2: commit the participants.
+	// Decision durable.  Phase 2: commit the participants, unforced.
 	var stuck bool
-	for _, s := range parts {
-		if err := t.db.engs[s].CommitPrepared(t.local[s]); err != nil {
+	for i := range t.branches {
+		b := &t.branches[i]
+		if !b.wrote || i == t.coord {
+			continue
+		}
+		lsn, err := t.db.engs[b.shard].CommitPrepared(b.tx)
+		if err != nil {
 			// The branch stays prepared on a (likely degraded) shard,
 			// holding its locks, and the decision stays retained on the
 			// coordinator; the shard's next Recover resolves it.
 			stuck = true
 			t.db.met.phase2Failures.Inc()
+			continue
 		}
+		b.commit = lsn
 	}
 	if !stuck {
-		// All branches settled: the decision needs no retaining, and
-		// the coordinator's archive is unpinned.
-		t.db.engs[coord].ReleaseGlobal(t.gid)
+		t.db.retainDecision(t)
 	}
+	t.db.releaseDurableDecisions()
 	t.done = true
 	t.db.met.crossCommits.Inc()
 	t.db.met.crossCommitNs.Observe(time.Since(start))
 	return nil
 }
 
-// abortBranches rolls back a failed phase 1: AbortPrepared on every
-// shard in preparedShards, plain Abort on the still-active branches in
-// activeShards.  Only legal while no decision can be durable (the
-// coordinator never appended its commit record).  Best-effort — the
-// error that triggered the abort is what the caller reports; a branch
-// that cannot abort (degraded shard) is left for recovery, which
-// re-aborts it by presumed abort.
-func (t *Txn) abortBranches(preparedShards, activeShards []uint32) {
-	for _, s := range preparedShards {
-		t.db.engs[s].AbortPrepared(t.local[s])
-	}
-	for _, s := range activeShards {
-		t.db.engs[s].Abort(t.local[s])
+// abortWriters rolls back a failed phase 1: AbortPrepared on the voters
+// before branch index voted (their prepare force returned), plain Abort
+// on every other writing branch, the coordinator among them.  Only legal
+// while no decision can be durable (the coordinator never appended its
+// commit record).  Best-effort — the error that triggered the abort is
+// what the caller reports; a branch that cannot abort (degraded shard)
+// is left for recovery, which re-aborts it by presumed abort.
+func (t *Txn) abortWriters(voted int) {
+	for i, b := range t.branches {
+		switch {
+		case !b.wrote:
+		case i < voted && i != t.coord:
+			t.db.engs[b.shard].AbortPrepared(b.tx)
+		default:
+			t.db.engs[b.shard].Abort(b.tx)
+		}
 	}
 	t.done = true
 	t.db.met.crossAborts.Inc()
@@ -414,12 +451,12 @@ func (t *Txn) Abort() error {
 	}
 	t.done = true
 	var first error
-	for _, s := range t.order {
-		if err := t.db.engs[s].Abort(t.local[s]); err != nil && first == nil {
+	for _, b := range t.branches {
+		if err := t.db.engs[b.shard].Abort(b.tx); err != nil && first == nil {
 			first = err
 		}
 	}
-	if len(t.order) > 1 {
+	if len(t.branches) > 1 {
 		t.db.met.crossAborts.Inc()
 	}
 	return first

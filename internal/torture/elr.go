@@ -112,8 +112,10 @@ type ELRResult struct {
 	// TornCrashes counts boundaries that persisted a torn tail.
 	TornCrashes int
 	// Violations is the cumulative count of lock violations observed
-	// (elr.violate events = commit-dependency edges formed); every one
-	// was checked against the dependency invariant.
+	// (elr.violate events: a grant over a live commit-LSN stamp, which
+	// raised the acquirer's horizon to the stamp and names its releaser
+	// as the predecessor); every one was checked against the dependency
+	// invariant.
 	Violations int
 	// Winners, Losers and Records are cumulative durable-log
 	// classifications across boundaries, as in Result.
@@ -148,7 +150,9 @@ type readAck struct {
 }
 
 // elrEvidence is what an ELR workload gathers for judge: every
-// commit-dependency edge and every acknowledged read-only transaction.
+// violation (a dependent granted over a predecessor's live stamp, its
+// horizon raised to that commit record) and every acknowledged
+// read-only transaction.
 type elrEvidence struct {
 	mu    sync.Mutex
 	edges []violationEdge

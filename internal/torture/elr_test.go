@@ -6,8 +6,9 @@ import "testing"
 // concurrent, contended workload is crashed at every device-sync
 // boundary, and every boundary must recover to oracle agreement with no
 // dependent transaction surviving a predecessor's lost commit.  The run
-// must actually exercise the mechanism: violations (commit-dependency
-// edges) must form, crashes must fire inside the pre-durable window,
+// must actually exercise the mechanism: violations (grants over a live
+// commit-LSN stamp, raising the acquirer's horizon) must form, crashes
+// must fire inside the pre-durable window,
 // both winners and losers must appear, and read-only transactions must be
 // acknowledged after reading pre-durable data — each one checked against
 // the durable commits of the writers it read from.

@@ -2,14 +2,19 @@ package torture
 
 // Cross-shard crash torture: the sharded analogue of Run.  One seed
 // determines a trace of global transactions over a shard.DB — updates,
-// cross-shard delegations, commits (single-shard and two-phase) and
-// aborts — plus the full set of crash points it is swept over: a probe
+// cross-shard delegations, commits (single-shard and two-phase), aborts
+// and checkpoints of single shards — plus the full set of crash points
+// it is swept over: a probe
 // replay counts each shard's device syncs, then the trace is re-run
 // once per (shard, boundary) pair with a fault.Plan freezing THAT
 // shard's device after ITS sync k, so every participant of every
 // two-phase commit is crashed at every force it performs: before its
 // prepare, between prepare and the coordinator's decision, after the
-// decision but before phase 2, and inside its own log bootstrap.
+// decision but before phase 2, and inside its own log bootstrap.  The
+// checkpoints are what make a decision released too early visible: a
+// coordinator checkpoint taken while a participant's phase-2 commit
+// record is still volatile must carry the decision, or a crash before
+// that record is durable presumes the participant's branch aborted.
 //
 // Atomicity is judged against the durable logs alone, per the
 // per-shard-logged protocol's own rule: a global transaction is
@@ -67,7 +72,7 @@ func (c ShardConfig) withDefaults() ShardConfig {
 		c.Shards = 3
 	}
 	if c.Steps <= 0 {
-		c.Steps = 60
+		c.Steps = 80
 	}
 	if c.Objects <= 0 {
 		c.Objects = 18
@@ -124,14 +129,20 @@ const (
 	shardOpDelegate
 	shardOpCommit
 	shardOpAbort
+	shardOpCheckpoint
 )
 
+// shardCheckpointEvery is how many terminations pass between two
+// checkpoints of a random shard in the trace.
+const shardCheckpointEvery = 4
+
 type shardOp struct {
-	kind int
-	txn  int // trace-local transaction index
-	to   int // delegatee index (delegate only)
-	obj  wal.ObjectID
-	val  []byte
+	kind  int
+	txn   int // trace-local transaction index
+	to    int // delegatee index (delegate only)
+	shard int // checkpointed shard (checkpoint only)
+	obj   wal.ObjectID
+	val   []byte
 }
 
 // genTxn is the generator's view of one open global transaction.
@@ -185,6 +196,9 @@ func genShardTrace(cfg ShardConfig) []shardOp {
 			}
 		}
 		terminated++
+		if terminated%shardCheckpointEvery == 0 {
+			ops = append(ops, shardOp{kind: shardOpCheckpoint, shard: rng.Intn(cfg.Shards)})
+		}
 	}
 
 	for terminated < cfg.Steps {
@@ -271,6 +285,8 @@ func replayShardTrace(db *shard.DB, ops []shardOp) error {
 			err = txns[op.txn].Commit()
 		case shardOpAbort:
 			err = txns[op.txn].Abort()
+		case shardOpCheckpoint:
+			err = db.Engine(op.shard).Checkpoint()
 		}
 		if err != nil {
 			if isCrashSignal(err) {
