@@ -2,6 +2,7 @@
 #
 #   make check     vet + build + full test suite + short race pass
 #   make ci        exactly what .github/workflows/ci.yml runs
+#   make fmt       fail if gofmt would rewrite any file
 #   make race      race-detector run of the concurrency-sensitive packages
 #   make torture   fixed-seed fault-injection crash sweep (nightly CI job)
 #   make fuzz-long the seven decoder fuzzers for minutes each (nightly CI job)
@@ -11,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: check ci vet staticcheck build test race fuzz-short fuzz-long torture standby-demo bench bench-smoke
+.PHONY: check ci fmt vet staticcheck build test race fuzz-short fuzz-long torture standby-demo bench bench-smoke
 
 check: vet build test race
 
@@ -22,7 +23,7 @@ check: vet build test race
 # Prefault path, the whole short torture set under
 # race, the nested benchmark module, a short fuzz pass over the
 # decoders, and the end-to-end standby failover demo.
-ci: vet staticcheck build test
+ci: fmt vet staticcheck build test
 	$(GO) test -race ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/buffer ./internal/object ./internal/storage
 	$(GO) test -race -short -timeout 120s ./internal/torture ./internal/fault
 	$(MAKE) bench-smoke
@@ -58,6 +59,11 @@ fuzz-long:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 5m
 	$(GO) test ./internal/delegation -run '^$$' -fuzz FuzzDecodeState -fuzztime 2m
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzUnmarshalPage -fuzztime 2m
+
+# gofmt ships with the toolchain, so unlike staticcheck it is never
+# skipped: any file it would rewrite fails the pipeline.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

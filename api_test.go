@@ -258,8 +258,8 @@ func TestAPICheckpoint(t *testing.T) {
 	if err != nil || !bytes.Equal(v, []byte("before-ckpt")) {
 		t.Fatalf("v=%q err=%v", v, err)
 	}
-	if db.Stats().Checkpoints != 1 {
-		t.Fatalf("checkpoints = %d", db.Stats().Checkpoints)
+	if got := db.Metrics().Counter("core.checkpoints"); got != 1 {
+		t.Fatalf("core.checkpoints = %d", got)
 	}
 }
 

@@ -398,35 +398,6 @@ func (db *DB) ResponsibleFor(lsn uint64) (TxID, error) {
 	return db.eng.ResponsibleFor(wal.LSN(lsn))
 }
 
-// Stats returns engine counters (updates, delegations, recovery work...).
-// Sharded databases return the sum across shards.
-func (db *DB) Stats() core.Stats {
-	if db.sh != nil {
-		var out core.Stats
-		for i := 0; i < db.sh.Shards(); i++ {
-			s := db.sh.Engine(i).Stats()
-			out.Begins += s.Begins
-			out.Updates += s.Updates
-			out.Reads += s.Reads
-			out.Delegations += s.Delegations
-			out.Commits += s.Commits
-			out.Aborts += s.Aborts
-			out.CLRs += s.CLRs
-			out.Checkpoints += s.Checkpoints
-			out.RecForwardRecords += s.RecForwardRecords
-			out.RecRedone += s.RecRedone
-			out.RecUndone += s.RecUndone
-			out.RecBackwardVisited += s.RecBackwardVisited
-			out.RecBackwardSkipped += s.RecBackwardSkipped
-			out.RecCLRs += s.RecCLRs
-			out.RecLosers += s.RecLosers
-			out.RecWinners += s.RecWinners
-		}
-		return out
-	}
-	return db.eng.Stats()
-}
-
 // MetricsSnapshot is a point-in-time copy of every metric in the
 // database's registry (re-exported from internal/obs).  Subtract two
 // snapshots with Sub for a per-interval delta; Format renders one for

@@ -78,7 +78,7 @@ func main() {
 	losers := rep.LiveSlots()
 	fmt.Printf("crash with %d transactions in flight\n", len(losers))
 
-	before := engine.Stats()
+	before := engine.Metrics()
 	if *failpoint > 0 {
 		if err := engine.Log().Flush(engine.Log().Head()); err != nil {
 			log.Fatal(err)
@@ -153,14 +153,12 @@ func main() {
 				time.Since(start).Round(time.Microsecond), engine.Health().State)
 		}
 	}
-	s := engine.Stats()
-	fmt.Printf("recovery: %d winners, %d losers\n", s.RecWinners, s.RecLosers)
+	d := engine.Metrics().Sub(before)
+	fmt.Printf("recovery: %d winners, %d losers\n", d.Counter("recovery.winners"), d.Counter("recovery.losers"))
 	fmt.Printf("  forward pass : %d records scanned, %d changes redone\n",
-		s.RecForwardRecords-before.RecForwardRecords, s.RecRedone-before.RecRedone)
+		d.Counter("recovery.forward_records"), d.Counter("recovery.redone"))
 	fmt.Printf("  backward pass: %d positions visited, %d skipped between clusters, %d CLRs written\n",
-		s.RecBackwardVisited-before.RecBackwardVisited,
-		s.RecBackwardSkipped-before.RecBackwardSkipped,
-		s.RecCLRs-before.RecCLRs)
+		d.Counter("undo.visited"), d.Counter("undo.skipped"), d.Counter("recovery.clrs"))
 
 	if *metrics {
 		tr := engine.LastRecoveryTrace()

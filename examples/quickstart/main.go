@@ -69,7 +69,8 @@ func main() {
 	}
 	fmt.Printf("after crash + recovery:   account = %q\n", v)
 
-	s := db.Stats()
+	m := db.Metrics()
 	fmt.Printf("stats: %d updates, %d delegations, %d CLRs, recovery visited %d records backward\n",
-		s.Updates, s.Delegations, s.CLRs, s.RecBackwardVisited)
+		m.Counter("core.updates"), m.Counter("core.delegations"), m.Counter("core.clrs"),
+		db.LastRecoveryTrace().BackwardVisited)
 }

@@ -58,7 +58,6 @@ func (e *Engine) Recover() error {
 
 	// Forward pass: analysis + redo.
 	applied := make(map[wal.ObjectID]wal.LSN)
-	e.log.ResetReadCursor()
 	err := e.log.Scan(scanStart, wal.NilLSN, func(rec *wal.Record) (bool, error) {
 		e.stats.RecForwardRecords++
 		analyze := rec.LSN > analysisAfter

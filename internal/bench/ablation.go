@@ -40,13 +40,12 @@ func A1ClusterSweepAblation(steps int, rates []float64) (*Table, error) {
 			if err := rep.RunTo(-1); err != nil {
 				return nil, err
 			}
-			s0 := e.Stats()
 			start := time.Now()
 			if err := rep.CrashRecover(); err != nil {
 				return nil, err
 			}
 			d := time.Since(start)
-			s1 := e.Stats()
+			tr := e.LastRecoveryTrace()
 			name := "cluster sweep"
 			if fullScan {
 				name = "full scan"
@@ -55,8 +54,8 @@ func A1ClusterSweepAblation(steps int, rates []float64) (*Table, error) {
 				fmt.Sprintf("%.2f", rate),
 				name,
 				fmt.Sprintf("%.3f", float64(d.Microseconds())/1000),
-				fmt.Sprint(s1.RecBackwardVisited - s0.RecBackwardVisited),
-				fmt.Sprint(s1.RecCLRs - s0.RecCLRs),
+				fmt.Sprint(tr.BackwardVisited),
+				fmt.Sprint(tr.CLRs),
 			})
 		}
 	}

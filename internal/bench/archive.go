@@ -76,9 +76,9 @@ func e13Fill(n int, segmentBytes int64) (*wal.Log, *wal.MemDir, error) {
 //     boundary and requires oracle-exact recovery at each one.
 func E13ArchiveCost(lengths []int, dropRecords, windowRecords int, segmentBytes int64, sweepRounds, sweepMaxBoundaries int) (*Table, error) {
 	t := &Table{
-		ID:    "E13",
-		Title: "segmented archive: latency vs log length, disk bound under windowed archiving, crash sweep",
-		Claim: "archiving drops whole sealed segments behind a manifest bump and never rewrites live bytes: latency is flat in the retained log length, a windowed archive bounds the device footprint, and a crash at any sync boundary of the rotation/archive paths recovers exactly",
+		ID:      "E13",
+		Title:   "segmented archive: latency vs log length, disk bound under windowed archiving, crash sweep",
+		Claim:   "archiving drops whole sealed segments behind a manifest bump and never rewrites live bytes: latency is flat in the retained log length, a windowed archive bounds the device footprint, and a crash at any sync boundary of the rotation/archive paths recovers exactly",
 		Headers: []string{"cell", "records", "segments", "archive_us", "dir_bytes", "note"},
 	}
 

@@ -227,13 +227,13 @@ func E1NoDelegationOverhead(txns, updates, rounds int) (*Table, error) {
 		if err := e.Recover(); err != nil {
 			return result{}, err
 		}
-		s := e.Stats()
+		tr := e.LastRecoveryTrace()
 		return result{
 			normal:   d,
 			recovery: time.Since(rStart),
-			fwd:      s.RecForwardRecords,
-			bwd:      s.RecBackwardVisited,
-			clrs:     s.RecCLRs,
+			fwd:      tr.ForwardRecords,
+			bwd:      tr.BackwardVisited,
+			clrs:     tr.CLRs,
 		}, nil
 	}
 
@@ -287,7 +287,7 @@ func E2DelegationLinearity(sizes []int, reps int) (*Table, error) {
 					return nil, err
 				}
 			}
-			before := e.Log().Stats()
+			before := e.Metrics()
 			start := time.Now()
 			if err := e.DelegateAll(tor, tee); err != nil {
 				return nil, err
@@ -295,7 +295,7 @@ func E2DelegationLinearity(sizes []int, reps int) (*Table, error) {
 			d := time.Since(start)
 			if rep == 0 || d < bestD {
 				bestD = d
-				appends = e.Log().Stats().Sub(before).Appends
+				appends = e.Metrics().Sub(before).Counter("wal.appends")
 			}
 		}
 		per := float64(bestD.Nanoseconds()) / 1000 / float64(n)
@@ -352,8 +352,8 @@ func E3RecoveryVsDelegationRate(steps int, rates []float64) (*Table, error) {
 		engines := []eng{
 			// The production log has no in-place write to count.
 			{"ARIES/RH", sim.CoreTarget{Engine: ce}, func() (uint64, uint64, uint64, uint64) {
-				s := ce.Stats()
-				return s.RecForwardRecords, s.RecBackwardVisited, 0, 0
+				m := ce.Metrics()
+				return m.Counter("recovery.forward_records"), m.Counter("undo.visited"), 0, 0
 			}},
 			{"eager", sim.RewriteTarget{Engine: ee}, func() (uint64, uint64, uint64, uint64) {
 				s := ee.Stats()
@@ -446,18 +446,18 @@ func E4EagerSweepVsLogLength(lengths []int) (*Table, error) {
 				}
 			}
 			tee, _ := e.Begin()
-			logBefore := e.Log().Stats()
+			before := e.Metrics()
 			start := time.Now()
 			if err := e.Delegate(tor, tee, 1); err != nil {
 				return nil, err
 			}
 			d := time.Since(start)
-			diff := e.Log().Stats().Sub(logBefore)
+			diff := e.Metrics().Sub(before)
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprint(pad), "ARIES/RH",
-				fmt.Sprint(diff.Reads),
+				fmt.Sprint(diff.Counter("wal.reads")),
 				"0",
-				fmt.Sprint(diff.Appends),
+				fmt.Sprint(diff.Counter("wal.appends")),
 				fmt.Sprintf("%.1f", float64(d.Nanoseconds())/1000),
 			})
 		}
@@ -569,14 +569,14 @@ func E5EOS(txns, updates int, delegateEvery int) (*Table, error) {
 			return nil, err
 		}
 		rec := time.Since(rStart)
-		s := e.Stats()
+		tr := e.LastRecoveryTrace()
 		t.Rows = append(t.Rows, []string{
 			"ARIES/RH",
 			fmt.Sprintf("%.2f", float64(normal.Microseconds())/float64(txns*updates)),
 			"n/a",
 			fmt.Sprintf("%.2f", float64(rec.Microseconds())/1000),
-			fmt.Sprint(s.RecForwardRecords),
-			fmt.Sprint(s.RecRedone),
+			fmt.Sprint(tr.ForwardRecords),
+			fmt.Sprint(tr.Redone),
 		})
 	}
 	t.Verdict = "EOS recovery is redo-only (no backward pass) and its delegation filter work is proportional to delegated entries; both engines agree on surviving state"

@@ -53,7 +53,7 @@ func E6ETMMacro(iterations int) (*Table, error) {
 				return nil, err
 			}
 		}
-		addRow("flat (baseline)", time.Since(start), db.Stats().Delegations)
+		addRow("flat (baseline)", time.Since(start), db.Metrics().Counter("core.delegations"))
 	}
 
 	// Nested: the trip example — two subtransactions per iteration.
@@ -84,7 +84,7 @@ func E6ETMMacro(iterations int) (*Table, error) {
 				return nil, err
 			}
 		}
-		addRow("nested (2 subtxns)", time.Since(start), db.Stats().Delegations)
+		addRow("nested (2 subtxns)", time.Since(start), db.Metrics().Counter("core.delegations"))
 	}
 
 	// Split: a session updates two objects, splits one off to commit
@@ -119,7 +119,7 @@ func E6ETMMacro(iterations int) (*Table, error) {
 				return nil, err
 			}
 		}
-		addRow("split (1 split/iter)", time.Since(start), db.Stats().Delegations)
+		addRow("split (1 split/iter)", time.Since(start), db.Metrics().Counter("core.delegations"))
 	}
 
 	// Reporting: a rolling job that reports every iteration.
@@ -145,7 +145,7 @@ func E6ETMMacro(iterations int) (*Table, error) {
 		if err := job.Commit(); err != nil {
 			return nil, err
 		}
-		addRow("reporting (1 report/iter)", time.Since(start), db.Stats().Delegations)
+		addRow("reporting (1 report/iter)", time.Since(start), db.Metrics().Counter("core.delegations"))
 	}
 
 	// Joint: two members, coupled by form-dependency, committing as one.
@@ -170,7 +170,7 @@ func E6ETMMacro(iterations int) (*Table, error) {
 				return nil, err
 			}
 		}
-		addRow("joint (2 members)", time.Since(start), db.Stats().Delegations)
+		addRow("joint (2 members)", time.Since(start), db.Metrics().Counter("core.delegations"))
 	}
 
 	// Open nested: one committing child per iteration plus parent work.
@@ -199,7 +199,7 @@ func E6ETMMacro(iterations int) (*Table, error) {
 				return nil, err
 			}
 		}
-		addRow("open-nested (1 child)", time.Since(start), db.Stats().Delegations)
+		addRow("open-nested (1 child)", time.Since(start), db.Metrics().Counter("core.delegations"))
 	}
 
 	t.Verdict = "ETM iterations cost within a small constant of the flat baseline: the models are synthesized from delegations and dependencies (counted per row), not from bespoke recovery machinery"

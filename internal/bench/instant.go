@@ -85,9 +85,9 @@ func E14InstantRestart(lengths []int, updatesPerObj, losers int) (*Table, error)
 		return nil, fmt.Errorf("E14: need at least two lengths to judge growth")
 	}
 	t := &Table{
-		ID:    "E14",
-		Title: "instant restart: time-to-first-read and full recovery vs log length",
-		Claim: "a read during pipelined recovery redoes only its own object's chain, so time-to-first-read is decoupled from the redo volume: the sequential baseline's first read pays full replay — linear in the log — while the pipeline's first read pays only scan+analysis, a fraction of replay's per-record cost",
+		ID:      "E14",
+		Title:   "instant restart: time-to-first-read and full recovery vs log length",
+		Claim:   "a read during pipelined recovery redoes only its own object's chain, so time-to-first-read is decoupled from the redo volume: the sequential baseline's first read pays full replay — linear in the log — while the pipeline's first read pays only scan+analysis, a fraction of replay's per-record cost",
 		Headers: []string{"cell", "records", "ttfr_ms", "full_ms", "note"},
 	}
 
@@ -101,7 +101,7 @@ func E14InstantRestart(lengths []int, updatesPerObj, losers int) (*Table, error)
 		if n < updatesPerObj*2 {
 			return nil, fmt.Errorf("E14: length %d too small for %d updates/object", n, updatesPerObj)
 		}
-		var seqFull, seqTTFR, parTTFR, parFull time.Duration = 1<<62, 1<<62, 1<<62, 1<<62
+		var seqFull, seqTTFR, parTTFR, parFull time.Duration = 1 << 62, 1 << 62, 1 << 62, 1 << 62
 		var records, segments int
 		for rep := 0; rep < reps; rep++ {
 			// Sequential baseline: Recover blocks for the full replay;

@@ -22,24 +22,6 @@ import (
 // must be brought in.
 var ErrPoolExhausted = errors.New("buffer: all frames pinned")
 
-// PoolStats counts buffer activity for the benchmark harness.
-type PoolStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Flushes   uint64
-}
-
-// Sub returns the element-wise difference s - o.
-func (s PoolStats) Sub(o PoolStats) PoolStats {
-	return PoolStats{
-		Hits:      s.Hits - o.Hits,
-		Misses:    s.Misses - o.Misses,
-		Evictions: s.Evictions - o.Evictions,
-		Flushes:   s.Flushes - o.Flushes,
-	}
-}
-
 // frame holds one page of the pool.  A frame outlives the pages it
 // holds: a miss evicts the least recently used unpinned frame and decodes
 // the incoming page into the victim's Page, so steady-state misses
@@ -69,7 +51,6 @@ type Pool struct {
 	// recently used at lru.next; its own page is never used.
 	lru   frame
 	dirty map[storage.PageID]wal.LSN
-	stats PoolStats
 	met   poolMetrics
 }
 
@@ -144,7 +125,6 @@ func (p *Pool) Fetch(pid storage.PageID) (*storage.Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if f, ok := p.frames[pid]; ok {
-		p.stats.Hits++
 		p.met.hits.Inc()
 		unlinkLRU(f)
 		f.pins++
@@ -168,7 +148,6 @@ func (p *Pool) Prefault(pid storage.PageID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.frames[pid]; ok {
-		p.stats.Hits++
 		p.met.hits.Inc()
 		return nil
 	}
@@ -185,7 +164,6 @@ func (p *Pool) Prefault(pid storage.PageID) error {
 // and registers it unpinned and unlinked.  If the read fails the frame is
 // dropped, so the pool holds one frame fewer and stays consistent.
 func (p *Pool) loadLocked(pid storage.PageID) (*frame, error) {
-	p.stats.Misses++
 	p.met.misses.Inc()
 	f, err := p.evictForSpaceLocked()
 	if err != nil {
@@ -224,7 +202,6 @@ func (p *Pool) evictForSpaceLocked() (*frame, error) {
 	}
 	unlinkLRU(victim)
 	delete(p.frames, victim.pid)
-	p.stats.Evictions++
 	p.met.evictions.Inc()
 	return victim, nil
 }
@@ -244,7 +221,6 @@ func (p *Pool) writeFrameLocked(f *frame) error {
 	}
 	f.dirty = false
 	delete(p.dirty, f.pid)
-	p.stats.Flushes++
 	p.met.flushes.Inc()
 	return nil
 }
@@ -329,11 +305,4 @@ func (p *Pool) Crash() {
 	p.frames = make(map[storage.PageID]*frame)
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	p.dirty = make(map[storage.PageID]wal.LSN)
-}
-
-// Stats returns a snapshot of the pool counters.
-func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"ariesrh/internal/obs"
 	"ariesrh/internal/storage"
 	"ariesrh/internal/wal"
 )
@@ -25,6 +26,8 @@ func TestPoolFetchUnpin(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pids := allocPages(t, disk, 3)
 	pool := NewPool(disk, 2, nil)
+	reg := obs.NewRegistry()
+	pool.Instrument(reg)
 	p, err := pool.Fetch(pids[0])
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +38,7 @@ func TestPoolFetchUnpin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-fetch hits the cache.
-	before := pool.Stats()
+	before := reg.Snapshot()
 	p2, err := pool.Fetch(pids[0])
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +47,8 @@ func TestPoolFetchUnpin(t *testing.T) {
 		t.Fatal("cached page lost the write")
 	}
 	pool.Unpin(pids[0], false, wal.NilLSN)
-	if d := pool.Stats().Sub(before); d.Hits != 1 || d.Misses != 0 {
-		t.Fatalf("stats diff = %+v", d)
+	if d := reg.Snapshot().Sub(before); d.Counter("buffer.hits") != 1 || d.Counter("buffer.misses") != 0 {
+		t.Fatalf("counter diff = %+v", d.Counters)
 	}
 }
 

@@ -30,6 +30,8 @@ func TestPoolMissAllocations(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pids := allocPages(t, disk, 3)
 	pool := NewPool(disk, 2, nil)
+	reg := obs.NewRegistry()
+	pool.Instrument(reg)
 	lsn := wal.LSN(0)
 	cycle := func() {
 		for _, pid := range pids {
@@ -47,12 +49,13 @@ func TestPoolMissAllocations(t *testing.T) {
 		}
 	}
 	cycle() // fill the pool's two frames
-	before := pool.Stats()
+	before := reg.Snapshot()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("a miss evicting a dirty victim: %.2f allocs per 3 misses, want 0", n)
 	}
-	if d := pool.Stats().Sub(before); d.Hits != 0 || d.Misses != d.Flushes || d.Misses != 101*3 {
-		t.Fatalf("cycle was not all dirty misses: %+v", d)
+	d := reg.Snapshot().Sub(before)
+	if misses := d.Counter("buffer.misses"); d.Counter("buffer.hits") != 0 || misses != d.Counter("buffer.flushes") || misses != 101*3 {
+		t.Fatalf("cycle was not all dirty misses: %+v", d.Counters)
 	}
 }
 

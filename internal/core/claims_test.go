@@ -100,15 +100,16 @@ func TestClaimC1DelegationFreeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseLog := obs.NewRegistry()
+	base.Log().Instrument(baseLog)
 	runDelegationFreeWorkload(t, rh)
 	runDelegationFreeWorkload(t, base)
 
 	m := rh.Metrics()
 	bs := base.Stats()
-	bls := base.Log().Stats()
 	trace := rh.LastRecoveryTrace()
 
-	if got, want := m.Counter("wal.appends"), bls.Appends; got != want {
+	if got, want := m.Counter("wal.appends"), baseLog.Counter("wal.appends").Load(); got != want {
 		t.Errorf("wal.appends = %d, baseline ARIES appended %d (C1: no delegation, no extra log records)", got, want)
 	}
 	if got, want := rh.Log().Head(), base.Log().Head(); got != want {

@@ -204,9 +204,8 @@ func TestFullScanUndoAblationEquivalent(t *testing.T) {
 		if err := e.Log().Flush(e.Log().Head()); err != nil {
 			t.Fatal(err)
 		}
-		before := e.Stats().RecBackwardVisited
 		crashAndRecover(t, e)
-		return e, e.Stats().RecBackwardVisited - before
+		return e, e.LastRecoveryTrace().BackwardVisited
 	}
 	cluster, clusterVisited := run(false)
 	full, fullVisited := run(true)

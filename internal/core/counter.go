@@ -106,7 +106,6 @@ func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, e
 	if err := e.store.Write(obj, EncodeCounter(next), lsn); err != nil {
 		return 0, err
 	}
-	e.stats.Updates++
 	return next, nil
 }
 
@@ -131,12 +130,6 @@ func (e *Engine) CounterValue(obj wal.ObjectID) (int64, error) {
 // undoIncrement compensates an increment logically: a CLR carrying the
 // negated delta is logged and applied.
 func (e *Engine) undoIncrement(owner wal.TxID, rec *wal.Record) error {
-	return e.undoIncrementInto(owner, rec, &e.stats)
-}
-
-// undoIncrementInto is undoIncrement with an explicit stats sink; see
-// undoUpdateInto.
-func (e *Engine) undoIncrementInto(owner wal.TxID, rec *wal.Record, st *Stats) error {
 	info := e.txns.Get(owner)
 	prev := wal.NilLSN
 	if info != nil {
@@ -162,7 +155,6 @@ func (e *Engine) undoIncrementInto(owner wal.TxID, rec *wal.Record, st *Stats) e
 	if info != nil {
 		info.LastLSN = lsn
 	}
-	st.CLRs++
 	e.met.clrs.Inc()
 	return nil
 }

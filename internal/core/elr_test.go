@@ -263,10 +263,11 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 	// round is over or it is handed that round's error.
 	e.mu.Lock()
 	lsn := e.txns.Get(t1).LastLSN
-	failed := e.LogStats().FlushErrors
+	flushErrors := e.reg.Counter("wal.flush_errors")
+	failed := flushErrors.Load()
 	store.script <- true
 	store.reset()
-	for e.LogStats().FlushErrors == failed {
+	for flushErrors.Load() == failed {
 		runtime.Gosched()
 	}
 	if err := e.log.Flush(lsn); err != nil {
@@ -332,10 +333,11 @@ func TestFailedRoundThenDurableCompletesCommit(t *testing.T) {
 
 			e.mu.Lock()
 			lsn := e.log.Head()
-			failed := e.LogStats().FlushErrors
+			flushErrors := e.reg.Counter("wal.flush_errors")
+			failed := flushErrors.Load()
 			store.script <- true
 			store.reset()
-			for e.LogStats().FlushErrors == failed {
+			for flushErrors.Load() == failed {
 				runtime.Gosched()
 			}
 			if err := e.log.Flush(lsn); err != nil {

@@ -209,28 +209,6 @@ type Options struct {
 	ParallelRecovery bool
 }
 
-// Stats counts engine activity.
-type Stats struct {
-	Begins      uint64
-	Updates     uint64
-	Reads       uint64
-	Delegations uint64
-	Commits     uint64
-	Aborts      uint64
-	CLRs        uint64
-	Checkpoints uint64
-
-	// Recovery counters (cumulative over all Recover calls).
-	RecForwardRecords  uint64
-	RecRedone          uint64
-	RecUndone          uint64
-	RecBackwardVisited uint64
-	RecBackwardSkipped uint64
-	RecCLRs            uint64
-	RecLosers          uint64
-	RecWinners         uint64
-}
-
 // Engine is the ARIES/RH transaction manager.  It is safe for concurrent
 // use: object locks are taken before the engine latch, so lock waits never
 // block unrelated transactions' progress.
@@ -269,7 +247,6 @@ type Engine struct {
 	// degraded holds the persistent device error that moved the engine
 	// to read-only degraded mode (nil while healthy).  See ErrDegraded.
 	degraded error
-	stats    Stats
 	opts     Options
 
 	// reg is the engine's metric registry; every component (WAL, buffer
@@ -451,16 +428,6 @@ func (e *Engine) degradeLocked(err error) {
 		e.reg.Emit(obs.Event{Name: "core.degraded"})
 	}
 }
-
-// Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
-// LogStats returns the log access counters.
-func (e *Engine) LogStats() wal.AccessStats { return e.log.Stats() }
 
 // ReadObject returns the current stable/buffered value of obj without any
 // locking — for tests, tools and the history checker, not for transactions.

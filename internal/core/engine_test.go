@@ -91,8 +91,8 @@ func TestAbortRestoresBeforeImages(t *testing.T) {
 	mustAbort(t, e, tx)
 	wantValue(t, e, 1, "base")
 	wantValue(t, e, 2, "")
-	if e.Stats().CLRs != 2 {
-		t.Fatalf("CLRs = %d, want 2", e.Stats().CLRs)
+	if got := e.Metrics().Counter("core.clrs"); got != 2 {
+		t.Fatalf("core.clrs = %d, want 2", got)
 	}
 }
 

@@ -64,11 +64,11 @@ func TestPersistentSyncErrorReleasesAllFlushWaiters(t *testing.T) {
 	}
 
 	// The WAL spent its retry budget before surfacing anything.
-	stats := e.LogStats()
-	if stats.FlushRetries == 0 {
+	m := e.Metrics()
+	if m.Counter("wal.flush_retries") == 0 {
 		t.Fatal("no flush retries recorded; the bounded-backoff path went unexercised")
 	}
-	if stats.FlushErrors == 0 {
+	if m.Counter("wal.flush_errors") == 0 {
 		t.Fatal("no flush errors recorded despite a dead device")
 	}
 

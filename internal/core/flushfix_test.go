@@ -83,11 +83,11 @@ func TestAbortRoutesThroughGroupFlusher(t *testing.T) {
 	}
 	tx := mustBegin(t, e)
 	mustUpdate(t, e, tx, 1, "doomed")
-	before := e.LogStats().FlushWaiters
+	before := e.Metrics().Counter("wal.flush_waiters")
 	mustAbort(t, e, tx)
-	after := e.LogStats().FlushWaiters
+	after := e.Metrics().Counter("wal.flush_waiters")
 	if after != before+1 {
-		t.Fatalf("FlushWaiters went %d -> %d across an abort; want exactly one coalesced-flush wait", before, after)
+		t.Fatalf("wal.flush_waiters went %d -> %d across an abort; want exactly one coalesced-flush wait", before, after)
 	}
 	wantValue(t, e, 1, "")
 }
@@ -111,7 +111,8 @@ func TestConcurrentAbortsCoalesceSyncs(t *testing.T) {
 		txs[i] = mustBegin(t, e)
 		mustUpdate(t, e, txs[i], wal.ObjectID(i+1), fmt.Sprintf("doomed-%d", i))
 	}
-	waitersBefore := e.LogStats().FlushWaiters
+	waiters := func() uint64 { return e.Metrics().Counter("wal.flush_waiters") }
+	waitersBefore := waiters()
 
 	store.arm(true)
 	var wg sync.WaitGroup
@@ -135,12 +136,12 @@ func TestConcurrentAbortsCoalesceSyncs(t *testing.T) {
 		close(store.gate)
 		t.Fatal("no gated sync started: aborts are not reaching the device via the group flusher")
 	}
-	for e.LogStats().FlushWaiters < waitersBefore+aborts {
+	for waiters() < waitersBefore+aborts {
 		select {
 		case <-deadline:
 			close(store.gate)
 			t.Fatalf("only %d/%d aborts queued on the group flusher (pre-fix aborts flush synchronously under the latch)",
-				e.LogStats().FlushWaiters-waitersBefore, aborts)
+				waiters()-waitersBefore, aborts)
 		case <-time.After(time.Millisecond):
 		}
 	}

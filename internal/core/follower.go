@@ -41,9 +41,7 @@ func (e *Engine) followerCatchUpLocked() error {
 	if err != nil {
 		return err
 	}
-	e.log.ResetReadCursor()
 	err = e.log.Scan(scanStart, wal.NilLSN, func(rec *wal.Record) (bool, error) {
-		e.stats.RecForwardRecords++
 		if err := e.applyRecordLocked(rec, rec.LSN > analysisAfter, e.frs); err != nil {
 			return false, err
 		}
@@ -80,7 +78,6 @@ func (e *Engine) FollowerApply(recs []*wal.Record) error {
 		if _, err := e.log.Append(rec); err != nil {
 			return err
 		}
-		e.stats.RecForwardRecords++
 		if err := e.applyRecordLocked(rec, true, e.frs); err != nil {
 			return err
 		}
@@ -176,13 +173,9 @@ func (e *Engine) Promote() error {
 		return err
 	}
 	e.met.recRuns.Inc()
-	book := recoveryBook{
-		totalStart:     time.Now(),
-		statsBefore:    e.stats,
-		clustersBefore: e.met.undoClusters.Load(),
-		// forwardDur stays zero: the forward pass already ran,
-		// continuously, as the follower applied the stream.
-	}
+	// The trace's forward counts and duration stay zero: the forward
+	// pass already ran, continuously, as the follower applied the stream.
+	book := recoveryBook{totalStart: time.Now()}
 	if err := e.finishRecoveryLocked(e.frs, book); err != nil {
 		return err
 	}

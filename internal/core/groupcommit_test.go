@@ -248,9 +248,9 @@ func TestCommitPathConcurrentStress(t *testing.T) {
 
 	// Commits should have shared flushes; at minimum the counters must be
 	// consistent (every grouped flush served at least one waiter).
-	stats := e.LogStats()
-	if stats.GroupedFlushes == 0 || stats.FlushWaiters < stats.GroupedFlushes {
-		t.Fatalf("implausible group-flush counters: grouped=%d waiters=%d", stats.GroupedFlushes, stats.FlushWaiters)
+	m := e.Metrics()
+	if grouped, waiters := m.Counter("wal.grouped_flushes"), m.Counter("wal.flush_waiters"); grouped == 0 || waiters < grouped {
+		t.Fatalf("implausible group-flush counters: grouped=%d waiters=%d", grouped, waiters)
 	}
 
 	check := func(phase string) {

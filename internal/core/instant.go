@@ -95,7 +95,6 @@ type recoveryPipeline struct {
 	losers      []wal.TxID
 	scopes      []delegation.Scope
 	compensated map[wal.LSN]bool
-	segments    int
 	hold        <-chan struct{}
 	savedFrs    *replayState // promotion only: restored on failure
 	book        recoveryBook
@@ -105,11 +104,11 @@ type recoveryPipeline struct {
 	// applyMu serializes every page application of the pipeline: chain
 	// redo, undo CLR writes, and recovering reads.  pageBase holds each
 	// page's pre-recovery pageLSN, captured before the pipeline's first
-	// write to the page; stats holds the pipeline-local counters merged
-	// into e.stats under e.mu at finish.
+	// write to the page.  The redo and undo workers count into book.tr
+	// (Redone under applyMu; the sweep's fields from the undo worker
+	// alone), which the finisher reads once both have stopped.
 	applyMu  sync.Mutex
 	pageBase map[storage.PageID]wal.LSN
-	stats    Stats
 
 	// failpoint is the captured one-shot recovery failpoint; decremented
 	// only by the undo worker.
@@ -170,18 +169,13 @@ func (e *Engine) recoverParallel() error {
 	e.globals = make(map[uint64]globalDecision)
 
 	e.met.recRuns.Inc()
-	book := recoveryBook{
-		totalStart:     time.Now(),
-		statsBefore:    e.stats,
-		clustersBefore: e.met.undoClusters.Load(),
-	}
+	book := recoveryBook{totalStart: time.Now()}
 
 	scanStart, analysisAfter, err := e.locateCheckpointLocked()
 	if err != nil {
 		e.mu.Unlock()
 		return err
 	}
-	e.log.ResetReadCursor()
 
 	// ---- Stage 1: manifest-driven parallel scan, one worker per sealed
 	// segment, decoding its frames and grouping redoable records into
@@ -238,8 +232,8 @@ func (e *Engine) recoverParallel() error {
 	analysisT := time.Now()
 	rs := newReplayState()
 	for _, shard := range shards {
+		book.tr.ForwardRecords += uint64(len(shard))
 		for _, rec := range shard {
-			e.stats.RecForwardRecords++
 			if err := e.analyzeRecordLocked(rec, rec.LSN > analysisAfter, rs); err != nil {
 				e.mu.Unlock()
 				return err
@@ -248,6 +242,7 @@ func (e *Engine) recoverParallel() error {
 	}
 	losers, scopes := e.classifyLocked()
 	analysisDur := time.Since(analysisT)
+	book.tr.Winners, book.tr.Losers = rs.winners, uint64(len(losers))
 
 	heat := make([]*objectChain, 0, len(chains))
 	for _, c := range chains {
@@ -261,7 +256,8 @@ func (e *Engine) recoverParallel() error {
 	})
 	gates, gateSeq := buildUndoGates(scopes)
 
-	book.forwardDur = scanDur + analysisDur
+	book.tr.ForwardDur = scanDur + analysisDur
+	book.tr.Segments = len(shards)
 	p := &recoveryPipeline{
 		e:           e,
 		chains:      chains,
@@ -271,7 +267,6 @@ func (e *Engine) recoverParallel() error {
 		losers:      losers,
 		scopes:      scopes,
 		compensated: rs.compensated,
-		segments:    len(shards),
 		hold:        e.recoveryHold,
 		book:        book,
 		scanDur:     scanDur,
@@ -333,12 +328,9 @@ func (e *Engine) promoteParallel() error {
 		return err
 	}
 	e.met.recRuns.Inc()
-	book := recoveryBook{
-		totalStart:     time.Now(),
-		statsBefore:    e.stats,
-		clustersBefore: e.met.undoClusters.Load(),
-	}
+	book := recoveryBook{totalStart: time.Now()}
 	losers, scopes := e.classifyLocked()
+	book.tr.Losers = uint64(len(losers))
 	gates, gateSeq := buildUndoGates(scopes)
 	p := &recoveryPipeline{
 		e:           e,
@@ -434,34 +426,11 @@ func (p *recoveryPipeline) run() {
 	}
 	finishDur := time.Since(finishT)
 
-	// Merge the pipeline-local counters into the engine stats, then
-	// compute the per-run trace as deltas — same bookkeeping as
-	// finishRecoveryLocked.
-	e.stats.RecRedone += p.stats.RecRedone
-	e.stats.RecBackwardVisited += p.stats.RecBackwardVisited
-	e.stats.RecBackwardSkipped += p.stats.RecBackwardSkipped
-	e.stats.CLRs += p.stats.CLRs
-	e.stats.RecCLRs += p.stats.CLRs
-	e.stats.RecUndone += p.stats.CLRs
-
-	book := p.book
-	delta := func(after, before uint64) uint64 { return after - before }
-	tr := RecoveryTrace{
-		ForwardDur:      book.forwardDur,
-		BackwardDur:     undoDur,
-		TotalDur:        time.Since(book.totalStart),
-		Parallel:        true,
-		Segments:        p.segments,
-		OnDemandReads:   p.onDemand.Load(),
-		ForwardRecords:  delta(e.stats.RecForwardRecords, book.statsBefore.RecForwardRecords),
-		Redone:          delta(e.stats.RecRedone, book.statsBefore.RecRedone),
-		BackwardVisited: delta(e.stats.RecBackwardVisited, book.statsBefore.RecBackwardVisited),
-		BackwardSkipped: delta(e.stats.RecBackwardSkipped, book.statsBefore.RecBackwardSkipped),
-		Clusters:        e.met.undoClusters.Load() - book.clustersBefore,
-		CLRs:            delta(e.stats.RecCLRs, book.statsBefore.RecCLRs),
-		Losers:          delta(e.stats.RecLosers, book.statsBefore.RecLosers),
-		Winners:         delta(e.stats.RecWinners, book.statsBefore.RecWinners),
-	}
+	tr := p.book.tr
+	tr.BackwardDur = undoDur
+	tr.TotalDur = time.Since(p.book.totalStart)
+	tr.Parallel = true
+	tr.OnDemandReads = p.onDemand.Load()
 	if p.promotion {
 		tr.Stages = []RecoveryStage{
 			{Name: "undo", Dur: undoDur, Units: tr.BackwardVisited},
@@ -566,7 +535,7 @@ func (p *recoveryPipeline) applyChainBody(c *objectChain) error {
 		if err != nil {
 			return err
 		}
-		p.stats.RecRedone++
+		p.book.tr.Redone++
 	}
 	return nil
 }
@@ -637,7 +606,7 @@ func (p *recoveryPipeline) runUndo() error {
 		// above k opens now.  Gates at exactly k stay shut until the
 		// record at k is undone.
 		release(k)
-		p.stats.RecBackwardVisited++
+		p.book.tr.BackwardVisited++
 		e.met.undoVisited.Inc()
 		if hooked {
 			e.reg.Emit(obs.Event{Name: "undo.visit", LSN: uint64(k)})
@@ -666,14 +635,15 @@ func (p *recoveryPipeline) runUndo() error {
 		p.applyMu.Lock()
 		if err := p.ensurePageLocked(rec.Object); err == nil {
 			if rec.Type == wal.TypeIncrement {
-				err = e.undoIncrementInto(owner, rec, &p.stats)
+				err = e.undoIncrement(owner, rec)
 			} else {
-				err = e.undoUpdateInto(owner, rec, &p.stats)
+				err = e.undoUpdate(owner, rec)
 			}
 			p.applyMu.Unlock()
 			if err != nil {
 				return err
 			}
+			p.book.tr.CLRs++
 		} else {
 			p.applyMu.Unlock()
 			return err
@@ -685,7 +655,8 @@ func (p *recoveryPipeline) runUndo() error {
 			}
 		}
 	}
-	p.stats.RecBackwardSkipped += planner.Skipped
+	p.book.tr.BackwardSkipped += planner.Skipped
+	p.book.tr.Clusters += planner.Clusters
 	e.met.undoSkipped.Add(planner.Skipped)
 	e.met.undoClusters.Add(planner.Clusters)
 	release(wal.NilLSN)

@@ -130,10 +130,13 @@ func TestParallelRecoveryMatchesSequential(t *testing.T) {
 		if !tr.Parallel {
 			t.Fatalf("seed %d: trace not marked parallel", seed)
 		}
-		str := seq.LastRecoveryTrace()
-		if tr.CLRs != str.CLRs || tr.Losers != str.Losers || tr.Winners != str.Winners {
-			t.Fatalf("seed %d: trace mismatch: parallel CLRs/Losers/Winners %d/%d/%d, sequential %d/%d/%d",
-				seed, tr.CLRs, tr.Losers, tr.Winners, str.CLRs, str.Losers, str.Winners)
+		counts := func(tr RecoveryTrace) [8]uint64 {
+			return [8]uint64{tr.ForwardRecords, tr.Redone, tr.BackwardVisited, tr.BackwardSkipped,
+				tr.Clusters, tr.CLRs, tr.Losers, tr.Winners}
+		}
+		if pc, sc := counts(tr), counts(seq.LastRecoveryTrace()); pc != sc {
+			t.Fatalf("seed %d: trace mismatch (forward, redone, visited, skipped, clusters, CLRs, losers, winners): parallel %v, sequential %v",
+				seed, pc, sc)
 		}
 	}
 }

@@ -36,8 +36,8 @@ type engineMetrics struct {
 	replReplayed *obs.Gauge
 
 	// Early-lock-release accounting: commits that released their locks
-	// pre-durably and violations admitted (dependency edges formed on a
-	// pre-durable committer).
+	// pre-durably and violations admitted (lock grants that passed a
+	// live commit-LSN stamp, raising the grantee's horizon).
 	elrCommits, elrViolations *obs.Counter
 
 	// Cross-shard 2PC accounting (internal/shard): prepares voted,

@@ -25,7 +25,6 @@ func (e *Engine) Begin() (wal.TxID, error) {
 	}
 	info := e.txns.Begin()
 	e.state[info.ID] = delegation.NewObList()
-	e.stats.Begins++
 	e.met.begins.Inc()
 	return info.ID, nil
 }
@@ -107,7 +106,6 @@ func (e *Engine) Read(tx wal.TxID, obj wal.ObjectID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.stats.Reads++
 	e.met.reads.Inc()
 	return v, nil
 }
@@ -182,7 +180,6 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 	if err := e.store.Write(obj, val, lsn); err != nil {
 		return err
 	}
-	e.stats.Updates++
 	e.met.updates.Inc()
 	e.met.updateNs.Observe(time.Since(start))
 	return nil
@@ -267,7 +264,6 @@ func (e *Engine) delegateAsLocked(tor, tee wal.TxID, obj wal.ObjectID, typ wal.R
 	// The delegate record heads both backward chains.
 	torInfo.LastLSN = lsn
 	teeInfo.LastLSN = lsn
-	e.stats.Delegations++
 	e.met.delegations.Inc()
 	e.met.delegateNs.Observe(time.Since(start))
 	if e.reg.HasEventHook() {
@@ -444,7 +440,6 @@ func (e *Engine) endCommitLocked(tx wal.TxID, lsn wal.LSN, start time.Time) {
 	delete(e.state, tx)
 	delete(e.deps, tx)
 	e.txns.Remove(tx)
-	e.stats.Commits++
 	e.met.commits.Inc()
 	e.met.commitNs.Observe(time.Since(start))
 	if e.reg.HasEventHook() {
@@ -562,7 +557,7 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 	}
 	// ABORT OPERATIONS: undo everything covered by tx's scopes, sweeping
 	// backwards from the largest covered LSN to minLSN (§3.5).
-	if err := e.undoScopes(e.state[tx].OwnedScopes(tx), nil); err != nil {
+	if err := e.undoScopes(e.state[tx].OwnedScopes(tx), nil, nil); err != nil {
 		return err
 	}
 	// WRITE ABORT RECORD.  The force is deferred to the top-level abort's
@@ -597,7 +592,6 @@ func (e *Engine) endAbortLocked(info *txn.Info) (wal.LSN, error) {
 	delete(e.state, tx)
 	delete(e.deps, tx)
 	e.txns.Remove(tx)
-	e.stats.Aborts++
 	e.met.aborts.Inc()
 	return lsn, nil
 }
@@ -606,16 +600,18 @@ func (e *Engine) endAbortLocked(info *txn.Info) (wal.LSN, error) {
 // every covered update and writing CLRs.  compensated (may be nil) lists
 // update LSNs already undone by earlier CLRs; they are skipped.  Used both
 // by normal-processing aborts (scopes of one transaction) and by the
-// recovery backward pass (all loser scopes).
-func (e *Engine) undoScopes(scopes []delegation.Scope, compensated map[wal.LSN]bool) error {
+// recovery backward pass (all loser scopes), which passes the trace it is
+// building as tr to have the sweep counted into it (nil otherwise).
+func (e *Engine) undoScopes(scopes []delegation.Scope, compensated map[wal.LSN]bool, tr *RecoveryTrace) error {
 	planner := delegation.NewPlanner(scopes)
 	hooked := e.reg.HasEventHook()
+	var visited, clrs uint64
 	for {
 		k, ok := planner.Next()
 		if !ok {
 			break
 		}
-		e.stats.RecBackwardVisited++
+		visited++
 		e.met.undoVisited.Inc()
 		if hooked {
 			e.reg.Emit(obs.Event{Name: "undo.visit", LSN: uint64(k)})
@@ -638,13 +634,19 @@ func (e *Engine) undoScopes(scopes []delegation.Scope, compensated map[wal.LSN]b
 		} else if err := e.undoUpdate(owner, rec); err != nil {
 			return err
 		}
+		clrs++
 		if err := e.fireRecoveryFailpoint(); err != nil {
 			return err
 		}
 	}
-	e.stats.RecBackwardSkipped += planner.Skipped
 	e.met.undoSkipped.Add(planner.Skipped)
 	e.met.undoClusters.Add(planner.Clusters)
+	if tr != nil {
+		tr.BackwardVisited += visited
+		tr.BackwardSkipped += planner.Skipped
+		tr.Clusters += planner.Clusters
+		tr.CLRs += clrs
+	}
 	return nil
 }
 
@@ -666,13 +668,6 @@ func (e *Engine) fireRecoveryFailpoint() error {
 // undoUpdate restores rec's before-image and logs a CLR on behalf of the
 // responsible transaction owner.
 func (e *Engine) undoUpdate(owner wal.TxID, rec *wal.Record) error {
-	return e.undoUpdateInto(owner, rec, &e.stats)
-}
-
-// undoUpdateInto is undoUpdate with an explicit stats sink: the parallel
-// recovery pipeline counts into pipeline-local stats (merged under the
-// engine latch at finish) because its undo worker runs without the latch.
-func (e *Engine) undoUpdateInto(owner wal.TxID, rec *wal.Record, st *Stats) error {
 	info := e.txns.Get(owner)
 	prev := wal.NilLSN
 	if info != nil {
@@ -697,7 +692,6 @@ func (e *Engine) undoUpdateInto(owner wal.TxID, rec *wal.Record, st *Stats) erro
 	if info != nil {
 		info.LastLSN = lsn
 	}
-	st.CLRs++
 	e.met.clrs.Inc()
 	return nil
 }
@@ -751,7 +745,6 @@ func (e *Engine) Checkpoint() error {
 		e.degradeLocked(err)
 		return err
 	}
-	e.stats.Checkpoints++
 	e.met.checkpoints.Inc()
 	return nil
 }

@@ -55,12 +55,12 @@ func TestOpListSingleBoundedScan(t *testing.T) {
 		}
 	}
 
-	readsBefore := e.LogStats().Reads
+	readsBefore := e.Metrics().Counter("wal.reads")
 	ops, err := e.OpList(t1)
 	if err != nil {
 		t.Fatalf("OpList(t1): %v", err)
 	}
-	readsDelta := e.LogStats().Reads - readsBefore
+	readsDelta := e.Metrics().Counter("wal.reads") - readsBefore
 
 	if len(ops) != len(want1) {
 		t.Fatalf("OpList(t1) has %d entries, want %d", len(ops), len(want1))

@@ -29,6 +29,9 @@ type replayState struct {
 	// compensated lists the update LSNs already undone by a CLR seen in
 	// the forward direction; the backward pass skips them.
 	compensated map[wal.LSN]bool
+	// redone counts the changes redone onto pages and winners the commit
+	// records analysed; Recover copies both into its trace.
+	redone, winners uint64
 }
 
 func newReplayState() *replayState {
@@ -38,15 +41,12 @@ func newReplayState() *replayState {
 	}
 }
 
-// recoveryBook carries the trace bookkeeping captured at the start of a
-// Recover (or Promote) into finishRecoveryLocked, which computes the
-// per-run trace as deltas of the cumulative stats (safe — the latch is
-// held throughout).
+// recoveryBook carries a Recover (or Promote) run into
+// finishRecoveryLocked: the run's trace, which each pass counts in place
+// as it goes, and the run's start time.
 type recoveryBook struct {
-	statsBefore    Stats
-	clustersBefore uint64
-	totalStart     time.Time
-	forwardDur     time.Duration
+	tr         RecoveryTrace
+	totalStart time.Time
 }
 
 // Recover restores the engine after a Crash, following §3.6:
@@ -89,11 +89,7 @@ func (e *Engine) Recover() error {
 	e.globals = make(map[uint64]globalDecision)
 
 	e.met.recRuns.Inc()
-	book := recoveryBook{
-		totalStart:     time.Now(),
-		statsBefore:    e.stats,
-		clustersBefore: e.met.undoClusters.Load(),
-	}
+	book := recoveryBook{totalStart: time.Now()}
 
 	scanStart, analysisAfter, err := e.locateCheckpointLocked()
 	if err != nil {
@@ -103,9 +99,8 @@ func (e *Engine) Recover() error {
 	// ---- Forward pass: analysis + redo in one sweep (§3.6.1). ----
 	rs := newReplayState()
 	forwardStart := time.Now()
-	e.log.ResetReadCursor()
 	err = e.log.Scan(scanStart, wal.NilLSN, func(rec *wal.Record) (bool, error) {
-		e.stats.RecForwardRecords++
+		book.tr.ForwardRecords++
 		if err := e.applyRecordLocked(rec, rec.LSN > analysisAfter, rs); err != nil {
 			return false, err
 		}
@@ -114,7 +109,8 @@ func (e *Engine) Recover() error {
 	if err != nil {
 		return err
 	}
-	book.forwardDur = time.Since(forwardStart)
+	book.tr.ForwardDur = time.Since(forwardStart)
+	book.tr.Redone, book.tr.Winners = rs.redone, rs.winners
 
 	return e.finishRecoveryLocked(rs, book)
 }
@@ -192,14 +188,14 @@ func (e *Engine) applyRecordLocked(rec *wal.Record, analyze bool, rs *replayStat
 	}
 	switch rec.Type {
 	case wal.TypeUpdate:
-		return e.redoApply(rs.applied, rec.Object, rec.After, rec.LSN)
+		return e.redoApply(rs, rec.Object, rec.After, rec.LSN)
 	case wal.TypeIncrement:
-		return e.redoApplyDelta(rs.applied, rec.Object, rec.Delta, rec.LSN)
+		return e.redoApplyDelta(rs, rec.Object, rec.Delta, rec.LSN)
 	case wal.TypeCLR:
 		if rec.Logical {
-			return e.redoApplyDelta(rs.applied, rec.Object, rec.Delta, rec.LSN)
+			return e.redoApplyDelta(rs, rec.Object, rec.Delta, rec.LSN)
 		}
-		return e.redoApply(rs.applied, rec.Object, rec.Before, rec.LSN)
+		return e.redoApply(rs, rec.Object, rec.Before, rec.LSN)
 	}
 	return nil
 }
@@ -260,7 +256,7 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 			break
 		}
 		if rec.Type == wal.TypeCommit {
-			e.stats.RecWinners++
+			rs.winners++
 			// A commit following a prepare record resolves the global
 			// transaction.  On the coordinator (the prepare record named
 			// this shard) retain the decision — queryable by peer shards,
@@ -316,24 +312,23 @@ func (e *Engine) registerLocked(tx wal.TxID) *txn.Info {
 // calls it over the follower's continuously maintained replay state —
 // promotion IS this function, there is no separate code path.
 func (e *Engine) finishRecoveryLocked(rs *replayState, book recoveryBook) error {
+	tr := book.tr
 	losers, lsrScopes := e.classifyLocked()
+	tr.Losers = uint64(len(losers))
 
 	// ---- Backward pass: cluster sweep undoing loser updates (§3.6.2). ----
 	backwardStart := time.Now()
-	undoneBefore := e.stats.CLRs
 	if e.opts.FullScanUndo {
 		// Ablation: the rejected alternative — "scan all log records
 		// backwards, identifying the loser updates … unnecessarily
 		// inspecting many winner updates."
-		if err := e.undoScopesFullScan(lsrScopes, rs.compensated); err != nil {
+		if err := e.undoScopesFullScan(lsrScopes, rs.compensated, &tr); err != nil {
 			return err
 		}
-	} else if err := e.undoScopes(lsrScopes, rs.compensated); err != nil {
+	} else if err := e.undoScopes(lsrScopes, rs.compensated, &tr); err != nil {
 		return err
 	}
-	e.stats.RecCLRs += e.stats.CLRs - undoneBefore
-	e.stats.RecUndone += e.stats.CLRs - undoneBefore
-	backwardDur := time.Since(backwardStart)
+	tr.BackwardDur = time.Since(backwardStart)
 
 	// ---- Terminate losers. ----
 	if err := e.terminateLosers(losers); err != nil {
@@ -345,20 +340,7 @@ func (e *Engine) finishRecoveryLocked(rs *replayState, book recoveryBook) error 
 	e.crashed = false
 
 	// ---- Record the trace and the cumulative recovery metrics. ----
-	delta := func(after, before uint64) uint64 { return after - before }
-	tr := RecoveryTrace{
-		ForwardDur:      book.forwardDur,
-		BackwardDur:     backwardDur,
-		TotalDur:        time.Since(book.totalStart),
-		ForwardRecords:  delta(e.stats.RecForwardRecords, book.statsBefore.RecForwardRecords),
-		Redone:          delta(e.stats.RecRedone, book.statsBefore.RecRedone),
-		BackwardVisited: delta(e.stats.RecBackwardVisited, book.statsBefore.RecBackwardVisited),
-		BackwardSkipped: delta(e.stats.RecBackwardSkipped, book.statsBefore.RecBackwardSkipped),
-		Clusters:        e.met.undoClusters.Load() - book.clustersBefore,
-		CLRs:            delta(e.stats.RecCLRs, book.statsBefore.RecCLRs),
-		Losers:          delta(e.stats.RecLosers, book.statsBefore.RecLosers),
-		Winners:         delta(e.stats.RecWinners, book.statsBefore.RecWinners),
-	}
+	tr.TotalDur = time.Since(book.totalStart)
 	tr.Stages = []RecoveryStage{
 		{Name: "forward", Dur: tr.ForwardDur, Units: tr.ForwardRecords},
 		{Name: "backward", Dur: tr.BackwardDur, Units: tr.BackwardVisited},
@@ -412,7 +394,6 @@ func (e *Engine) classifyLocked() (losers []wal.TxID, lsrScopes []delegation.Sco
 		losers = append(losers, info.ID)
 	}
 	for _, id := range losers {
-		e.stats.RecLosers++
 		if ol := e.state[id]; ol != nil {
 			lsrScopes = append(lsrScopes, ol.OwnedScopes(id)...)
 		}
@@ -449,7 +430,7 @@ func (e *Engine) terminateLosers(losers []wal.TxID) error {
 // checking each update against the scopes.  Functionally identical to the
 // cluster sweep; the visit counters expose the cost difference the paper's
 // cluster design avoids.
-func (e *Engine) undoScopesFullScan(scopes []delegation.Scope, compensated map[wal.LSN]bool) error {
+func (e *Engine) undoScopesFullScan(scopes []delegation.Scope, compensated map[wal.LSN]bool, tr *RecoveryTrace) error {
 	if len(scopes) == 0 {
 		return nil
 	}
@@ -465,7 +446,7 @@ func (e *Engine) undoScopesFullScan(scopes []delegation.Scope, compensated map[w
 	}
 	hooked := e.reg.HasEventHook()
 	for k := high; k >= low && k != wal.NilLSN; k-- {
-		e.stats.RecBackwardVisited++
+		tr.BackwardVisited++
 		e.met.undoVisited.Inc()
 		if hooked {
 			e.reg.Emit(obs.Event{Name: "undo.visit", LSN: uint64(k)})
@@ -486,6 +467,7 @@ func (e *Engine) undoScopesFullScan(scopes []delegation.Scope, compensated map[w
 				} else if err := e.undoUpdate(s.Owner, rec); err != nil {
 					return err
 				}
+				tr.CLRs++
 				break
 			}
 		}
@@ -498,15 +480,15 @@ func (e *Engine) undoScopesFullScan(scopes []delegation.Scope, compensated map[w
 // touch of an object the page image's coverage is discovered from its
 // pageLSN: a page flushed at pageLSN pl contains exactly the updates with
 // LSN ≤ pl for every object stored in it.
-func (e *Engine) redoApply(applied map[wal.ObjectID]wal.LSN, obj wal.ObjectID, val []byte, lsn wal.LSN) error {
-	la, ok := applied[obj]
+func (e *Engine) redoApply(rs *replayState, obj wal.ObjectID, val []byte, lsn wal.LSN) error {
+	la, ok := rs.applied[obj]
 	if !ok {
 		pl, err := e.store.PageLSN(obj)
 		if err != nil {
 			return err
 		}
 		la = pl
-		applied[obj] = la
+		rs.applied[obj] = la
 	}
 	if lsn <= la {
 		return nil
@@ -514,22 +496,22 @@ func (e *Engine) redoApply(applied map[wal.ObjectID]wal.LSN, obj wal.ObjectID, v
 	if err := e.store.Write(obj, val, lsn); err != nil {
 		return err
 	}
-	applied[obj] = lsn
-	e.stats.RecRedone++
+	rs.applied[obj] = lsn
+	rs.redone++
 	return nil
 }
 
 // redoApplyDelta repeats history for a logical (increment or logical-CLR)
 // change, with the same per-object coverage discipline as redoApply.
-func (e *Engine) redoApplyDelta(applied map[wal.ObjectID]wal.LSN, obj wal.ObjectID, delta int64, lsn wal.LSN) error {
-	la, ok := applied[obj]
+func (e *Engine) redoApplyDelta(rs *replayState, obj wal.ObjectID, delta int64, lsn wal.LSN) error {
+	la, ok := rs.applied[obj]
 	if !ok {
 		pl, err := e.store.PageLSN(obj)
 		if err != nil {
 			return err
 		}
 		la = pl
-		applied[obj] = la
+		rs.applied[obj] = la
 	}
 	if lsn <= la {
 		return nil
@@ -537,7 +519,7 @@ func (e *Engine) redoApplyDelta(applied map[wal.ObjectID]wal.LSN, obj wal.Object
 	if err := e.applyDelta(obj, delta, lsn); err != nil {
 		return err
 	}
-	applied[obj] = lsn
-	e.stats.RecRedone++
+	rs.applied[obj] = lsn
+	rs.redone++
 	return nil
 }

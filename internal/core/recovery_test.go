@@ -259,15 +259,15 @@ func TestRecoveryStatsShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	crashAndRecover(t, e)
-	s := e.Stats()
-	if s.RecWinners != 1 || s.RecLosers != 1 {
-		t.Fatalf("winners=%d losers=%d", s.RecWinners, s.RecLosers)
+	tr := e.LastRecoveryTrace()
+	if tr.Winners != 1 || tr.Losers != 1 {
+		t.Fatalf("winners=%d losers=%d", tr.Winners, tr.Losers)
 	}
-	if s.RecCLRs != 1 {
-		t.Fatalf("recovery CLRs = %d, want 1 (only t1's own update)", s.RecCLRs)
+	if tr.CLRs != 1 {
+		t.Fatalf("recovery CLRs = %d, want 1 (only t1's own update)", tr.CLRs)
 	}
-	if s.RecForwardRecords == 0 || s.RecRedone == 0 {
-		t.Fatalf("forward pass stats empty: %+v", s)
+	if tr.ForwardRecords == 0 || tr.Redone == 0 {
+		t.Fatalf("forward pass counts empty: %+v", tr)
 	}
 }
 

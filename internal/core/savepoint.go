@@ -75,7 +75,7 @@ func (e *Engine) RollbackTo(sp Savepoint) error {
 		}
 		after = append(after, clipped)
 	}
-	if err := e.undoScopes(after, nil); err != nil {
+	if err := e.undoScopes(after, nil, nil); err != nil {
 		return err
 	}
 	// Trim the object list: drop or shorten scopes past the marker.

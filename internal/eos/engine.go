@@ -410,7 +410,6 @@ func (e *Engine) Recover() error {
 	}
 	buffered := make(map[wal.TxID][]pending)
 	applied := make(map[wal.ObjectID]wal.LSN)
-	e.global.ResetReadCursor()
 	err := e.global.Scan(1, wal.NilLSN, func(rec *wal.Record) (bool, error) {
 		e.stats.RecForwardRecords++
 		switch rec.Type {

@@ -10,6 +10,21 @@ import (
 	"ariesrh/internal/wal"
 )
 
+// awaitWaiters blocks until n requests are parked in m.Acquire.  The
+// waiters gauge is raised under m.mu before a request parks, so once it
+// reads n every one of them has queued; the deadline is only the failure
+// path.
+func awaitWaiters(t *testing.T, m *Manager, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.met.waiters.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests parked in Acquire", m.met.waiters.Load(), n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
 func TestSharedLocksCoexist(t *testing.T) {
 	m := NewManager()
 	if err := m.Acquire(1, 100, Shared); err != nil {
@@ -41,7 +56,7 @@ func TestExclusiveBlocks(t *testing.T) {
 		acquired.Store(true)
 		close(done)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	awaitWaiters(t, m, 1)
 	if acquired.Load() {
 		t.Fatal("conflicting lock granted while held")
 	}
@@ -95,7 +110,7 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 	errs := make(chan error, 2)
 	go func() { errs <- m.Acquire(1, 20, Exclusive) }() // 1 waits on 2
-	time.Sleep(20 * time.Millisecond)
+	awaitWaiters(t, m, 1)
 	go func() { errs <- m.Acquire(2, 10, Exclusive) }() // 2 waits on 1: cycle
 	var deadlocked, granted int
 	for i := 0; i < 2; i++ {
@@ -135,7 +150,7 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 	}
 	results := make(chan result, 2)
 	go func() { results <- result{1, m.Acquire(1, 7, Exclusive)} }()
-	time.Sleep(20 * time.Millisecond)
+	awaitWaiters(t, m, 1)
 	go func() { results <- result{2, m.Acquire(2, 7, Exclusive)} }()
 	// Both want to upgrade; each waits on the other's shared hold: one
 	// must be victimized and abort (releasing its locks), after which the
@@ -209,7 +224,7 @@ func TestFIFONoWriterStarvation(t *testing.T) {
 		}
 		close(writerDone)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	awaitWaiters(t, m, 1)
 	// A reader arriving after the queued writer must wait behind it.
 	readerDone := make(chan struct{})
 	go func() {
@@ -218,7 +233,7 @@ func TestFIFONoWriterStarvation(t *testing.T) {
 		}
 		close(readerDone)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	awaitWaiters(t, m, 2)
 	select {
 	case <-readerDone:
 		t.Fatal("late reader jumped the queued writer")
@@ -287,7 +302,7 @@ func TestIncompatibleSelfModesEscalate(t *testing.T) {
 		}
 		close(readerDone)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	awaitWaiters(t, m, 1)
 	select {
 	case <-readerDone:
 		t.Fatal("reader granted against a combined S+I hold")
@@ -311,7 +326,7 @@ func TestIncompatibleSelfModesEscalate(t *testing.T) {
 		}
 		close(incDone)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	awaitWaiters(t, m, 1)
 	select {
 	case <-incDone:
 		t.Fatal("incrementer granted against a combined I+S hold")

@@ -201,13 +201,7 @@ func TestWaitersGauge(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(2, 10, Exclusive) }()
-	deadline := time.Now().Add(time.Second)
-	for m.met.waiters.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiters gauge never rose")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitWaiters(t, m, 1) // the gauge rises
 	m.ReleaseAll(1)
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ariesrh/internal/buffer"
+	"ariesrh/internal/obs"
 	"ariesrh/internal/storage"
 	"ariesrh/internal/wal"
 )
@@ -103,6 +104,8 @@ func TestStorePropertyAgainstMap(t *testing.T) {
 func TestStoreEvictionsPreserveValues(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pool := buffer.NewPool(disk, 4, nil)
+	reg := obs.NewRegistry()
+	pool.Instrument(reg)
 	s, err := Open(pool, disk)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +116,7 @@ func TestStoreEvictionsPreserveValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := pool.Stats().Evictions; got == 0 {
+	if got := reg.Counter("buffer.evictions").Load(); got == 0 {
 		t.Fatal("no evictions despite tiny pool")
 	}
 	for i := 1; i <= n; i++ {

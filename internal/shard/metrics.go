@@ -34,7 +34,8 @@ type dbMetrics struct {
 	shards *obs.Gauge
 
 	// crossCommitNs is the end-to-end latency of the two-phase commit
-	// path (all prepare forces + decision force + phase 2).
+	// path: the participants' forced votes, the coordinator's decision
+	// force (its own prepare rides it) and the unforced phase 2.
 	crossCommitNs *obs.Histogram
 }
 

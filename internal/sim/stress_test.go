@@ -86,9 +86,9 @@ func TestConcurrentCommitMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats := e.LogStats()
-	if stats.FlushWaiters < stats.GroupedFlushes {
-		t.Fatalf("grouped flushes (%d) exceed flush waiters (%d)", stats.GroupedFlushes, stats.FlushWaiters)
+	m := e.Metrics()
+	if grouped, waiters := m.Counter("wal.grouped_flushes"), m.Counter("wal.flush_waiters"); waiters < grouped {
+		t.Fatalf("grouped flushes (%d) exceed flush waiters (%d)", grouped, waiters)
 	}
 
 	for w := range results {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ariesrh/internal/core"
+	"ariesrh/internal/obs"
 	"ariesrh/internal/wal"
 )
 
@@ -218,13 +219,13 @@ func TestEngineWritesSegmentBytesOnce(t *testing.T) {
 		oracle.CrashRecover(losers)
 		checkAgainstOracle(t, cfg.Seed, target, oracle, cfg)
 	}
-	st := e.LogStats()
-	if st.Rotations < 4 || st.Archives == 0 || e.Log().Base() == wal.NilLSN {
+	m := e.Metrics()
+	if rotations, archives := m.Counter("wal.rotations"), m.Counter("wal.archives"); rotations < 4 || archives == 0 || e.Log().Base() == wal.NilLSN {
 		t.Fatalf("workload too small to mean anything: %d rotations, %d archives, base %d",
-			st.Rotations, st.Archives, e.Log().Base())
+			rotations, archives, e.Log().Base())
 	}
-	if e.Stats().Delegations == 0 || e.Stats().Aborts == 0 {
-		t.Fatalf("trace had %d delegations, %d aborts", e.Stats().Delegations, e.Stats().Aborts)
+	if delegations, aborts := m.Counter("core.delegations"), m.Counter("core.aborts"); delegations == 0 || aborts == 0 {
+		t.Fatalf("trace had %d delegations, %d aborts", delegations, aborts)
 	}
 	if got := dir.Violations(); got != 0 {
 		t.Fatalf("%d writes below a segment's synced length", got)
@@ -241,6 +242,8 @@ func TestLogWritesSegmentBytesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	l.Instrument(reg)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 600; i++ {
 		rec := &wal.Record{Type: wal.TypeUpdate, TxID: 1, Object: wal.ObjectID(i), After: make([]byte, rng.Intn(40))}
@@ -270,10 +273,10 @@ func TestLogWritesSegmentBytesOnce(t *testing.T) {
 	if err := l.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	st := l.Stats()
-	if st.Rotations < 4 || st.Archives == 0 || l.Head() == wal.NilLSN || l.Head() != l.FlushedLSN() {
+	m := reg.Snapshot()
+	if m.Counter("wal.rotations") < 4 || m.Counter("wal.archives") == 0 || l.Head() == wal.NilLSN || l.Head() != l.FlushedLSN() {
 		t.Fatalf("loop too small to mean anything: %d rotations, %d archives, head %d, flushed %d",
-			st.Rotations, st.Archives, l.Head(), l.FlushedLSN())
+			m.Counter("wal.rotations"), m.Counter("wal.archives"), l.Head(), l.FlushedLSN())
 	}
 	if got := dir.Violations(); got != 0 {
 		t.Fatalf("%d writes below a segment's synced length", got)

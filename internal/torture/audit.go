@@ -249,7 +249,7 @@ func TransientRun(cfg Config, failEveryNth uint64) (TransientResult, error) {
 			return res, fmt.Errorf("torture: counter %d: engine %d, oracle %d", c, got, want)
 		}
 	}
-	res.Retries = eng.LogStats().FlushRetries
+	res.Retries = eng.Metrics().Counter("wal.flush_retries")
 	res.Injected = store.InjectedErrors()
 	return res, nil
 }

@@ -130,7 +130,6 @@ func (t *replTarget) workload(ctx context.Context) error {
 func (t *replTarget) judge(b *boundary) (verdict, error) {
 	primaryRecs := b.durable[0]
 	var replicaRecs []*wal.Record
-	t.follower.Log().ResetReadCursor()
 	err := t.follower.Log().Scan(1, wal.NilLSN, func(rec *wal.Record) (bool, error) {
 		replicaRecs = append(replicaRecs, rec)
 		return true, nil

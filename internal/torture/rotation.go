@@ -228,9 +228,9 @@ func RotationRun(cfg RotationConfig) (RotationResult, error) {
 		Records:     t.records,
 	}
 	if probed != nil {
-		log := probed.engines()[0].Log()
-		stats := log.Stats()
-		res.Rotations, res.Archives, res.ArchivedBase = stats.Rotations, stats.Archives, log.Base()
+		eng := probed.engines()[0]
+		m := eng.Metrics()
+		res.Rotations, res.Archives, res.ArchivedBase = m.Counter("wal.rotations"), m.Counter("wal.archives"), eng.Log().Base()
 	}
 	return res, err
 }

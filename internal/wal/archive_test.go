@@ -229,7 +229,6 @@ func TestArchiveDeviceFailureLeavesStateIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	segsBefore := len(l.Segments())
-	statsBefore := l.Stats()
 
 	dir.FailSyncsWith(fmt.Errorf("injected sync failure"))
 	if err := l.Archive(4); err == nil {
@@ -243,9 +242,6 @@ func TestArchiveDeviceFailureLeavesStateIntact(t *testing.T) {
 	}
 	if got := len(l.Segments()); got != segsBefore {
 		t.Fatalf("failed archive changed segment count %d -> %d", segsBefore, got)
-	}
-	if d := l.Stats().Sub(statsBefore); d.Archives != 0 {
-		t.Fatalf("failed archive counted in stats: %+v", d)
 	}
 	if got := reg.Counter("wal.archives").Load(); got != 0 {
 		t.Fatalf("wal.archives = %d after failed archive, want 0", got)
@@ -268,9 +264,6 @@ func TestArchiveDeviceFailureLeavesStateIntact(t *testing.T) {
 	}
 	if got := reg.Counter("wal.archives").Load(); got != 1 {
 		t.Fatalf("wal.archives = %d after one successful archive, want 1", got)
-	}
-	if d := l.Stats().Sub(statsBefore); d.Archives != 1 {
-		t.Fatalf("stats after successful archive: %+v", d)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ariesrh/internal/obs"
 )
 
 // gatedDir blocks every device Sync until released, so tests can
@@ -68,6 +70,8 @@ func (s *gatedDev) Sync() error {
 
 func TestFlushAsyncSingleWaiter(t *testing.T) {
 	l := newMemLog(t)
+	reg := obs.NewRegistry()
+	l.Instrument(reg)
 	lsn := mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 7})
 	if err := <-l.FlushAsync(lsn); err != nil {
 		t.Fatalf("FlushAsync: %v", err)
@@ -75,9 +79,9 @@ func TestFlushAsyncSingleWaiter(t *testing.T) {
 	if got := l.FlushedLSN(); got < lsn {
 		t.Fatalf("FlushedLSN = %d, want >= %d", got, lsn)
 	}
-	st := l.Stats()
-	if st.GroupedFlushes != 1 || st.FlushWaiters != 1 {
-		t.Fatalf("stats = grouped %d / waiters %d, want 1/1", st.GroupedFlushes, st.FlushWaiters)
+	m := reg.Snapshot()
+	if m.Counter("wal.grouped_flushes") != 1 || m.Counter("wal.flush_waiters") != 1 {
+		t.Fatalf("grouped %d / waiters %d, want 1/1", m.Counter("wal.grouped_flushes"), m.Counter("wal.flush_waiters"))
 	}
 }
 
@@ -87,14 +91,14 @@ func TestFlushAsyncAlreadyDurable(t *testing.T) {
 	if err := l.Flush(lsn); err != nil {
 		t.Fatal(err)
 	}
-	st0 := l.Stats()
+	reg := obs.NewRegistry()
+	l.Instrument(reg)
 	// Already-covered requests complete immediately without a device trip.
 	if err := <-l.FlushAsync(lsn); err != nil {
 		t.Fatalf("FlushAsync: %v", err)
 	}
-	d := l.Stats().Sub(st0)
-	if d.Flushes != 0 || d.GroupedFlushes != 0 {
-		t.Fatalf("already-durable FlushAsync touched the device: %+v", d)
+	if m := reg.Snapshot(); m.Counter("wal.flushes") != 0 || m.Counter("wal.grouped_flushes") != 0 {
+		t.Fatalf("already-durable FlushAsync touched the device: %+v", m.Counters)
 	}
 }
 
@@ -108,6 +112,8 @@ func TestFlushAsyncCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	l.Instrument(reg)
 	dir.arm()
 
 	first := mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 1})
@@ -149,11 +155,10 @@ func TestFlushAsyncCoalesces(t *testing.T) {
 	if got := dir.syncCount(); got != 2 {
 		t.Fatalf("device syncs = %d, want 2 (one per batch)", got)
 	}
-	st := l.Stats()
-	if st.GroupedFlushes != 2 {
-		t.Fatalf("GroupedFlushes = %d, want 2", st.GroupedFlushes)
+	if got := reg.Counter("wal.grouped_flushes").Load(); got != 2 {
+		t.Fatalf("wal.grouped_flushes = %d, want 2", got)
 	}
-	if st.FlushWaiters != extra+1 {
-		t.Fatalf("FlushWaiters = %d, want %d", st.FlushWaiters, extra+1)
+	if got := reg.Counter("wal.flush_waiters").Load(); got != extra+1 {
+		t.Fatalf("wal.flush_waiters = %d, want %d", got, extra+1)
 	}
 }

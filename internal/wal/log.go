@@ -9,60 +9,6 @@ import (
 	"ariesrh/internal/obs"
 )
 
-// AccessStats counts log accesses in the units the paper's efficiency
-// argument (§4.2) is phrased in.  Benchmarks snapshot and diff these.
-type AccessStats struct {
-	// Appends is the number of records appended.
-	Appends uint64
-	// Flushes is the number of flush rounds that reached the device;
-	// FlushedBytes the bytes they wrote.
-	Flushes      uint64
-	FlushedBytes uint64
-	// Reads counts record fetches; SequentialReads those whose LSN was
-	// adjacent to (or equal to) the previously read LSN, RandomReads the
-	// rest.  ARIES and ARIES/RH read the log strictly sequentially in
-	// each pass; the eager rewriter does not.
-	Reads           uint64
-	SequentialReads uint64
-	RandomReads     uint64
-	// GroupedFlushes counts device write+sync rounds performed by the
-	// group-commit leader (every round is one, so it equals Flushes);
-	// FlushWaiters the Flush and FlushAsync requests that queued behind
-	// one.  FlushWaiters / GroupedFlushes is the coalescing ratio: how
-	// many commits each device sync amortized over.
-	GroupedFlushes uint64
-	FlushWaiters   uint64
-	// FlushRetries counts device write+sync attempts that failed with a
-	// retriable error and were retried after backoff; FlushErrors the
-	// flushes that surfaced an error to their caller after the retry
-	// budget was exhausted (or the error was marked ErrNoRetry).
-	FlushRetries uint64
-	FlushErrors  uint64
-	// Rotations counts segment rotations (a fresh segment image opened
-	// because the active one reached the segment cap); Archives the
-	// Archive calls that advanced the base.
-	Rotations uint64
-	Archives  uint64
-}
-
-// Sub returns the element-wise difference s - o.
-func (s AccessStats) Sub(o AccessStats) AccessStats {
-	return AccessStats{
-		Appends:         s.Appends - o.Appends,
-		Flushes:         s.Flushes - o.Flushes,
-		FlushedBytes:    s.FlushedBytes - o.FlushedBytes,
-		Reads:           s.Reads - o.Reads,
-		SequentialReads: s.SequentialReads - o.SequentialReads,
-		RandomReads:     s.RandomReads - o.RandomReads,
-		GroupedFlushes:  s.GroupedFlushes - o.GroupedFlushes,
-		FlushWaiters:    s.FlushWaiters - o.FlushWaiters,
-		FlushRetries:    s.FlushRetries - o.FlushRetries,
-		FlushErrors:     s.FlushErrors - o.FlushErrors,
-		Rotations:       s.Rotations - o.Rotations,
-		Archives:        s.Archives - o.Archives,
-	}
-}
-
 // ErrNoSuchLSN is returned by Get for LSNs that name no record.
 var ErrNoSuchLSN = errors.New("wal: no such LSN")
 
@@ -142,9 +88,7 @@ type Log struct {
 	subs     map[*Subscription]struct{}
 	tailCond *sync.Cond
 
-	lastReadLSN LSN
-	stats       AccessStats
-	met         logMetrics
+	met logMetrics
 }
 
 // segment is one live log segment: a device image plus the volatile
@@ -336,7 +280,7 @@ func (l *Log) segIndexLocked(lsn LSN) int {
 
 // frameAtLocked returns the log's bytes from the frame of the record at
 // lsn to the end of its segment — decode the frame with DecodeRecord — or
-// nil if no live segment holds it.  No access stats are recorded.
+// nil if no live segment holds it.  No read is counted.
 func (l *Log) frameAtLocked(lsn LSN) []byte {
 	if lsn == NilLSN {
 		return nil
@@ -446,7 +390,6 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	l.segs = append(l.segs, &segment{num: num, firstLSN: head + 1, dev: dev})
-	l.stats.Rotations++
 	l.met.rotations.Inc()
 	l.met.segments.Set(int64(len(l.segs)))
 	if l.met.reg.HasEventHook() {
@@ -478,7 +421,6 @@ func (l *Log) Append(r *Record) (LSN, error) {
 	}
 	active.offsets = append(active.offsets, len(active.data))
 	active.data = data
-	l.stats.Appends++
 	l.met.appends.Inc()
 	return r.LSN, nil
 }
@@ -598,8 +540,9 @@ func (l *Log) Flush(upTo LSN) error {
 // target LSN, one leader goroutine performs a single write+Sync covering
 // the highest LSN queued, and every waiter whose target that round covers
 // is released together.  N committers thus pay ~1 device sync per batch
-// rather than N.  AccessStats records the batching: FlushWaiters counts
-// requests that queued, GroupedFlushes the leader rounds that served them.
+// rather than N.  The registry records the batching: wal.flush_waiters
+// counts requests that queued, wal.grouped_flushes the leader rounds that
+// served them.
 func (l *Log) FlushAsync(upTo LSN) <-chan error {
 	ch := make(chan error, 1)
 	l.mu.Lock()
@@ -612,7 +555,6 @@ func (l *Log) FlushAsync(upTo LSN) <-chan error {
 		return ch
 	}
 	l.flushQ = append(l.flushQ, flushWaiter{upTo: upTo, ch: ch})
-	l.stats.FlushWaiters++
 	l.met.flushWaiters.Inc()
 	if !l.flushLeader {
 		l.flushLeader = true
@@ -711,7 +653,6 @@ func (l *Log) flushRangeUnlatched(upTo LSN) error {
 	l.mu.Lock()
 	l.flushInFlight = false
 	l.flushIdle.Broadcast()
-	l.stats.FlushRetries += uint64(retries)
 	l.met.flushRetries.Add(uint64(retries))
 	var flushed uint64
 	for _, c := range chunks[:done] {
@@ -722,16 +663,12 @@ func (l *Log) flushRangeUnlatched(upTo LSN) error {
 	if flushed > 0 {
 		l.flushedLSN = chunks[done-1].endLSN
 		l.tailCond.Broadcast()
-		l.stats.Flushes++
-		l.stats.GroupedFlushes++
-		l.stats.FlushedBytes += flushed
 		l.met.flushes.Inc()
 		l.met.groupedFlushes.Inc()
 		l.met.flushedBytes.Add(flushed)
 		l.met.flushNs.Observe(took)
 	}
 	if err != nil {
-		l.stats.FlushErrors++
 		l.met.flushErrors.Inc()
 		return fmt.Errorf("wal: flush: %w", err)
 	}
@@ -760,15 +697,7 @@ func (l *Log) readFrameLocked(lsn LSN) ([]byte, error) {
 	if frame == nil {
 		return nil, fmt.Errorf("%w: %d (head %d)", ErrNoSuchLSN, lsn, l.headLocked())
 	}
-	l.stats.Reads++
 	l.met.reads.Inc()
-	d := int64(lsn) - int64(l.lastReadLSN)
-	if d == 1 || d == -1 || d == 0 {
-		l.stats.SequentialReads++
-	} else {
-		l.stats.RandomReads++
-	}
-	l.lastReadLSN = lsn
 	return frame, nil
 }
 
@@ -862,20 +791,7 @@ func (l *Log) Crash() error {
 	// replication connections); replicas reattach after recovery with
 	// their LSN cursor.
 	l.closeAllSubsLocked(fmt.Errorf("%w: log crashed", ErrSubscriptionClosed))
-	stats := l.stats
-	if err := l.loadFromDir(); err != nil {
-		return err
-	}
-	l.stats = stats
-	l.lastReadLSN = NilLSN
-	return nil
-}
-
-// Stats returns a snapshot of the access counters.
-func (l *Log) Stats() AccessStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
+	return l.loadFromDir()
 }
 
 // Archive discards every record with LSN ≤ upTo: archived LSNs answer
@@ -925,7 +841,6 @@ func (l *Log) Archive(upTo LSN) error {
 	dropped := l.segs[:drop]
 	l.segs = append(l.segs[:0:0], kept...)
 	l.base = upTo
-	l.stats.Archives++
 	l.met.archives.Inc()
 	l.met.segments.Set(int64(len(l.segs)))
 	for _, s := range dropped {
@@ -934,12 +849,4 @@ func (l *Log) Archive(upTo LSN) error {
 		_ = l.dir.Remove(segmentName(s.num))
 	}
 	return nil
-}
-
-// ResetReadCursor forgets the sequential-access cursor; passes that want
-// their first read not to count as random can call it.  Test helper.
-func (l *Log) ResetReadCursor() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.lastReadLSN = NilLSN
 }

@@ -285,34 +285,6 @@ func TestLogScan(t *testing.T) {
 	}
 }
 
-func TestLogAccessStatsSequentialVsRandom(t *testing.T) {
-	l := newMemLog(t)
-	for i := 0; i < 10; i++ {
-		mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: ObjectID(i)})
-	}
-	l.ResetReadCursor()
-	base := l.Stats()
-	for lsn := LSN(10); lsn >= 1; lsn-- { // backward sweep is sequential
-		if _, err := l.Get(lsn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := l.Stats().Sub(base)
-	if d.RandomReads > 1 { // only the first positioning read may be random
-		t.Fatalf("backward sweep counted %d random reads", d.RandomReads)
-	}
-	base = l.Stats()
-	for _, lsn := range []LSN{5, 1, 7, 3} { // cursor sits at 1 after the sweep
-		if _, err := l.Get(lsn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d = l.Stats().Sub(base)
-	if d.RandomReads != 4 {
-		t.Fatalf("scattered reads counted %d random reads, want 4", d.RandomReads)
-	}
-}
-
 func TestLogFileDir(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	dir, err := OpenFileDir(path)

@@ -14,10 +14,10 @@
 // Crash semantics are simulated, never process-fatal: records appended but
 // not yet flushed live only in volatile memory and are discarded by
 // (*Log).Crash, mirroring the loss of the in-memory log tail on a real
-// failure.  All access paths are instrumented (AccessStats) so benchmarks
-// can report log I/O in the units the paper argues in: appends, flushes,
-// sequential reads, random reads, and in-place rewrites (the latter used
-// only by the naïve baselines, which physically rewrite history).
+// failure.  Every access path bumps a counter in the log's obs registry
+// (wal.appends, wal.flushes, wal.reads, ...; see Log.Instrument), so the
+// owning engine's Metrics snapshot reports log I/O in the units the paper
+// argues in.
 package wal
 
 import "fmt"

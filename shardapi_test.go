@@ -102,9 +102,6 @@ func TestShardedPublicAPI(t *testing.T) {
 	if db.LastRecoveryTrace().ForwardRecords == 0 {
 		t.Fatal("merged recovery trace is empty")
 	}
-	if db.Stats().Commits == 0 {
-		t.Fatal("summed Stats shows no commits")
-	}
 
 	// Documented rejections.
 	if _, err := db.MinRequiredLSN(); !errors.Is(err, ariesrh.ErrSharded) {
