@@ -79,10 +79,12 @@ func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, e
 		return 0, err
 	}
 	e.passStampLocked(info, obj, lock.Increment)
-	curBytes, _, err := e.store.Read(obj)
+	// As in Update: read into the engine's scratch buffer.
+	curBytes, _, err := e.store.AppendValue(e.scratch[:0], obj)
 	if err != nil {
 		return 0, err
 	}
+	e.scratch = curBytes
 	cur, err := DecodeCounter(curBytes)
 	if err != nil {
 		return 0, err
@@ -103,7 +105,8 @@ func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, e
 	e.state[tx].RecordUpdate(tx, obj, lsn)
 	info.LastLSN = lsn
 	next := cur + delta
-	if err := e.store.Write(obj, EncodeCounter(next), lsn); err != nil {
+	e.scratch = binary.LittleEndian.AppendUint64(e.scratch[:0], uint64(next))
+	if err := e.store.Write(obj, e.scratch, lsn); err != nil {
 		return 0, err
 	}
 	return next, nil

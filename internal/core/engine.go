@@ -235,6 +235,10 @@ type Engine struct {
 	globals  map[uint64]globalDecision
 	maxGID   uint64
 
+	// scratch is the before-image buffer Update and Increment read into
+	// under the latch; the log copies it into the record's frame.
+	scratch []byte
+
 	master  *masterRecord
 	crashed bool
 	// follower marks a replication standby: recovery's forward pass runs

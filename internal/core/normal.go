@@ -153,19 +153,21 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 		return err
 	}
 	e.passStampLocked(info, obj, lock.Exclusive)
-	before, _, err := e.store.Read(obj)
+	// The before-image goes into the engine's scratch buffer: Append
+	// copies it into the record's frame, so nothing outlives the latch.
+	before, _, err := e.store.AppendValue(e.scratch[:0], obj)
 	if err != nil {
 		return err
 	}
-	rec := &wal.Record{
+	e.scratch = before
+	lsn, err := e.log.Append(&wal.Record{
 		Type:    wal.TypeUpdate,
 		TxID:    tx,
 		PrevLSN: info.LastLSN,
 		Object:  obj,
 		Before:  before,
 		After:   val,
-	}
-	lsn, err := e.log.Append(rec)
+	})
 	if err != nil {
 		return err
 	}

@@ -80,22 +80,30 @@ func (s *Store) Reload() error {
 // Read returns the current value of obj and whether it exists.  The
 // returned slice is a copy.
 func (s *Store) Read(obj wal.ObjectID) ([]byte, bool, error) {
+	return s.AppendValue(nil, obj)
+}
+
+// AppendValue appends the current value of obj to dst and returns the
+// extended slice and whether obj exists (dst unchanged if not).  The page
+// stays pinned while the value is copied, so a caller that reuses dst
+// reads without allocating.
+func (s *Store) AppendValue(dst []byte, obj wal.ObjectID) ([]byte, bool, error) {
 	s.mu.Lock()
 	r, ok := s.dir[obj]
 	s.mu.Unlock()
 	if !ok {
-		return nil, false, nil
+		return dst, false, nil
 	}
 	page, err := s.pool.Fetch(r.pid)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	defer s.pool.Unpin(r.pid, false, wal.NilLSN)
 	sl := &page.Slots[r.slot]
 	if !sl.Used || sl.Object != obj {
-		return nil, false, fmt.Errorf("object: directory entry for %d is stale", obj)
+		return dst, false, fmt.Errorf("object: directory entry for %d is stale", obj)
 	}
-	return append([]byte(nil), sl.Value...), true, nil
+	return append(dst, sl.Value...), true, nil
 }
 
 // Write sets obj to val and stamps the containing page with pageLSN lsn
