@@ -102,7 +102,7 @@ func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, e
 	}
 	// As in Update: finish the volatile bookkeeping before the page write
 	// so a write failure leaves the tables consistent with the log.
-	e.state[tx].RecordUpdate(tx, obj, lsn)
+	info.obs.RecordUpdate(tx, obj, lsn)
 	info.LastLSN = lsn
 	next := cur + delta
 	e.scratch = binary.LittleEndian.AppendUint64(e.scratch[:0], uint64(next))
@@ -133,7 +133,7 @@ func (e *Engine) CounterValue(obj wal.ObjectID) (int64, error) {
 // undoIncrement compensates an increment logically: a CLR carrying the
 // negated delta is logged and applied.
 func (e *Engine) undoIncrement(owner wal.TxID, rec *wal.Record) error {
-	info := e.txns.Get(owner)
+	info := e.recs[owner]
 	prev := wal.NilLSN
 	if info != nil {
 		prev = info.LastLSN

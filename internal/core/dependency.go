@@ -72,7 +72,8 @@ func (e *Engine) FormDependency(dep, on wal.TxID, kind DependencyKind) error {
 	if dep == on {
 		return fmt.Errorf("core: self-dependency of t%d", dep)
 	}
-	if _, err := e.activeInfo(dep); err != nil {
+	r, err := e.activeInfo(dep)
+	if err != nil {
 		return err
 	}
 	if _, err := e.activeInfo(on); err != nil {
@@ -81,7 +82,8 @@ func (e *Engine) FormDependency(dep, on wal.TxID, kind DependencyKind) error {
 	if e.dependencyPathLocked(on, dep) {
 		return fmt.Errorf("%w: t%d already depends on t%d", ErrDependencyCycle, on, dep)
 	}
-	e.deps[dep] = append(e.deps[dep], depEdge{on: on, kind: kind})
+	r.deps = append(r.deps, depEdge{on: on, kind: kind})
+	e.depEdges++
 	return nil
 }
 
@@ -97,7 +99,11 @@ func (e *Engine) dependencyPathLocked(from, to wal.TxID) bool {
 			return false
 		}
 		seen[tx] = true
-		for _, edge := range e.deps[tx] {
+		r := e.recs[tx]
+		if r == nil {
+			return false
+		}
+		for _, edge := range r.deps {
 			if dfs(edge.on) {
 				return true
 			}
@@ -107,15 +113,15 @@ func (e *Engine) dependencyPathLocked(from, to wal.TxID) bool {
 	return dfs(from)
 }
 
-// checkCommitDependenciesLocked returns ErrDependencyPending if tx has a
-// commit dependency on a still-active transaction.
-func (e *Engine) checkCommitDependenciesLocked(tx wal.TxID) error {
-	for _, edge := range e.deps[tx] {
+// checkCommitDependenciesLocked returns ErrDependencyPending if r's
+// transaction has a commit dependency on a still-active transaction.
+func (e *Engine) checkCommitDependenciesLocked(r *record) error {
+	for _, edge := range r.deps {
 		if edge.kind != CommitDependency {
 			continue
 		}
-		if info := e.txns.Get(edge.on); info != nil && info.Status == txn.Active {
-			return fmt.Errorf("%w: t%d waits for t%d", ErrDependencyPending, tx, edge.on)
+		if on := e.recs[edge.on]; on != nil && on.Status == txn.Active {
+			return fmt.Errorf("%w: t%d waits for t%d", ErrDependencyPending, r.ID, edge.on)
 		}
 	}
 	return nil
@@ -124,19 +130,20 @@ func (e *Engine) checkCommitDependenciesLocked(tx wal.TxID) error {
 // cascadeAbortsLocked aborts, transitively, every active transaction with
 // an abort dependency on one of the just-aborted set.
 func (e *Engine) cascadeAbortsLocked(aborted wal.TxID) error {
-	// Collect dependents first: abortLocked mutates e.deps.
+	if e.depEdges == 0 {
+		return nil
+	}
+	// Collect dependents first: abortLocked mutates the table.
 	var victims []wal.TxID
-	for dep, edges := range e.deps {
-		for _, edge := range edges {
-			if edge.on == aborted && edge.kind == AbortDependency {
-				if info := e.txns.Get(dep); info != nil && info.Status == txn.Active {
-					victims = append(victims, dep)
-				}
+	for dep, r := range e.recs {
+		for _, edge := range r.deps {
+			if edge.on == aborted && edge.kind == AbortDependency && r.Status == txn.Active {
+				victims = append(victims, dep)
 			}
 		}
 	}
 	for _, v := range victims {
-		if info := e.txns.Get(v); info == nil || info.Status != txn.Active {
+		if r := e.recs[v]; r == nil || r.Status != txn.Active {
 			continue // already gone via another cascade path
 		}
 		if err := e.abortLocked(v); err != nil {

@@ -32,7 +32,8 @@ import (
 // latch held, the commit record for tx already appended at lsn, and info
 // current.  It releases tx's locks, stamping them with lsn, waits for
 // the group flush off-latch, and settles the commit (settleForceLocked).
-func (e *Engine) commitELR(tx wal.TxID, info *txn.Info, lsn wal.LSN, start time.Time) error {
+func (e *Engine) commitELR(info *record, lsn wal.LSN, start time.Time) error {
+	tx := info.ID
 	// The appended commit record is the commit point: mark Committed
 	// before unlatching so cascading aborts (Active victims only) cannot
 	// undo the updates during the wait, exactly as in the plain commit
@@ -56,12 +57,12 @@ func (e *Engine) commitELR(tx wal.TxID, info *txn.Info, lsn wal.LSN, start time.
 		// until Crash and a never-logged reader keeps waiting on it.
 		return err
 	}
-	if info := e.txns.Get(tx); info == nil || info.Status != txn.Committed {
+	if e.recs[tx] != info || info.Status != txn.Committed {
 		// Defensive: never finish a commit for a transaction the tables
 		// disown.
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
-	e.endCommitLocked(tx, lsn, start)
+	e.endCommitLocked(info, lsn, start)
 	return nil
 }
 
@@ -72,7 +73,7 @@ func (e *Engine) commitELR(tx wal.TxID, info *txn.Info, lsn wal.LSN, start time.
 // after the post-acquire revalidation.  While the transaction holds its
 // lock no conflicting lock on obj can be released, so the stamp it
 // passed is still the newest conflicting one.
-func (e *Engine) passStampLocked(info *txn.Info, obj wal.ObjectID, mode lock.Mode) {
+func (e *Engine) passStampLocked(info *record, obj wal.ObjectID, mode lock.Mode) {
 	if !e.opts.EarlyLockRelease {
 		return
 	}

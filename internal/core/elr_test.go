@@ -115,7 +115,7 @@ func newELREngine(t *testing.T) (*Engine, *elrStore) {
 func horizonOf(e *Engine, tx wal.TxID) wal.LSN {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if info := e.txns.Get(tx); info != nil {
+	if info := e.recs[tx]; info != nil {
 		return info.Horizon
 	}
 	return wal.NilLSN
@@ -126,7 +126,7 @@ func horizonOf(e *Engine, tx wal.TxID) wal.LSN {
 func commitLSN(e *Engine, tx wal.TxID) wal.LSN {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.txns.Get(tx).LastLSN
+	return e.recs[tx].LastLSN
 }
 
 // commitAsync starts Commit on its own goroutine and returns the error
@@ -262,7 +262,7 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 	// queues on the same leader, so it must not arrive before the failing
 	// round is over or it is handed that round's error.
 	e.mu.Lock()
-	lsn := e.txns.Get(t1).LastLSN
+	lsn := e.recs[t1].LastLSN
 	flushErrors := e.reg.Counter("wal.flush_errors")
 	failed := flushErrors.Load()
 	store.script <- true
@@ -284,7 +284,7 @@ func TestELRFailedRoundThenDurableCompletesCommit(t *testing.T) {
 		t.Fatal("engine degraded although the commit became durable")
 	}
 	e.mu.Lock()
-	tracked := e.txns.Get(t1)
+	tracked := e.recs[t1]
 	e.mu.Unlock()
 	if tracked != nil {
 		t.Fatal("durably committed transaction leaked in the txn table")
@@ -662,8 +662,8 @@ func TestFormDependencyConcurrentNoCycle(t *testing.T) {
 		indeg[tx] = 0
 	}
 	edges := 0
-	for dep, list := range e.deps {
-		for _, edge := range list {
+	for dep, r := range e.recs {
+		for _, edge := range r.deps {
 			out[edge.on] = append(out[edge.on], dep)
 			indeg[dep]++
 			edges++
@@ -708,7 +708,7 @@ func TestELRCommitStatusDuringWindow(t *testing.T) {
 	c1 := commitAsync(e, t1)
 	<-store.entered
 	e.mu.Lock()
-	info := e.txns.Get(t1)
+	info := e.recs[t1]
 	status := txn.Aborted
 	if info != nil {
 		status = info.Status
@@ -760,7 +760,7 @@ func TestELRReadOnlyCommitWaitsForPredecessor(t *testing.T) {
 			default:
 			}
 			e.mu.Lock()
-			info := e.txns.Get(reader)
+			info := e.recs[reader]
 			parked = info != nil && info.Status == txn.Committed
 			_, held := e.locks.Holds(reader, 1)
 			e.mu.Unlock()

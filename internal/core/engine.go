@@ -28,12 +28,10 @@ import (
 	"sync"
 
 	"ariesrh/internal/buffer"
-	"ariesrh/internal/delegation"
 	"ariesrh/internal/lock"
 	"ariesrh/internal/object"
 	"ariesrh/internal/obs"
 	"ariesrh/internal/storage"
-	"ariesrh/internal/txn"
 	"ariesrh/internal/wal"
 )
 
@@ -219,25 +217,26 @@ type Engine struct {
 	pool  *buffer.Pool
 	store *object.Store
 	locks *lock.Manager
-	txns  *txn.Table
 
-	// state holds each live transaction's object list (Ob_List, §3.4).
-	state delegation.State
-	// deps holds the ASSET form-dependency graph (volatile).
-	deps map[wal.TxID][]depEdge
-	// prepared maps each in-doubt 2PC participant (status txn.Prepared)
-	// to its global-transaction bookkeeping; globals retains coordinator-
-	// side commit decisions until ReleaseGlobal, pinning the archive at
-	// their prepare LSNs; maxGID is the highest global id seen.  All
-	// three are rebuilt by recovery from the log and checkpoint state.
-	// See internal/core/twopc.go.
-	prepared map[wal.TxID]preparedInfo
-	globals  map[uint64]globalDecision
-	maxGID   uint64
-
+	// recs is the transaction table: one record per live transaction,
+	// holding its Tr_List entry, its Ob_List (§3.4), its form-dependency
+	// edges and its 2PC vote (record.go).  free is the bounded list of
+	// records ended transactions left for reuse, nextTx the next ID Begin
+	// hands out, and depEdges the number of dependency edges across all
+	// records (an abort looks for dependents only when it is nonzero).
+	recs     map[wal.TxID]*record
+	free     []*record
+	nextTx   wal.TxID
+	depEdges int
 	// scratch is the before-image buffer Update and Increment read into
 	// under the latch; the log copies it into the record's frame.
 	scratch []byte
+	// globals retains coordinator-side commit decisions until
+	// ReleaseGlobal, pinning the archive at their prepare LSNs; maxGID is
+	// the highest global id seen.  Both are rebuilt by recovery from the
+	// log and checkpoint state.  See internal/core/twopc.go.
+	globals map[uint64]globalDecision
+	maxGID  uint64
 
 	master  *masterRecord
 	crashed bool
@@ -301,18 +300,16 @@ func New(opts Options) (*Engine, error) {
 	}
 	reg := obs.NewRegistry()
 	e := &Engine{
-		log:      log,
-		disk:     opts.Disk,
-		locks:    lock.NewManager(),
-		txns:     txn.NewTable(),
-		state:    delegation.State{},
-		deps:     make(map[wal.TxID][]depEdge),
-		prepared: make(map[wal.TxID]preparedInfo),
-		globals:  make(map[uint64]globalDecision),
-		master:   &masterRecord{store: opts.MasterStore},
-		opts:     opts,
-		reg:      reg,
-		met:      bindEngineMetrics(reg),
+		log:     log,
+		disk:    opts.Disk,
+		locks:   lock.NewManager(),
+		recs:    make(map[wal.TxID]*record),
+		nextTx:  1,
+		globals: make(map[uint64]globalDecision),
+		master:  &masterRecord{store: opts.MasterStore},
+		opts:    opts,
+		reg:     reg,
+		met:     bindEngineMetrics(reg),
 	}
 	e.log.Instrument(reg)
 	e.locks.Instrument(reg)
@@ -388,7 +385,7 @@ func (e *Engine) LockOrphans() []wal.TxID {
 	defer e.mu.Unlock()
 	var out []wal.TxID
 	for _, tx := range e.locks.Holders() {
-		if e.txns.Get(tx) == nil {
+		if e.recs[tx] == nil {
 			out = append(out, tx)
 		}
 	}
@@ -472,8 +469,8 @@ func (e *Engine) ResponsibleFor(lsn wal.LSN) (wal.TxID, error) {
 		// The pipeline's workers own the object lists until it completes.
 		return wal.NilTx, ErrRecovering
 	}
-	for owner, ol := range e.state {
-		entry := ol.Entry(rec.Object)
+	for owner, r := range e.recs {
+		entry := r.obs.Entry(rec.Object)
 		if entry == nil {
 			continue
 		}
@@ -501,12 +498,12 @@ func (e *Engine) OpList(tx wal.TxID) ([]wal.LSN, error) {
 		e.mu.Unlock()
 		return nil, ErrRecovering
 	}
-	ol, ok := e.state[tx]
-	if !ok {
+	r := e.recs[tx]
+	if r == nil {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
-	scopes := ol.AllScopes()
+	scopes := r.obs.AllScopes()
 	e.mu.Unlock()
 
 	if len(scopes) == 0 {
@@ -633,12 +630,9 @@ func (e *Engine) Crash() error {
 		return err
 	}
 	e.locks.Reset()
-	e.txns.Reset(1)
-	e.state = delegation.State{}
-	e.deps = make(map[wal.TxID][]depEdge)
+	e.resetTxnsLocked()
 	// 2PC state is volatile too: recovery rebuilds in-doubt participants
 	// and retained decisions from the durable log and checkpoint.
-	e.prepared = make(map[wal.TxID]preparedInfo)
 	e.globals = make(map[uint64]globalDecision)
 	e.noteGlobalsLocked()
 	e.crashed = true

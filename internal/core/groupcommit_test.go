@@ -134,7 +134,7 @@ func TestUpdateBookkeepingSurvivesWriteFailure(t *testing.T) {
 		t.Fatalf("log head is %v on object %d, want the failed update of %d", rec.Type, rec.Object, obj)
 	}
 	// ...so the backward chain must include it...
-	if info := e.txns.Get(tx); info == nil || info.LastLSN != head {
+	if info := e.recs[tx]; info == nil || info.LastLSN != head {
 		t.Fatalf("LastLSN = %v, want %d (the logged-but-unapplied update)", info, head)
 	}
 	// ...and the scope must cover it.

@@ -163,9 +163,7 @@ func (e *Engine) recoverParallel() error {
 	// Clean slate, exactly as sequential Recover: a previous attempt may
 	// have died midway.
 	e.recoveryErr = nil
-	e.txns.Reset(1)
-	e.state = delegation.State{}
-	e.prepared = make(map[wal.TxID]preparedInfo)
+	e.resetTxnsLocked()
 	e.globals = make(map[uint64]globalDecision)
 
 	e.met.recRuns.Inc()

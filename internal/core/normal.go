@@ -23,19 +23,19 @@ func (e *Engine) Begin() (wal.TxID, error) {
 	if err := e.writableLocked(); err != nil {
 		return wal.NilTx, err
 	}
-	info := e.txns.Begin()
-	e.state[info.ID] = delegation.NewObList()
+	r := e.newRecordLocked(e.nextTx)
+	e.nextTx++
 	e.met.begins.Inc()
-	return info.ID, nil
+	return r.ID, nil
 }
 
-// activeInfo returns the table entry for tx if it is active.
-func (e *Engine) activeInfo(tx wal.TxID) (*txn.Info, error) {
-	info := e.txns.Get(tx)
-	if info == nil || info.Status != txn.Active {
+// activeInfo returns the record of tx if it is active.
+func (e *Engine) activeInfo(tx wal.TxID) (*record, error) {
+	r := e.recs[tx]
+	if r == nil || r.Status != txn.Active {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
-	return info, nil
+	return r, nil
 }
 
 // acquireLock blocks, without the engine latch, until tx holds obj in
@@ -61,7 +61,7 @@ func (e *Engine) acquireLock(tx wal.TxID, obj wal.ObjectID, mode lock.Mode) erro
 // afresh, and that hold must be dropped here, or the object stays blocked
 // forever.  The caller holds the engine latch, having re-acquired it
 // after the lock grant.
-func (e *Engine) activeAfterLockLocked(tx wal.TxID) (*txn.Info, error) {
+func (e *Engine) activeAfterLockLocked(tx wal.TxID) (*record, error) {
 	info, err := e.activeInfo(tx)
 	if err != nil {
 		e.locks.ReleaseAll(tx)
@@ -177,7 +177,7 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 	// recovery) can compensate the logged update.  Advancing LastLSN
 	// only after the write would leave a logged update outside the
 	// backward chain on error.
-	e.state[tx].RecordUpdate(tx, obj, lsn)
+	info.obs.RecordUpdate(tx, obj, lsn)
 	info.LastLSN = lsn
 	if err := e.store.Write(obj, val, lsn); err != nil {
 		return err
@@ -228,7 +228,7 @@ func (e *Engine) delegateAsLocked(tor, tee wal.TxID, obj wal.ObjectID, typ wal.R
 		return err
 	}
 	// WELL-FORMED?  (§3.5 step 1)
-	if !e.state[tor].Has(obj) {
+	if !torInfo.obs.Has(obj) {
 		return fmt.Errorf("%w: t%d does not hold updates on object %d", ErrNotResponsible, tor, obj)
 	}
 	// PREPARE + WRITE DELEGATION LOG RECORD (§3.5 steps 2 and 4).
@@ -249,7 +249,7 @@ func (e *Engine) delegateAsLocked(tor, tee wal.TxID, obj wal.ObjectID, typ wal.R
 		return err
 	}
 	// TRANSFER RESPONSIBILITY (§3.5 step 3).
-	e.state[tor].DelegateTo(e.state[tee], tor, obj)
+	torInfo.obs.DelegateTo(&teeInfo.obs, tor, obj)
 	// The delegatee inherits a hold on the delegator's lock so the
 	// delegated updates stay protected by their (new) responsible
 	// transaction; the delegator keeps its own hold and may continue to
@@ -284,14 +284,14 @@ func (e *Engine) DelegateAll(tor, tee wal.TxID) error {
 	if err := e.writableLocked(); err != nil {
 		return err
 	}
-	ol, ok := e.state[tor]
-	if !ok {
+	r := e.recs[tor]
+	if r == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tor)
 	}
 	// The latch is held across the whole loop: no other operation — in
 	// particular no termination of tor or tee — can interleave between
 	// the per-object delegations.
-	for _, obj := range ol.Objects() {
+	for _, obj := range r.obs.Objects() {
 		if err := e.delegateLocked(tor, tee, obj); err != nil {
 			return err
 		}
@@ -326,11 +326,11 @@ func (e *Engine) Permit(holder, grantee wal.TxID, obj wal.ObjectID) error {
 func (e *Engine) ObjectsOf(tx wal.TxID) ([]wal.ObjectID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ol, ok := e.state[tx]
-	if !ok {
+	r := e.recs[tx]
+	if r == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
-	return ol.Objects(), nil
+	return r.obs.Objects(), nil
 }
 
 // Commit commits tx (§3.5): the operations tx is responsible for are
@@ -366,12 +366,12 @@ func (e *Engine) Commit(tx wal.TxID) error {
 		e.mu.Unlock()
 		return err
 	}
-	if err := e.checkCommitDependenciesLocked(tx); err != nil {
+	if err := e.checkCommitDependenciesLocked(info); err != nil {
 		e.mu.Unlock()
 		return err
 	}
 	if info.LastLSN == wal.NilLSN {
-		return e.commitUnlogged(tx, info, start)
+		return e.commitUnlogged(info, start)
 	}
 	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
 	if err != nil {
@@ -382,7 +382,7 @@ func (e *Engine) Commit(tx wal.TxID) error {
 	if e.opts.EarlyLockRelease {
 		// Early lock release: release the locks at the commit point and
 		// defer only the durability ack.  See internal/core/elr.go.
-		return e.commitELR(tx, info, lsn, start)
+		return e.commitELR(info, lsn, start)
 	}
 
 	// The appended commit record is the commit point: mark the transaction
@@ -403,10 +403,10 @@ func (e *Engine) Commit(tx wal.TxID) error {
 	if err := e.settleForceLocked(lsn, ferr); err != nil {
 		return err
 	}
-	if e.txns.Get(tx) == nil {
+	if e.recs[tx] != info {
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
-	e.endCommitLocked(tx, lsn, start)
+	e.endCommitLocked(info, lsn, start)
 	return nil
 }
 
@@ -433,15 +433,14 @@ func (e *Engine) settleForceLocked(lsn wal.LSN, ferr error) error {
 }
 
 // endCommitLocked releases a committed transaction's locks, drops it from
-// the volatile tables and counts the commit (lsn is its commit record,
-// NilLSN for a transaction that never logged).  It appends nothing: the
-// durable commit record is the transaction's last record, and recovery
-// ends the chain there.
-func (e *Engine) endCommitLocked(tx wal.TxID, lsn wal.LSN, start time.Time) {
+// the transaction table, recycling its record, and counts the commit (lsn
+// is its commit record, NilLSN for a transaction that never logged).  It
+// appends nothing: the durable commit record is the transaction's last
+// record, and recovery ends the chain there.
+func (e *Engine) endCommitLocked(r *record, lsn wal.LSN, start time.Time) {
+	tx := r.ID
 	e.locks.ReleaseAll(tx)
-	delete(e.state, tx)
-	delete(e.deps, tx)
-	e.txns.Remove(tx)
+	e.endLocked(r)
 	e.met.commits.Inc()
 	e.met.commitNs.Observe(time.Since(start))
 	if e.reg.HasEventHook() {
@@ -462,16 +461,16 @@ func (e *Engine) endCommitLocked(tx wal.TxID, lsn wal.LSN, start time.Time) {
 // flush fails, tx logged nothing to roll back: it is ended all the same,
 // and Commit returns ErrInDoubt, because whether the data it read
 // survives is now up to recovery.
-func (e *Engine) commitUnlogged(tx wal.TxID, info *txn.Info, start time.Time) error {
+func (e *Engine) commitUnlogged(info *record, start time.Time) error {
 	wait := info.Horizon
 	if wait <= e.log.FlushedLSN() {
-		e.endCommitLocked(tx, wal.NilLSN, start)
+		e.endCommitLocked(info, wal.NilLSN, start)
 		e.mu.Unlock()
 		return nil
 	}
 	// Committed keeps further operations on tx out during the wait.
 	info.Status = txn.Committed
-	e.locks.ReleaseAll(tx)
+	e.locks.ReleaseAll(info.ID)
 	ch := e.log.FlushAsync(wait)
 	e.mu.Unlock()
 	ferr := <-ch
@@ -482,7 +481,10 @@ func (e *Engine) commitUnlogged(tx wal.TxID, info *txn.Info, start time.Time) er
 	if errors.Is(err, ErrCrashed) {
 		return err
 	}
-	e.endCommitLocked(tx, wal.NilLSN, start)
+	if e.recs[info.ID] != info {
+		return fmt.Errorf("%w: %d", ErrNoSuchTxn, info.ID)
+	}
+	e.endCommitLocked(info, wal.NilLSN, start)
 	return err
 }
 
@@ -553,13 +555,17 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 	if e.crashed {
 		return ErrCrashed
 	}
+	if e.recovering != nil {
+		// The pipeline owns the transaction table until it completes.
+		return ErrRecovering
+	}
 	info, err := e.activeInfo(tx)
 	if err != nil {
 		return err
 	}
 	// ABORT OPERATIONS: undo everything covered by tx's scopes, sweeping
 	// backwards from the largest covered LSN to minLSN (§3.5).
-	if err := e.undoScopes(e.state[tx].OwnedScopes(tx), nil, nil); err != nil {
+	if err := e.undoScopes(info.obs.OwnedScopes(tx), nil, nil); err != nil {
 		return err
 	}
 	// WRITE ABORT RECORD.  The force is deferred to the top-level abort's
@@ -578,11 +584,11 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 
 // endAbortLocked terminates a rolled-back transaction: it appends the
 // abort record — after the last CLR, so it is the chain's last record —
-// releases the locks, drops the transaction from the volatile tables and
-// counts the abort.  A transaction that never logged appends nothing:
-// recovery has no chain of it to close.  It returns the abort record's
-// LSN (NilLSN if none was written).
-func (e *Engine) endAbortLocked(info *txn.Info) (wal.LSN, error) {
+// releases the locks, drops the transaction from the table, recycling its
+// record, and counts the abort.  A transaction that never logged appends nothing: recovery
+// has no chain of it to close.  It returns the abort record's LSN (NilLSN
+// if none was written).
+func (e *Engine) endAbortLocked(info *record) (wal.LSN, error) {
 	tx, lsn := info.ID, wal.NilLSN
 	if info.LastLSN != wal.NilLSN {
 		var err error
@@ -591,9 +597,7 @@ func (e *Engine) endAbortLocked(info *txn.Info) (wal.LSN, error) {
 		}
 	}
 	e.locks.ReleaseAll(tx)
-	delete(e.state, tx)
-	delete(e.deps, tx)
-	e.txns.Remove(tx)
+	e.endLocked(info)
 	e.met.aborts.Inc()
 	return lsn, nil
 }
@@ -670,7 +674,7 @@ func (e *Engine) fireRecoveryFailpoint() error {
 // undoUpdate restores rec's before-image and logs a CLR on behalf of the
 // responsible transaction owner.
 func (e *Engine) undoUpdate(owner wal.TxID, rec *wal.Record) error {
-	info := e.txns.Get(owner)
+	info := e.recs[owner]
 	prev := wal.NilLSN
 	if info != nil {
 		prev = info.LastLSN
@@ -717,22 +721,24 @@ func (e *Engine) Checkpoint() error {
 	// A transaction that never logged is left out: recovery would revive
 	// it as a loser and log an abort record for it.
 	var txns []txn.Info
-	state := make(delegation.State, len(e.state))
-	for _, info := range e.txns.Snapshot() {
-		if info.LastLSN == wal.NilLSN {
+	state := make(delegation.State, len(e.recs))
+	prepared := make(map[wal.TxID]preparedInfo)
+	for _, r := range e.sortedRecsLocked() {
+		if r.prepared {
+			prepared[r.ID] = r.prep
+		}
+		if r.LastLSN == wal.NilLSN {
 			continue
 		}
-		txns = append(txns, info)
-		if ol, ok := e.state[info.ID]; ok {
-			state[info.ID] = ol
-		}
+		txns = append(txns, r.Info)
+		state[r.ID] = &r.obs
 	}
 	payload := encodeCheckpoint(&checkpointData{
 		beginLSN: beginLSN,
 		txns:     txns,
 		state:    state,
 		dpt:      e.pool.DirtyPageTable(),
-		prepared: e.prepared,
+		prepared: prepared,
 		globals:  e.globals,
 	})
 	endLSN, err := e.log.Append(&wal.Record{Type: wal.TypeCheckpointEnd, PrevLSN: beginLSN, Payload: payload})

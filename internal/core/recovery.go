@@ -83,9 +83,7 @@ func (e *Engine) Recover() error {
 	// Start from a clean slate even if a previous Recover attempt died
 	// midway (e.g. an injected failure): replaying analysis onto
 	// half-built tables would double-apply delegate records.
-	e.txns.Reset(1)
-	e.state = delegation.State{}
-	e.prepared = make(map[wal.TxID]preparedInfo)
+	e.resetTxnsLocked()
 	e.globals = make(map[uint64]globalDecision)
 
 	e.met.recRuns.Inc()
@@ -143,14 +141,18 @@ func (e *Engine) locateCheckpointLocked() (scanStart, analysisAfter wal.LSN, err
 		return 0, 0, err
 	}
 	for _, info := range ck.txns {
-		reg := e.txns.Register(info.ID)
-		reg.Status = info.Status
-		reg.LastLSN = info.LastLSN
-		reg.UndoNextLSN = info.UndoNextLSN
+		r := e.registerLocked(info.ID)
+		r.Status = info.Status
+		r.LastLSN = info.LastLSN
+		r.UndoNextLSN = info.UndoNextLSN
+		if ol := ck.state[info.ID]; ol != nil {
+			r.obs = *ol
+		}
 	}
-	e.state = ck.state
 	for tx, pi := range ck.prepared {
-		e.prepared[tx] = pi
+		if r := e.recs[tx]; r != nil {
+			r.prep, r.prepared = pi, true
+		}
 		if pi.gid > e.maxGID {
 			e.maxGID = pi.gid
 		}
@@ -215,14 +217,15 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 		}
 	case wal.TypeUpdate, wal.TypeIncrement:
 		if analyze {
-			e.registerLocked(rec.TxID).LastLSN = rec.LSN
-			e.state[rec.TxID].RecordUpdate(rec.TxID, rec.Object, rec.LSN)
+			r := e.registerLocked(rec.TxID)
+			r.LastLSN = rec.LSN
+			r.obs.RecordUpdate(rec.TxID, rec.Object, rec.LSN)
 		}
 	case wal.TypeCLR:
 		rs.compensated[rec.Compensates] = true
 		if analyze {
-			if info := e.txns.Get(rec.TxID); info != nil {
-				info.LastLSN = rec.LSN
+			if r := e.recs[rec.TxID]; r != nil {
+				r.LastLSN = rec.LSN
 			}
 		}
 	case wal.TypeDelegate, wal.TypeDelegateOut:
@@ -232,15 +235,14 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 		// delegator has logged the delegated update already; the delegate
 		// record may be the delegatee's first.
 		if analyze {
-			torList := e.state[rec.Tor]
-			if torList == nil {
+			tor := e.recs[rec.Tor]
+			if tor == nil {
 				return fmt.Errorf("core: %v record %d references unknown delegator t%d", rec.Type, rec.LSN, rec.Tor)
 			}
-			e.registerLocked(rec.Tee).LastLSN = rec.LSN
-			torList.DelegateTo(e.state[rec.Tee], rec.Tor, rec.Object)
-			if torInfo := e.txns.Get(rec.Tor); torInfo != nil {
-				torInfo.LastLSN = rec.LSN
-			}
+			tee := e.registerLocked(rec.Tee)
+			tee.LastLSN = rec.LSN
+			tor.obs.DelegateTo(&tee.obs, rec.Tor, rec.Object)
+			tor.LastLSN = rec.LSN
 			if rec.GID > e.maxGID {
 				e.maxGID = rec.GID
 			}
@@ -262,19 +264,19 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 			// this shard) retain the decision — queryable by peer shards,
 			// archive-pinned at the prepare record — until released; a
 			// participant's commit merely applied it, so retain nothing.
-			if pi, ok := e.prepared[rec.TxID]; ok && pi.coord == e.opts.ShardID {
-				e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
+			if r := e.recs[rec.TxID]; r != nil && r.prepared && r.prep.coord == e.opts.ShardID {
+				e.globals[r.prep.gid] = globalDecision{prepareLSN: r.prep.prepareLSN}
 			}
 		}
-		e.txns.Remove(rec.TxID)
-		delete(e.state, rec.TxID)
-		delete(e.prepared, rec.TxID)
+		if r := e.recs[rec.TxID]; r != nil {
+			e.endLocked(r)
+		}
 	case wal.TypePrepare:
 		if analyze {
-			info := e.registerLocked(rec.TxID)
-			info.Status = txn.Prepared
-			info.LastLSN = rec.LSN
-			e.prepared[rec.TxID] = preparedInfo{gid: rec.GID, coord: rec.Shard, prepareLSN: rec.LSN}
+			r := e.registerLocked(rec.TxID)
+			r.Status = txn.Prepared
+			r.LastLSN = rec.LSN
+			r.prep, r.prepared = preparedInfo{gid: rec.GID, coord: rec.Shard, prepareLSN: rec.LSN}, true
 			if rec.GID > e.maxGID {
 				e.maxGID = rec.GID
 			}
@@ -297,13 +299,17 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 	return nil
 }
 
-// registerLocked returns tx's transaction-table entry, registering it with
-// an empty Ob_List when analysis meets the first record of its chain.
-func (e *Engine) registerLocked(tx wal.TxID) *txn.Info {
-	if e.state[tx] == nil {
-		e.state[tx] = delegation.NewObList()
+// registerLocked returns tx's record, entering one with an empty Ob_List
+// when analysis meets the first record of its chain.  Transaction IDs
+// handed out later start above every ID registered.
+func (e *Engine) registerLocked(tx wal.TxID) *record {
+	if r := e.recs[tx]; r != nil {
+		return r
 	}
-	return e.txns.Register(tx)
+	if tx >= e.nextTx {
+		e.nextTx = tx + 1
+	}
+	return e.newRecordLocked(tx)
 }
 
 // finishRecoveryLocked runs everything after the forward pass:
@@ -378,25 +384,20 @@ func (e *Engine) emitRecoveryTraceLocked(tr RecoveryTrace) {
 // sequential recovery, promotion, and the parallel pipeline's setup
 // phase.
 func (e *Engine) classifyLocked() (losers []wal.TxID, lsrScopes []delegation.Scope) {
-	for _, info := range e.txns.Snapshot() {
-		if info.Status == txn.Committed {
-			e.txns.Remove(info.ID)
-			delete(e.state, info.ID)
+	for _, r := range e.sortedRecsLocked() {
+		if r.Status == txn.Committed {
+			e.endLocked(r)
 			continue
 		}
-		if info.Status == txn.Prepared {
+		if r.Status == txn.Prepared {
 			// In-doubt 2PC participant: neither winner nor loser.  Its
 			// effects stay redone and un-undone, its entry and scopes
 			// stay live, until the coordinator's decision (or presumed
 			// abort) resolves it via CommitPrepared/AbortPrepared.
 			continue
 		}
-		losers = append(losers, info.ID)
-	}
-	for _, id := range losers {
-		if ol := e.state[id]; ol != nil {
-			lsrScopes = append(lsrScopes, ol.OwnedScopes(id)...)
-		}
+		losers = append(losers, r.ID)
+		lsrScopes = append(lsrScopes, r.obs.OwnedScopes(r.ID)...)
 	}
 	return losers, lsrScopes
 }
@@ -408,15 +409,14 @@ func (e *Engine) classifyLocked() (losers []wal.TxID, lsrScopes []delegation.Sco
 // pipeline's finisher after its workers have drained.
 func (e *Engine) terminateLosers(losers []wal.TxID) error {
 	for _, id := range losers {
-		info := e.txns.Get(id)
-		if info == nil {
+		r := e.recs[id]
+		if r == nil {
 			continue
 		}
-		if _, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: id, PrevLSN: info.LastLSN}); err != nil {
+		if _, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: id, PrevLSN: r.LastLSN}); err != nil {
 			return err
 		}
-		e.txns.Remove(id)
-		delete(e.state, id)
+		e.endLocked(r)
 	}
 	e.noteGlobalsLocked()
 	// With the losers gone the lock table is empty; in-doubt participants

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ariesrh/internal/delegation"
 	"ariesrh/internal/txn"
 	"ariesrh/internal/wal"
@@ -56,16 +54,13 @@ func (e *Engine) RollbackTo(sp Savepoint) error {
 	if err := e.writableLocked(); err != nil {
 		return err
 	}
-	if _, err := e.activeInfo(sp.tx); err != nil {
+	r, err := e.activeInfo(sp.tx)
+	if err != nil {
 		return err
-	}
-	ol, ok := e.state[sp.tx]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchTxn, sp.tx)
 	}
 	// Clip each scope to the part after the savepoint and undo that.
 	var after []delegation.Scope
-	for _, s := range ol.OwnedScopes(sp.tx) {
+	for _, s := range r.obs.OwnedScopes(sp.tx) {
 		if s.Last <= sp.lsn {
 			continue
 		}
@@ -79,47 +74,8 @@ func (e *Engine) RollbackTo(sp Savepoint) error {
 		return err
 	}
 	// Trim the object list: drop or shorten scopes past the marker.
-	e.state[sp.tx] = trimObList(ol, sp.lsn)
+	r.obs.Trim(sp.lsn)
 	return nil
-}
-
-// trimObList returns a copy of ol with every scope clipped to LSNs ≤ cut;
-// entries left with no scopes are dropped.
-func trimObList(ol *delegation.ObList, cut wal.LSN) *delegation.ObList {
-	out := delegation.NewObList()
-	for _, obj := range ol.Objects() {
-		src := ol.Entry(obj)
-		dst := &delegation.Entry{Deleg: src.Deleg}
-		for _, s := range src.Closed {
-			if s.First > cut {
-				continue
-			}
-			if s.Last > cut {
-				s.Last = cut
-			}
-			dst.Closed = append(dst.Closed, s)
-		}
-		if src.HasActive && src.Active.First <= cut {
-			if src.Active.Last > cut {
-				// The active scope straddled the savepoint: its
-				// tail was just undone (CLRs written).  Close the
-				// surviving prefix so a later update opens a FRESH
-				// scope rather than re-extending this one across
-				// the compensated gap — re-covering those LSNs
-				// would make a later full abort undo them twice.
-				clipped := src.Active
-				clipped.Last = cut
-				dst.Closed = append(dst.Closed, clipped)
-			} else {
-				dst.HasActive = true
-				dst.Active = src.Active
-			}
-		}
-		if len(dst.Closed) > 0 || dst.HasActive {
-			out.SetEntry(obj, dst)
-		}
-	}
-	return out
 }
 
 // MinRequiredLSN returns the oldest log record a future recovery could
@@ -168,22 +124,20 @@ func (e *Engine) MinRequiredLSN() (wal.LSN, error) {
 			min = redoStart
 		}
 	}
-	// Scope bound: any live transaction's scopes may need undoing.
-	for _, ol := range e.state {
-		if first := ol.MinFirst(); first != wal.NilLSN && first < min {
+	for _, r := range e.recs {
+		// Scope bound: any live transaction's scopes may need undoing.
+		if first := r.obs.MinFirst(); first != wal.NilLSN && first < min {
 			min = first
 		}
-	}
-	// Uncommitted chains: a live transaction's own records back to its
-	// begin may be traversed (e.g. CLR UndoNextLSN bookkeeping).  A
-	// prepared (in-doubt) transaction is live in exactly the same sense:
-	// the decision may yet be abort, and its whole chain must survive
-	// for the undo.
-	for _, info := range e.txns.Snapshot() {
-		if (info.Status == txn.Active || info.Status == txn.Prepared) && info.LastLSN != wal.NilLSN {
+		// Uncommitted chains: a live transaction's own records back to
+		// its begin may be traversed (e.g. CLR UndoNextLSN bookkeeping).
+		// A prepared (in-doubt) transaction is live in exactly the same
+		// sense: the decision may yet be abort, and its whole chain must
+		// survive for the undo.
+		if (r.Status == txn.Active || r.Status == txn.Prepared) && r.LastLSN != wal.NilLSN {
 			// Conservative: keep from its first record; scopes
 			// already bound updates, this bounds the rest of the chain.
-			if first := e.firstOf(info.ID); first != wal.NilLSN && first < min {
+			if first := e.firstOf(r); first != wal.NilLSN && first < min {
 				min = first
 			}
 		}
@@ -235,12 +189,8 @@ func (e *Engine) ArchiveLog() (wal.LSN, error) {
 // back pointer (PrevLSN, or TeePrev where tx is the delegatee) is NilLSN;
 // in logs written before Begin became lazy, that is the begin record.
 // Used only by the archive bound, which is not on the hot path.
-func (e *Engine) firstOf(tx wal.TxID) wal.LSN {
-	info := e.txns.Get(tx)
-	if info == nil {
-		return wal.NilLSN
-	}
-	lsn := info.LastLSN
+func (e *Engine) firstOf(r *record) wal.LSN {
+	tx, lsn := r.ID, r.LastLSN
 	for lsn != wal.NilLSN {
 		rec, err := e.log.Get(lsn)
 		if err != nil {

@@ -102,7 +102,7 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 		e.mu.Unlock()
 		return err
 	}
-	if err := e.checkCommitDependenciesLocked(tx); err != nil {
+	if err := e.checkCommitDependenciesLocked(info); err != nil {
 		e.mu.Unlock()
 		return err
 	}
@@ -117,7 +117,7 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 	// while its prepare record is in flight to the device.
 	info.Status = txn.Prepared
 	info.LastLSN = lsn
-	e.prepared[tx] = preparedInfo{gid: gid, coord: coord, prepareLSN: lsn}
+	info.prep, info.prepared = preparedInfo{gid: gid, coord: coord, prepareLSN: lsn}, true
 	if gid > e.maxGID {
 		e.maxGID = gid
 	}
@@ -142,11 +142,11 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 		// prepare record decides nothing by itself, so the vote can be
 		// taken back live: return the transaction to Active, abortable,
 		// with its chain rewound past the prepare record.
-		if info := e.txns.Get(tx); info != nil && info.Status == txn.Prepared {
+		if e.recs[tx] == info && info.Status == txn.Prepared {
 			info.Status = txn.Active
 			info.LastLSN = prevLast
+			info.prepared = false
 		}
-		delete(e.prepared, tx)
 		e.degradeLocked(ferr)
 		return ferr
 	}
@@ -191,12 +191,12 @@ func (e *Engine) CommitPrepared(tx wal.TxID) (wal.LSN, error) {
 		e.mu.Unlock()
 		return wal.NilLSN, err
 	}
-	info := e.txns.Get(tx)
-	pi, ok := e.prepared[tx]
-	if info == nil || info.Status != txn.Prepared || !ok {
+	info := e.recs[tx]
+	if info == nil || info.Status != txn.Prepared || !info.prepared {
 		e.mu.Unlock()
 		return wal.NilLSN, fmt.Errorf("%w: t%d", ErrNotPrepared, tx)
 	}
+	pi := info.prep
 	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
 	if err != nil {
 		e.mu.Unlock()
@@ -205,9 +205,8 @@ func (e *Engine) CommitPrepared(tx wal.TxID) (wal.LSN, error) {
 	info.Status = txn.Committed
 	info.LastLSN = lsn
 	if pi.coord != e.opts.ShardID {
-		delete(e.prepared, tx)
 		e.met.twopcCommits.Inc()
-		e.endCommitLocked(tx, lsn, start)
+		e.endCommitLocked(info, lsn, start)
 		e.mu.Unlock()
 		return lsn, nil
 	}
@@ -221,14 +220,13 @@ func (e *Engine) CommitPrepared(tx wal.TxID) (wal.LSN, error) {
 	if err := e.settleForceLocked(lsn, ferr); err != nil {
 		return wal.NilLSN, err
 	}
-	if e.txns.Get(tx) == nil {
+	if e.recs[tx] != info {
 		return wal.NilLSN, fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
 	e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
 	e.noteGlobalsLocked()
-	delete(e.prepared, tx)
 	e.met.twopcCommits.Inc()
-	e.endCommitLocked(tx, lsn, start)
+	e.endCommitLocked(info, lsn, start)
 	return lsn, nil
 }
 
@@ -244,7 +242,11 @@ func (e *Engine) AbortPrepared(tx wal.TxID) error {
 		e.mu.Unlock()
 		return ErrCrashed
 	}
-	info := e.txns.Get(tx)
+	if e.recovering != nil {
+		e.mu.Unlock()
+		return ErrRecovering
+	}
+	info := e.recs[tx]
 	if info == nil || info.Status != txn.Prepared {
 		e.mu.Unlock()
 		return fmt.Errorf("%w: t%d", ErrNotPrepared, tx)
@@ -253,7 +255,7 @@ func (e *Engine) AbortPrepared(tx wal.TxID) error {
 	// victimizes Active transactions) and drop the prepared entry — the
 	// abort record terminates the chain, so the vote is void.
 	info.Status = txn.Active
-	delete(e.prepared, tx)
+	info.prepared = false
 	e.met.twopcAborts.Inc()
 	return e.abortAndForce(tx)
 }
@@ -268,11 +270,10 @@ func (e *Engine) InDoubt() []InDoubtTxn {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []InDoubtTxn
-	for tx, pi := range e.prepared {
-		if e.txns.Get(tx) == nil {
-			continue // recovery drops a checkpointed committer, not its entry
+	for tx, r := range e.recs {
+		if r.prepared {
+			out = append(out, InDoubtTxn{Tx: tx, GID: r.prep.gid, Coord: r.prep.coord})
 		}
-		out = append(out, InDoubtTxn{Tx: tx, GID: pi.gid, Coord: pi.coord})
 	}
 	sortInDoubt(out)
 	return out
@@ -430,16 +431,11 @@ func (e *Engine) DelegateIn(tx wal.TxID, obj wal.ObjectID, gid uint64, home uint
 // the transaction table (latch held, or pipeline finisher).
 func (e *Engine) relockInDoubtLocked() error {
 	holders := make(map[wal.ObjectID]wal.TxID)
-	for tx := range e.prepared {
-		info := e.txns.Get(tx)
-		if info == nil || info.Status != txn.Prepared {
+	for tx, r := range e.recs {
+		if !r.prepared || r.Status != txn.Prepared {
 			continue
 		}
-		ol := e.state[tx]
-		if ol == nil {
-			continue
-		}
-		for _, obj := range ol.Objects() {
+		for _, obj := range r.obs.Objects() {
 			if first, locked := holders[obj]; locked {
 				if err := e.locks.Share(first, tx, obj); err != nil {
 					return err

@@ -76,6 +76,8 @@ type Entry struct {
 	// Closed are scopes no longer extended: received through delegation,
 	// or the owner's own scopes from before a round-trip delegation.
 	Closed []Scope
+
+	obj wal.ObjectID // the entry's key in its list
 }
 
 // Scopes returns all scopes in the entry (closed ones first, then the
@@ -88,46 +90,92 @@ func (e *Entry) Scopes() []Scope {
 	return out
 }
 
-func (e *Entry) clone() *Entry {
-	return &Entry{
-		Deleg:     e.Deleg,
-		HasActive: e.HasActive,
-		Active:    e.Active,
-		Closed:    append([]Scope(nil), e.Closed...),
-	}
-}
-
 // ObList is a transaction's object list: the objects holding updates the
-// transaction is currently responsible for.  Methods are not synchronized;
-// the owning engine serializes access.
+// transaction is currently responsible for.  Its entries live inline in
+// one slice, indexed by object, and Reset keeps both — with every
+// entry's Closed buffer — for the list's next owner, so a recycled list
+// fills again without allocating.  The zero value is an empty list.
+// Methods are not synchronized; the owning engine serializes access.
 type ObList struct {
-	m map[wal.ObjectID]*Entry
+	ents []Entry
+	idx  map[wal.ObjectID]int
 }
 
 // NewObList returns an empty object list.
-func NewObList() *ObList { return &ObList{m: make(map[wal.ObjectID]*Entry)} }
+func NewObList() *ObList { return &ObList{} }
+
+// Reset empties the list, keeping its storage for reuse.
+func (o *ObList) Reset() {
+	clear(o.idx)
+	o.ents = o.ents[:0]
+}
+
+// Cap returns how many entries the list's storage holds — what a recycled
+// list keeps.
+func (o *ObList) Cap() int { return cap(o.ents) }
 
 // Has reports whether the list contains obj — the well-formedness test of
 // delegate(t1, t2, ob) in §3.5 (ResponsibleTr(update[ob]) = t1).
 func (o *ObList) Has(obj wal.ObjectID) bool {
-	_, ok := o.m[obj]
+	_, ok := o.idx[obj]
 	return ok
 }
 
-// Entry returns the entry for obj, or nil.
-func (o *ObList) Entry(obj wal.ObjectID) *Entry { return o.m[obj] }
+// Entry returns the entry for obj, or nil.  The pointer is valid until
+// the list next changes.
+func (o *ObList) Entry(obj wal.ObjectID) *Entry {
+	if i, ok := o.idx[obj]; ok {
+		return &o.ents[i]
+	}
+	return nil
+}
 
 // Len returns the number of objects in the list.
-func (o *ObList) Len() int { return len(o.m) }
+func (o *ObList) Len() int { return len(o.ents) }
 
 // Objects returns the object IDs in the list, sorted.
 func (o *ObList) Objects() []wal.ObjectID {
-	out := make([]wal.ObjectID, 0, len(o.m))
-	for obj := range o.m {
-		out = append(out, obj)
+	out := make([]wal.ObjectID, len(o.ents))
+	for i := range o.ents {
+		out[i] = o.ents[i].obj
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// ensure returns obj's entry, adding an empty one if obj is not listed.
+// A slot past the length left by Reset or a removal is taken back with
+// its Closed buffer.
+func (o *ObList) ensure(obj wal.ObjectID) *Entry {
+	if i, ok := o.idx[obj]; ok {
+		return &o.ents[i]
+	}
+	if o.idx == nil {
+		o.idx = make(map[wal.ObjectID]int)
+	}
+	n := len(o.ents)
+	if n < cap(o.ents) {
+		o.ents = o.ents[:n+1]
+		o.ents[n] = Entry{Closed: o.ents[n].Closed[:0]}
+	} else {
+		o.ents = append(o.ents, Entry{})
+	}
+	o.ents[n].obj = obj
+	o.idx[obj] = n
+	return &o.ents[n]
+}
+
+// remove drops obj's entry, at index i, by swapping the last entry into
+// its place; the removed entry's Closed buffer stays past the length for
+// the next entry.
+func (o *ObList) remove(obj wal.ObjectID, i int) {
+	last := len(o.ents) - 1
+	if i != last {
+		o.ents[i], o.ents[last] = o.ents[last], o.ents[i]
+		o.idx[o.ents[i].obj] = i
+	}
+	delete(o.idx, obj)
+	o.ents = o.ents[:last]
 }
 
 // RecordUpdate adjusts scopes for update[owner, obj] logged at lsn (§3.5,
@@ -135,11 +183,7 @@ func (o *ObList) Objects() []wal.ObjectID {
 // there is none (first update since begin, or since the owner last
 // delegated obj) a new active scope [lsn, lsn] opens.
 func (o *ObList) RecordUpdate(owner wal.TxID, obj wal.ObjectID, lsn wal.LSN) {
-	e, ok := o.m[obj]
-	if !ok {
-		e = &Entry{}
-		o.m[obj] = e
-	}
+	e := o.ensure(obj)
 	if e.HasActive {
 		if lsn > e.Active.Last {
 			e.Active.Last = lsn
@@ -155,23 +199,20 @@ func (o *ObList) RecordUpdate(owner wal.TxID, obj wal.ObjectID, lsn wal.LSN) {
 // scopes move into dst's entry as closed scopes (dst's own active scope,
 // if any, is untouched), the delegator is recorded, and the entry is
 // removed from the delegator's list.  It returns false if obj is not in
-// the list (ill-formed delegation).
+// the list (ill-formed delegation).  dst must be another list.
 func (o *ObList) DelegateTo(dst *ObList, from wal.TxID, obj wal.ObjectID) bool {
-	src, ok := o.m[obj]
+	i, ok := o.idx[obj]
 	if !ok {
 		return false
 	}
-	d, ok := dst.m[obj]
-	if !ok {
-		d = &Entry{}
-		dst.m[obj] = d
-	}
+	src := &o.ents[i]
+	d := dst.ensure(obj)
 	d.Deleg = from
 	d.Closed = append(d.Closed, src.Closed...)
 	if src.HasActive {
 		d.Closed = append(d.Closed, src.Active)
 	}
-	delete(o.m, obj)
+	o.remove(obj, i)
 	return true
 }
 
@@ -181,7 +222,7 @@ func (o *ObList) DelegateTo(dst *ObList, from wal.TxID, obj wal.ObjectID) bool {
 func (o *ObList) AllScopes() []Scope {
 	var out []Scope
 	for _, obj := range o.Objects() {
-		scopes := o.m[obj].Scopes()
+		scopes := o.Entry(obj).Scopes()
 		sort.Slice(scopes, func(i, j int) bool {
 			if scopes[i].Invoker != scopes[j].Invoker {
 				return scopes[i].Invoker < scopes[j].Invoker
@@ -207,24 +248,77 @@ func (o *ObList) OwnedScopes(owner wal.TxID) []Scope {
 // by abort processing in §3.5), or NilLSN if the list is empty.
 func (o *ObList) MinFirst() wal.LSN {
 	min := wal.NilLSN
-	for _, e := range o.m {
-		for _, s := range e.Scopes() {
-			if min == wal.NilLSN || s.First < min {
-				min = s.First
-			}
+	note := func(s Scope) {
+		if min == wal.NilLSN || s.First < min {
+			min = s.First
+		}
+	}
+	for i := range o.ents {
+		e := &o.ents[i]
+		for _, s := range e.Closed {
+			note(s)
+		}
+		if e.HasActive {
+			note(e.Active)
 		}
 	}
 	return min
 }
 
+// Trim clips every scope to LSNs ≤ cut — a partial rollback to a
+// savepoint at cut has undone the rest — and drops entries left with no
+// scopes.
+func (o *ObList) Trim(cut wal.LSN) {
+	for i := 0; i < len(o.ents); {
+		e := &o.ents[i]
+		kept := e.Closed[:0]
+		for _, s := range e.Closed {
+			if s.First > cut {
+				continue
+			}
+			if s.Last > cut {
+				s.Last = cut
+			}
+			kept = append(kept, s)
+		}
+		e.Closed = kept
+		if e.HasActive && e.Active.First > cut {
+			e.HasActive = false
+		} else if e.HasActive && e.Active.Last > cut {
+			// The active scope straddled the savepoint: its tail was
+			// just undone (CLRs written).  Close the surviving prefix
+			// so a later update opens a FRESH scope rather than
+			// re-extending this one across the compensated gap —
+			// re-covering those LSNs would make a later full abort
+			// undo them twice.
+			clipped := e.Active
+			clipped.Last = cut
+			e.Closed = append(e.Closed, clipped)
+			e.HasActive = false
+		}
+		if len(e.Closed) == 0 && !e.HasActive {
+			o.remove(e.obj, i)
+			continue // the swapped-in entry now sits at i
+		}
+		i++
+	}
+}
+
 // Clone deep-copies the list.
 func (o *ObList) Clone() *ObList {
 	c := NewObList()
-	for obj, e := range o.m {
-		c.m[obj] = e.clone()
+	for i := range o.ents {
+		src := &o.ents[i]
+		d := c.ensure(src.obj)
+		*d = *src
+		d.Closed = append([]Scope(nil), src.Closed...)
 	}
 	return c
 }
 
-// SetEntry installs an entry directly (checkpoint decoding).
-func (o *ObList) SetEntry(obj wal.ObjectID, e *Entry) { o.m[obj] = e }
+// SetEntry installs a copy of e as obj's entry (checkpoint decoding).
+func (o *ObList) SetEntry(obj wal.ObjectID, e *Entry) {
+	d := o.ensure(obj)
+	*d = *e
+	d.obj = obj
+}

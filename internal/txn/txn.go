@@ -2,6 +2,10 @@
 // for each transaction its status and the head of its backward chain (the
 // LSN of the most recent record written on its behalf), plus the
 // winner/loser marking recovery uses.
+//
+// Info is the table entry.  Table serves the aries, rewrite and eos
+// baselines; the ARIES/RH engine (internal/core) keeps each Info in a
+// recycled per-transaction record beside the transaction's Ob_List.
 package txn
 
 import (
