@@ -146,9 +146,13 @@ func (e *Engine) cascadeAbortsLocked(aborted wal.TxID) error {
 		if r := e.recs[v]; r == nil || r.Status != txn.Active {
 			continue // already gone via another cascade path
 		}
-		if err := e.abortLocked(v); err != nil {
+		r, err := e.abortLocked(v)
+		if err != nil {
 			return fmt.Errorf("core: cascading abort of t%d: %w", v, err)
 		}
+		// Nobody waits on a victim's record: the top-level abort's
+		// force covers the victim's records too.
+		e.recycleLocked(r)
 	}
 	return nil
 }

@@ -43,11 +43,11 @@ func (e *Engine) commitELR(info *record, lsn wal.LSN, start time.Time) error {
 	info.LastLSN = lsn
 	e.locks.ReleaseAll(tx, lock.Early{Commit: lsn, Flushed: e.log.FlushedLSN()})
 	e.met.elrCommits.Inc()
-	ch := e.log.FlushAsync(lsn)
+	e.log.FlushAsync(lsn, info.wait)
 	e.mu.Unlock()
 
 	deferStart := time.Now()
-	ferr := <-ch
+	ferr := <-info.wait
 	e.met.elrAckDeferNs.Observe(time.Since(deferStart))
 
 	e.mu.Lock()

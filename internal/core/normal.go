@@ -394,9 +394,9 @@ func (e *Engine) Commit(tx wal.TxID) error {
 	// ours does.
 	info.Status = txn.Committed
 	info.LastLSN = lsn
-	ch := e.log.FlushAsync(lsn)
+	e.log.FlushAsync(lsn, info.wait)
 	e.mu.Unlock()
-	ferr := <-ch
+	ferr := <-info.wait
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -436,7 +436,8 @@ func (e *Engine) settleForceLocked(lsn wal.LSN, ferr error) error {
 // the transaction table, recycling its record, and counts the commit (lsn
 // is its commit record, NilLSN for a transaction that never logged).  It
 // appends nothing: the durable commit record is the transaction's last
-// record, and recovery ends the chain there.
+// record, and recovery ends the chain there.  The caller has received
+// any force outcome r.wait was due.
 func (e *Engine) endCommitLocked(r *record, lsn wal.LSN, start time.Time) {
 	tx := r.ID
 	e.locks.ReleaseAll(tx)
@@ -471,9 +472,9 @@ func (e *Engine) commitUnlogged(info *record, start time.Time) error {
 	// Committed keeps further operations on tx out during the wait.
 	info.Status = txn.Committed
 	e.locks.ReleaseAll(info.ID)
-	ch := e.log.FlushAsync(wait)
+	e.log.FlushAsync(wait, info.wait)
 	e.mu.Unlock()
-	ferr := <-ch
+	ferr := <-info.wait
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -528,64 +529,74 @@ func (e *Engine) Abort(tx wal.TxID) error {
 // appended before Head is read — then waits off-latch for one coalesced
 // flush covering all of it.  An abort that appended nothing — the
 // transaction and every cascaded victim never logged — forces nothing.
+//
+// The aborted transaction's record waits out the force before it is
+// recycled: its channel carries the force's outcome.
 func (e *Engine) abortAndForce(tx wal.TxID) error {
 	head := e.log.Head()
-	if err := e.abortLocked(tx); err != nil {
+	r, err := e.abortLocked(tx)
+	if err != nil {
 		e.mu.Unlock()
 		return err
 	}
 	if e.log.Head() == head {
+		e.recycleLocked(r)
 		e.mu.Unlock()
 		return nil
 	}
-	ch := e.log.FlushAsync(e.log.Head())
+	e.log.FlushAsync(e.log.Head(), r.wait)
 	e.mu.Unlock()
-	if ferr := <-ch; ferr != nil {
-		// The abort stands — the transaction is terminated and recovery
-		// would re-abort it regardless — but the force failed past the
-		// WAL's retry budget: degrade instead of failing the abort.
-		e.mu.Lock()
-		e.degradeLocked(ferr)
-		e.mu.Unlock()
+	ferr := <-r.wait
+	e.mu.Lock()
+	// The abort stands — the transaction is terminated and recovery
+	// would re-abort it regardless — but a failed force is past the
+	// WAL's retry budget: degrade instead of failing the abort.
+	e.degradeLocked(ferr)
+	if !e.crashed {
+		e.recycleLocked(r)
 	}
+	e.mu.Unlock()
 	return nil
 }
 
-func (e *Engine) abortLocked(tx wal.TxID) error {
+// abortLocked rolls tx back and ends it, cascading to its abort-
+// dependents, and returns its record, dropped from the table but not yet
+// recycled: the caller recycles it once nobody waits on it.
+func (e *Engine) abortLocked(tx wal.TxID) (*record, error) {
 	if e.crashed {
-		return ErrCrashed
+		return nil, ErrCrashed
 	}
 	if e.recovering != nil {
 		// The pipeline owns the transaction table until it completes.
-		return ErrRecovering
+		return nil, ErrRecovering
 	}
 	info, err := e.activeInfo(tx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// ABORT OPERATIONS: undo everything covered by tx's scopes, sweeping
 	// backwards from the largest covered LSN to minLSN (§3.5).
 	if err := e.undoScopes(info.obs.OwnedScopes(tx), nil, nil); err != nil {
-		return err
+		return nil, err
 	}
 	// WRITE ABORT RECORD.  The force is deferred to the top-level abort's
 	// coalesced off-latch flush (every abort — cascaded ones included —
 	// runs under exactly one abortAndForce).
 	lsn, err := e.endAbortLocked(info) // LastLSN advanced by the CLRs
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if e.reg.HasEventHook() {
 		e.reg.Emit(obs.Event{Name: "txn.abort", Tx: uint64(tx), LSN: uint64(lsn)})
 	}
 	// Cascade: abort-dependents of tx must abort too.
-	return e.cascadeAbortsLocked(tx)
+	return info, e.cascadeAbortsLocked(tx)
 }
 
 // endAbortLocked terminates a rolled-back transaction: it appends the
 // abort record — after the last CLR, so it is the chain's last record —
-// releases the locks, drops the transaction from the table, recycling its
-// record, and counts the abort.  A transaction that never logged appends nothing: recovery
+// releases the locks, drops the transaction from the table and counts
+// the abort.  A transaction that never logged appends nothing: recovery
 // has no chain of it to close.  It returns the abort record's LSN (NilLSN
 // if none was written).
 func (e *Engine) endAbortLocked(info *record) (wal.LSN, error) {
@@ -597,7 +608,7 @@ func (e *Engine) endAbortLocked(info *record) (wal.LSN, error) {
 		}
 	}
 	e.locks.ReleaseAll(tx)
-	e.endLocked(info)
+	e.dropLocked(info)
 	e.met.aborts.Inc()
 	return lsn, nil
 }

@@ -11,8 +11,8 @@ import (
 
 // record is one live transaction's volatile state: its Tr_List entry and
 // its Ob_List, kept together as the paper's per-transaction structure
-// (§3.4, Figure 5), with its form-dependency edges and its two-phase-
-// commit vote.  The engine's one
+// (§3.4, Figure 5), with its form-dependency edges, its two-phase-commit
+// vote and the channel its log forces report on.  The engine's one
 // TxID → *record map is the transaction table.
 //
 // Records are recycled.  Begin, registerLocked and both recovery passes
@@ -29,6 +29,11 @@ type record struct {
 	// while prepared is set.
 	prep     preparedInfo
 	prepared bool
+	// wait receives the outcome of the transaction's log force
+	// (wal.Log.FlushAsync).  One goroutine at a time waits on it — the
+	// one that took the transaction out of Active, or ended it — and it
+	// receives the one value before the record can be recycled.
+	wait chan error
 }
 
 // Free-list bounds, as in the lock manager: the list absorbs the swing in
@@ -48,7 +53,7 @@ func (e *Engine) newRecordLocked(tx wal.TxID) *record {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		r = &record{}
+		r = &record{wait: make(chan error, 1)}
 	}
 	r.Info = txn.Info{ID: tx, Status: txn.Active}
 	e.recs[tx] = r

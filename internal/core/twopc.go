@@ -127,9 +127,9 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 		return nil
 	}
 
-	ch := e.log.FlushAsync(lsn)
+	e.log.FlushAsync(lsn, info.wait)
 	e.mu.Unlock()
-	ferr := <-ch
+	ferr := <-info.wait
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -211,9 +211,9 @@ func (e *Engine) CommitPrepared(tx wal.TxID) (wal.LSN, error) {
 		return lsn, nil
 	}
 
-	ch := e.log.FlushAsync(lsn)
+	e.log.FlushAsync(lsn, info.wait)
 	e.mu.Unlock()
-	ferr := <-ch
+	ferr := <-info.wait
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

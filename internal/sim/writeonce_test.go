@@ -257,7 +257,7 @@ func TestLogWritesSegmentBytesOnce(t *testing.T) {
 		case 1:
 			err = l.Flush(l.FlushedLSN() + 1 + wal.LSN(rng.Intn(3)))
 		case 2:
-			err = <-l.FlushAsync(l.Head())
+			err = <-l.FlushAsync(l.Head(), make(chan error, 1))
 		case 3:
 			err = l.Archive(l.FlushedLSN() / 2)
 		case 4:

@@ -73,7 +73,7 @@ func TestFlushAsyncSingleWaiter(t *testing.T) {
 	reg := obs.NewRegistry()
 	l.Instrument(reg)
 	lsn := mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 7})
-	if err := <-l.FlushAsync(lsn); err != nil {
+	if err := <-l.FlushAsync(lsn, make(chan error, 1)); err != nil {
 		t.Fatalf("FlushAsync: %v", err)
 	}
 	if got := l.FlushedLSN(); got < lsn {
@@ -94,7 +94,7 @@ func TestFlushAsyncAlreadyDurable(t *testing.T) {
 	reg := obs.NewRegistry()
 	l.Instrument(reg)
 	// Already-covered requests complete immediately without a device trip.
-	if err := <-l.FlushAsync(lsn); err != nil {
+	if err := <-l.FlushAsync(lsn, make(chan error, 1)); err != nil {
 		t.Fatalf("FlushAsync: %v", err)
 	}
 	if m := reg.Snapshot(); m.Counter("wal.flushes") != 0 || m.Counter("wal.grouped_flushes") != 0 {
@@ -117,14 +117,14 @@ func TestFlushAsyncCoalesces(t *testing.T) {
 	dir.arm()
 
 	first := mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 1})
-	ch0 := l.FlushAsync(first)
+	ch0 := l.FlushAsync(first, make(chan error, 1))
 	<-dir.entered // leader is now blocked inside Sync for LSN `first`
 
 	const extra = 5
 	chans := make([]<-chan error, 0, extra)
 	for i := 0; i < extra; i++ {
 		lsn := mustAppend(t, l, &Record{Type: TypeUpdate, TxID: TxID(i + 2), Object: ObjectID(i + 2)})
-		chans = append(chans, l.FlushAsync(lsn))
+		chans = append(chans, l.FlushAsync(lsn, make(chan error, 1)))
 	}
 	// None of the later waiters may complete while the first sync is stuck.
 	for i, ch := range chans {

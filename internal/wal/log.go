@@ -80,6 +80,12 @@ type Log struct {
 	flushLeader   bool
 	flushInFlight bool
 	flushIdle     *sync.Cond
+	// flushLoop is groupFlushLoop bound once, so electing a leader
+	// starts a goroutine without allocating a method value; chunks is the
+	// leader's reused plan of device writes (there is one leader at a
+	// time, and it alone touches chunks).
+	flushLoop func()
+	chunks    []flushChunk
 
 	// Tail subscriptions (see Subscribe): tailCond is broadcast whenever
 	// the durable horizon advances (or a subscription closes), waking
@@ -200,6 +206,7 @@ func NewLogWith(dir Dir, o LogOptions) (*Log, error) {
 	}
 	l.flushIdle = sync.NewCond(&l.mu)
 	l.tailCond = sync.NewCond(&l.mu)
+	l.flushLoop = l.groupFlushLoop
 	l.subs = make(map[*Subscription]struct{})
 	if err := l.loadFromDir(); err != nil {
 		return nil, err
@@ -479,9 +486,10 @@ type flushChunk struct {
 
 // flushChunksLocked plans the device writes that make records through
 // upTo durable: one chunk per segment with unflushed bytes in the range,
-// in LSN order.  The caller guarantees flushedLSN < upTo ≤ head.
+// in LSN order, planned into the log's reused chunks buffer.  The caller
+// is the group-flush leader and guarantees flushedLSN < upTo ≤ head.
 func (l *Log) flushChunksLocked(upTo LSN) []flushChunk {
-	var chunks []flushChunk
+	chunks := l.chunks[:0]
 	i := l.segIndexLocked(l.flushedLSN + 1)
 	if i < 0 {
 		i = 0
@@ -505,6 +513,7 @@ func (l *Log) flushChunksLocked(upTo LSN) []flushChunk {
 				start: seg.flushedBytes, end: end, endLSN: endLSN})
 		}
 	}
+	l.chunks = chunks
 	return chunks
 }
 
@@ -518,7 +527,7 @@ func (l *Log) flushChunksLocked(upTo LSN) []flushChunk {
 func (l *Log) Flush(upTo LSN) error {
 	// The buffer pool's WAL rule calls this for every page write-back and
 	// nearly always finds the log ahead of the page: answer without
-	// allocating a waiter channel.
+	// queueing a waiter.
 	l.mu.Lock()
 	if head := l.headLocked(); upTo > head {
 		upTo = head
@@ -528,13 +537,22 @@ func (l *Log) Flush(upTo LSN) error {
 	if durable {
 		return nil
 	}
-	return <-l.FlushAsync(upTo)
+	ch := flushChans.Get().(chan error)
+	err := <-l.FlushAsync(upTo, ch)
+	flushChans.Put(ch)
+	return err
 }
 
+// flushChans recycles Flush's waiter channels: each has received its one
+// value, and is empty again, when it is put back.
+var flushChans = sync.Pool{New: func() any { return make(chan error, 1) }}
+
 // FlushAsync makes every record with LSN ≤ upTo durable without holding the
-// caller on the device: the returned channel (buffered, never blocking the
-// sender) receives exactly one value — nil once the records are stable, or
-// the device error that prevented it.
+// caller on the device, and returns ch, which receives exactly one value —
+// nil once the records are stable, or the device error that prevented it.
+// ch must be buffered and empty, and the caller must receive that value
+// before it passes ch to FlushAsync again: the sender never blocks, so a
+// caller can keep one channel for all its waits.
 //
 // Concurrent requests are coalesced (group commit): waiters register their
 // target LSN, one leader goroutine performs a single write+Sync covering
@@ -543,8 +561,7 @@ func (l *Log) Flush(upTo LSN) error {
 // rather than N.  The registry records the batching: wal.flush_waiters
 // counts requests that queued, wal.grouped_flushes the leader rounds that
 // served them.
-func (l *Log) FlushAsync(upTo LSN) <-chan error {
-	ch := make(chan error, 1)
+func (l *Log) FlushAsync(upTo LSN, ch chan error) <-chan error {
 	l.mu.Lock()
 	if head := l.headLocked(); upTo > head {
 		upTo = head
@@ -558,7 +575,7 @@ func (l *Log) FlushAsync(upTo LSN) <-chan error {
 	l.met.flushWaiters.Inc()
 	if !l.flushLeader {
 		l.flushLeader = true
-		go l.groupFlushLoop()
+		go l.flushLoop()
 	}
 	l.mu.Unlock()
 	return ch
@@ -668,6 +685,8 @@ func (l *Log) flushRangeUnlatched(upTo LSN) error {
 		l.met.flushedBytes.Add(flushed)
 		l.met.flushNs.Observe(took)
 	}
+	// Drop the plan's segment views: the buffer outlives this round.
+	clear(chunks)
 	if err != nil {
 		l.met.flushErrors.Inc()
 		return fmt.Errorf("wal: flush: %w", err)

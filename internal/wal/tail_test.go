@@ -195,7 +195,7 @@ func TestSubscribeDeliveredUnderGroupFlush(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: ObjectID(i)})
 	}
-	if err := <-l.FlushAsync(LSN(n)); err != nil {
+	if err := <-l.FlushAsync(LSN(n), make(chan error, 1)); err != nil {
 		t.Fatal(err)
 	}
 	var got []LSN
@@ -275,7 +275,7 @@ func TestArchiveRaceWithGroupFlushAndScan(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := <-l.FlushAsync(lsn); err != nil {
+				if err := <-l.FlushAsync(lsn, make(chan error, 1)); err != nil {
 					t.Error(err)
 					return
 				}
