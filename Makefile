@@ -19,12 +19,14 @@ check: vet build test race
 # The CI pipeline (ci.yml calls this target and nothing else of its
 # own): full race (not -short) on the latch-heavy packages, the lock
 # manager among them, the sim stress tests that drive them concurrently,
-# and the page layers whose frames are recycled across the off-latch
-# Prefault path, the whole short torture set under
+# the page layers whose frames are recycled across the off-latch
+# Prefault path, and the transaction table and Ob_List packages whose
+# records the engine recycles across goroutines through its free list,
+# the whole short torture set under
 # race, the nested benchmark module, a short fuzz pass over the
 # decoders, and the end-to-end standby failover demo.
 ci: fmt vet staticcheck build test
-	$(GO) test -race ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/buffer ./internal/object ./internal/storage
+	$(GO) test -race ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/buffer ./internal/object ./internal/storage ./internal/txn ./internal/delegation
 	$(GO) test -race -short -timeout 120s ./internal/torture ./internal/fault
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz-short
@@ -80,10 +82,13 @@ test:
 # (group commit, DelegateAll), the lock manager (a waiter parks off its
 # latch and the releasing goroutine grants it), the WAL (leader flusher
 # and tail subscriptions), the replication stream, the page layers (a buffer miss
-# decodes into a recycled frame, also off the engine latch), and the sim
+# decodes into a recycled frame, also off the engine latch), the
+# transaction-table and Ob_List packages (the engine recycles a
+# transaction's record, Ob_List and all, through a free list that
+# committers and aborters on different goroutines refill), and the sim
 # stress tests that drive them concurrently.
 race:
-	$(GO) test -race -short ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/torture ./internal/buffer ./internal/object ./internal/storage
+	$(GO) test -race -short ./internal/core ./internal/lock ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/torture ./internal/buffer ./internal/object ./internal/storage ./internal/txn ./internal/delegation
 
 # Full fault-injection pass under the race detector: the complete crash
 # sweep at fixed seeds (no -short boundary cap), the replication

@@ -87,7 +87,7 @@ func main() {
 			log.Fatal(err)
 		}
 		engine.SetRecoveryFailpoint(*failpoint)
-		err := engine.Recover()
+		err := recoverAndWait(engine)
 		switch {
 		case err == nil:
 			fmt.Printf("failpoint %d never fired (fewer CLRs needed); recovery completed"+"\n", *failpoint)
@@ -96,7 +96,7 @@ func main() {
 			if err := engine.Crash(); err != nil {
 				log.Fatal(err)
 			}
-			if err := engine.Recover(); err != nil {
+			if err := recoverAndWait(engine); err != nil {
 				log.Fatal(err)
 			}
 		default:
@@ -200,4 +200,14 @@ func main() {
 	} else {
 		log.Fatalf("%d mismatches", mismatches)
 	}
+}
+
+// recoverAndWait runs Recover to completion.  With -parallel, Recover
+// returns as soon as the pipeline is running, and an injected failure
+// only surfaces when the pipeline finishes; WaitRecovered reports it.
+func recoverAndWait(engine *core.Engine) error {
+	if err := engine.Recover(); err != nil {
+		return err
+	}
+	return engine.WaitRecovered()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"ariesrh/internal/lock"
 	"ariesrh/internal/wal"
@@ -49,7 +50,11 @@ func EncodeCounter(v int64) []byte {
 // Increment adds delta to the counter obj under an Increment lock and
 // returns the new value.  Concurrent increments by other transactions are
 // permitted; reads and plain updates still conflict.
+//
+// Increments count and are timed as updates (core.updates,
+// core.update_ns): each logs one undoable change.
 func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, error) {
+	start := time.Now()
 	e.mu.Lock()
 	if err := e.writableLocked(); err != nil {
 		e.mu.Unlock()
@@ -109,6 +114,8 @@ func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, e
 	if err := e.store.Write(obj, e.scratch, lsn); err != nil {
 		return 0, err
 	}
+	e.met.updates.Inc()
+	e.met.updateNs.Observe(time.Since(start))
 	return next, nil
 }
 

@@ -47,6 +47,29 @@ func TestIncrementAbortLogicalUndo(t *testing.T) {
 	wantCounter(t, e, 1, 100)
 }
 
+// TestIncrementCountsAsUpdate: an increment logs one undoable change, so
+// a transaction of k increments adds k to core.updates and k samples to
+// core.update_ns, exactly as k updates would.
+func TestIncrementCountsAsUpdate(t *testing.T) {
+	e := newEngine(t)
+	before := e.Metrics()
+	const k = 5
+	tx := mustBegin(t, e)
+	for i := 0; i < k; i++ {
+		if _, err := e.Increment(tx, wal.ObjectID(1+i%2), 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, e, tx)
+	d := e.Metrics().Sub(before)
+	if got := d.Counter("core.updates"); got != k {
+		t.Fatalf("core.updates grew by %d over %d increments, want %d", got, k, k)
+	}
+	if got := d.Histogram("core.update_ns").Count; got != k {
+		t.Fatalf("core.update_ns has %d new samples over %d increments, want %d", got, k, k)
+	}
+}
+
 // TestConcurrentIncrementsCommute is the §3.4 counter scenario: two
 // transactions increment the same object concurrently (compatible
 // Increment locks); the object appears in BOTH Ob_Lists with different

@@ -138,7 +138,23 @@ func TestParallelRecoveryMatchesSequential(t *testing.T) {
 			t.Fatalf("seed %d: trace mismatch (forward, redone, visited, skipped, clusters, CLRs, losers, winners): parallel %v, sequential %v",
 				seed, pc, sc)
 		}
+		if pt, st := recoveredTable(par), recoveredTable(seq); pt != st {
+			t.Fatalf("seed %d: recovered transaction table\n parallel   %s\n sequential %s", seed, pt, st)
+		}
 	}
+}
+
+// recoveredTable renders what recovery left in e's transaction table:
+// every record's entry and scopes, the next transaction ID, and how many
+// records recovery put back on the free list.
+func recoveredTable(e *Engine) string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := fmt.Sprintf("next t%d, %d free:", e.nextTx, len(e.free))
+	for _, r := range e.sortedRecsLocked() {
+		out += fmt.Sprintf(" %+v %v prepared=%v %+v;", r.Info, r.obs.AllScopes(), r.prepared, r.prep)
+	}
+	return out
 }
 
 // TestParallelRecoveryWritesRejected: while the pipeline runs, reads are
@@ -171,6 +187,10 @@ func TestParallelRecoveryWritesRejected(t *testing.T) {
 	}
 	if err := e.Checkpoint(); !errors.Is(err, ErrRecovering) {
 		t.Fatalf("Checkpoint during recovery: err = %v, want ErrRecovering", err)
+	}
+	// An abort would rewrite the transaction table the pipeline owns.
+	if err := e.Abort(loser); !errors.Is(err, ErrRecovering) {
+		t.Fatalf("Abort during recovery: err = %v, want ErrRecovering", err)
 	}
 	// Reads flow: the committed value is visible, the loser rolled back.
 	wantValue(t, e, 1, "durable")

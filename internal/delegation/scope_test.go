@@ -155,6 +155,92 @@ func TestObListCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestObListRemoveKeepsIndex: delegating an entry away moves the last
+// entry into its slot; every remaining object must still be found with
+// its own scopes, and an object added into a slot a removed entry left
+// behind starts without that entry's scopes.
+func TestObListRemoveKeepsIndex(t *testing.T) {
+	ol, dst := NewObList(), NewObList()
+	for obj := wal.ObjectID(1); obj <= 4; obj++ {
+		ol.RecordUpdate(1, obj, wal.LSN(obj*10))
+	}
+	ol.DelegateTo(dst, 1, 2)
+	ol.RecordUpdate(1, 3, 35)
+	if ol.Has(2) || ol.Len() != 3 {
+		t.Fatalf("after delegating 2 away: has 2 = %v, len %d", ol.Has(2), ol.Len())
+	}
+	for obj, want := range map[wal.ObjectID]Scope{
+		1: {Object: 1, Invoker: 1, First: 10, Last: 10},
+		3: {Object: 3, Invoker: 1, First: 30, Last: 35},
+		4: {Object: 4, Invoker: 1, First: 40, Last: 40},
+	} {
+		if sc := ol.Entry(obj).Scopes(); len(sc) != 1 || sc[0] != want {
+			t.Fatalf("object %d scopes = %v, want [%v]", obj, sc, want)
+		}
+	}
+	// 2's slot now lies past the length with a Closed buffer; a new
+	// object takes it and must start empty.
+	dst.DelegateTo(ol, 2, 2)
+	ol.DelegateTo(dst, 1, 2)
+	ol.RecordUpdate(1, 9, 90)
+	if e := ol.Entry(9); len(e.Closed) != 0 || e.Deleg != wal.NilTx {
+		t.Fatalf("new entry inherited %+v", e)
+	}
+	if got := ol.Objects(); !reflect.DeepEqual(got, []wal.ObjectID{1, 3, 4, 9}) {
+		t.Fatalf("objects = %v", got)
+	}
+}
+
+// TestObListResetReusesStorage: a list refilled after Reset — the life
+// of a recycled transaction record — allocates nothing.
+func TestObListResetReusesStorage(t *testing.T) {
+	ol, dst := NewObList(), NewObList()
+	fill := func() {
+		ol.Reset()
+		dst.Reset()
+		for obj := wal.ObjectID(1); obj <= 8; obj++ {
+			ol.RecordUpdate(1, obj, wal.LSN(obj))
+			ol.RecordUpdate(1, obj, wal.LSN(obj+8))
+		}
+		ol.DelegateTo(dst, 1, 3)
+		dst.DelegateTo(ol, 2, 3)
+	}
+	fill()
+	if n := testing.AllocsPerRun(100, fill); n != 0 {
+		t.Fatalf("refilling a reset list allocates %.1f times", n)
+	}
+	if ol.Len() != 8 || len(ol.Entry(3).Closed) != 1 {
+		t.Fatalf("refilled list: len %d, object 3 = %+v", ol.Len(), ol.Entry(3))
+	}
+}
+
+// TestObListTrim: a rollback to a savepoint at cut keeps scopes wholly
+// before it, closes an active scope that straddles it, and drops what
+// lies wholly after it.
+func TestObListTrim(t *testing.T) {
+	ol, other := NewObList(), NewObList()
+	ol.RecordUpdate(1, 1, 10) // before the cut: stays active
+	ol.RecordUpdate(1, 2, 15)
+	ol.RecordUpdate(1, 2, 25) // straddles the cut: closed at 20
+	ol.RecordUpdate(1, 3, 30) // after the cut: dropped
+	other.RecordUpdate(2, 4, 12)
+	other.RecordUpdate(2, 4, 22)
+	other.DelegateTo(ol, 2, 4) // closed (2, 12, 22): clipped to 20
+	ol.Trim(20)
+	if got := ol.Objects(); !reflect.DeepEqual(got, []wal.ObjectID{1, 2, 4}) {
+		t.Fatalf("objects = %v", got)
+	}
+	if e := ol.Entry(1); !e.HasActive || e.Active.Last != 10 {
+		t.Fatalf("object 1 = %+v", e)
+	}
+	if e := ol.Entry(2); e.HasActive || len(e.Closed) != 1 || e.Closed[0].Last != 20 {
+		t.Fatalf("object 2 = %+v", e)
+	}
+	if e := ol.Entry(4); len(e.Closed) != 1 || e.Closed[0] != (Scope{Object: 4, Invoker: 2, First: 12, Last: 20}) {
+		t.Fatalf("object 4 = %+v", e)
+	}
+}
+
 func TestStateEncodeDecodeRoundTrip(t *testing.T) {
 	st := State{}
 	a := NewObList()

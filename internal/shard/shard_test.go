@@ -900,12 +900,13 @@ func TestCrossShardCommitForcesOncePerShard(t *testing.T) {
 }
 
 // TestCrossShardCommitAllocs guards the allocation cost of a serial,
-// in-memory two-shard write commit, Begin through Commit: 21 per
+// in-memory two-shard write commit, Begin through Commit: 1 per
 // transaction.  The global transaction keeps its branches in one slice
-// backed by an inline array, so it allocates no per-shard bookkeeping of
-// its own, and the two forces a commit no longer makes (the
-// coordinator's prepare, the participant's phase-2 commit) allocate no
-// flush waiters.  Two maps, two slices and four forces cost 35.
+// backed by an inline array; each branch's engine record, with its
+// Ob_List and flush waiter, is recycled; before-images are read into a
+// reused buffer, and the group-commit leader plans and starts its rounds
+// without allocating.  It cost 21 when every branch built its record
+// afresh.
 func TestCrossShardCommitAllocs(t *testing.T) {
 	db := openTest(t, 2)
 	val := []byte("value")
@@ -925,8 +926,8 @@ func TestCrossShardCommitAllocs(t *testing.T) {
 		}
 	}
 	commit() // first touch of the objects and pages
-	if n := testing.AllocsPerRun(200, commit); n > 24 {
-		t.Fatalf("two-shard commit allocates %.1f per transaction, want <= 24", n)
+	if n := testing.AllocsPerRun(200, commit); n > 3 {
+		t.Fatalf("two-shard commit allocates %.1f per transaction, want <= 3", n)
 	}
 }
 

@@ -85,6 +85,28 @@ func TestFlushAsyncSingleWaiter(t *testing.T) {
 	}
 }
 
+// TestFlushAsyncReusedChannelAllocs: a waiter that keeps one channel for
+// all its forces queues, elects a leader, has its range written and is
+// released without allocating; what is left is the append's and the
+// memory device's amortized growth.
+func TestFlushAsyncReusedChannelAllocs(t *testing.T) {
+	l := newMemLog(t)
+	r := &Record{Type: TypeUpdate, TxID: 1, Object: 5, Before: make([]byte, 32), After: make([]byte, 32)}
+	ch := make(chan error, 1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		lsn, err := l.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-l.FlushAsync(lsn, ch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1 {
+		t.Fatalf("append + force allocates %.2f times per call, want below 1", allocs)
+	}
+}
+
 func TestFlushAsyncAlreadyDurable(t *testing.T) {
 	l := newMemLog(t)
 	lsn := mustAppend(t, l, &Record{Type: TypeUpdate, TxID: 1, Object: 7})
