@@ -15,10 +15,10 @@ import (
 // vote and the channel its log forces report on.  The engine's one
 // TxID → *record map is the transaction table.
 //
-// Records are recycled.  Begin, registerLocked and both recovery passes
-// take them from the engine's bounded free list; a commit, an abort and
-// recovery's loser termination put them back; Crash and Recover's reset
-// drop the list.  So whoever keeps a *record across an unlatched wait
+// Records are recycled.  Begin and recovery's analysis (registerLocked,
+// sequential or pipelined) take them from the engine's bounded free list;
+// a commit, an abort, analysis of a commit or abort record and loser
+// termination put them back; Crash and Recover's reset drop the list.  So whoever keeps a *record across an unlatched wait
 // must look its ID up again afterwards and compare pointers: once the
 // transaction has ended, the record may already serve a newer one.
 type record struct {
