@@ -552,8 +552,8 @@ func (tx *Tx) Delegate(to *Tx, obj ObjectID) error {
 }
 
 // DelegateAll delegates every object in tx's object list to to — the
-// "delegate(t2, t1)" form used by join and by nested-transaction commit.
-// DelegateAll returns ErrSharded on a sharded database (delegate the
+// "delegate(t2, t1)" form used by join and by nested-transaction commit —
+// with one log record for the whole set.  DelegateAll returns ErrSharded on a sharded database (delegate the
 // objects individually).
 func (tx *Tx) DelegateAll(to *Tx) error {
 	if tx.done {

@@ -16,6 +16,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"ariesrh/internal/core"
 	"ariesrh/internal/rewrite"
@@ -86,9 +87,13 @@ func dumpLog(l interface {
 		switch rec.Type {
 		case wal.TypeUpdate:
 			fmt.Printf("  %3d  update[t%d, %s]\n", rec.LSN, rec.TxID, objName(rec.Object))
-		case wal.TypeDelegate:
-			fmt.Printf("  %3d  delegate(t%d -> t%d, %s)  torBC=%d teeBC=%d\n",
-				rec.LSN, rec.Tor, rec.Tee, objName(rec.Object), rec.TorPrev, rec.TeePrev)
+		case wal.TypeDelegate, wal.TypeDelegateSet:
+			var names []string
+			for _, obj := range rec.Delegated() {
+				names = append(names, objName(obj))
+			}
+			fmt.Printf("  %3d  %s(t%d -> t%d, %s)  torBC=%d teeBC=%d\n",
+				rec.LSN, rec.Type, rec.Tor, rec.Tee, strings.Join(names, " "), rec.TorPrev, rec.TeePrev)
 		default:
 			fmt.Printf("  %3d  %s(t%d)\n", rec.LSN, rec.Type, rec.TxID)
 		}

@@ -97,6 +97,34 @@ func exportedReceiver(recv *ast.FieldList) bool {
 	}
 }
 
+// TestOptionsOnlyShrink pins the public Options to the fields it has
+// today, so the mode matrix (EarlyLockRelease × ParallelRecovery × Shards)
+// and its plumbing can only shrink: a new field fails here, a deleted one
+// does not.  Deleting a field should also delete it from publicOptions.
+func TestOptionsOnlyShrink(t *testing.T) {
+	publicOptions := map[string]bool{
+		"Dir": true, "PoolSize": true, "FaultDir": true, "EarlyLockRelease": true,
+		"Shards": true, "ShardRouter": true, "ParallelRecovery": true,
+	}
+	var fields []string
+	for _, u := range parseFileUses(t) {
+		if u.dir == "." {
+			fields = append(fields, u.structs["Options"]...)
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("ariesrh.Options not found")
+	}
+	for _, f := range fields {
+		if !publicOptions[f] {
+			t.Errorf("ariesrh.Options.%s is new: the options may only lose fields (%d allowed: %v)", f, len(publicOptions), publicOptions)
+		}
+	}
+	if len(fields) > len(publicOptions) {
+		t.Errorf("ariesrh.Options has %d fields, at most %d allowed", len(fields), len(publicOptions))
+	}
+}
+
 // optionStructs names every options struct in the tree: the directory
 // that declares it, how a composite literal spells the type from another
 // package, and whether every caller lives in this tree (the public

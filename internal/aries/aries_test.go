@@ -219,22 +219,29 @@ func TestAbortedBeforeCrashIdempotent(t *testing.T) {
 }
 
 func TestDelegateRecordRejected(t *testing.T) {
-	// A conventional ARIES log must never contain delegate records; the
-	// engine reports corruption rather than silently misinterpreting.
-	e := newEngine(t)
-	t1 := mustBegin(t, e)
-	mustUpdate(t, e, t1, 1, "x")
-	if _, err := e.Log().Append(&wal.Record{Type: wal.TypeDelegate, TxID: t1, Tor: t1, Tee: 99, Object: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Log().Flush(e.Log().Head()); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Recover(); err == nil {
-		t.Fatal("recovery accepted a delegate record")
+	// A conventional ARIES log must never contain delegate records of
+	// either form — it never reads a log the ARIES/RH engine wrote — so
+	// the engine reports corruption rather than silently misinterpreting.
+	for _, rec := range []*wal.Record{
+		{Type: wal.TypeDelegate, Tee: 99, Object: 1},
+		{Type: wal.TypeDelegateSet, Tee: 99, Objects: []wal.ObjectID{1, 2}},
+	} {
+		e := newEngine(t)
+		t1 := mustBegin(t, e)
+		mustUpdate(t, e, t1, 1, "x")
+		rec.TxID, rec.Tor = t1, t1
+		if _, err := e.Log().Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Log().Flush(e.Log().Head()); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Recover(); err == nil {
+			t.Fatalf("recovery accepted a %v record", rec.Type)
+		}
 	}
 }
 

@@ -29,12 +29,21 @@ func TestE2Linear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Log appends must equal the object count — one record per
-	// delegated object, never more.
-	for i, n := range []string{"1", "64"} {
-		if tab.Rows[i][3] != n {
-			t.Fatalf("row %d appends = %s, want %s", i, tab.Rows[i][3], n)
+	// One record per DelegateAll, whatever the object count, growing by
+	// at most 10 bytes per further object.
+	var bytes []int
+	for i, row := range tab.Rows {
+		if row[3] != "1" {
+			t.Fatalf("row %d appends = %s, want 1", i, row[3])
 		}
+		n, err := strconv.Atoi(row[4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes = append(bytes, n)
+	}
+	if slope := float64(bytes[1]-bytes[0]) / 63; slope > 10 {
+		t.Fatalf("log bytes %v: %.2f B per further object, want ≤ 10", bytes, slope)
 	}
 }
 

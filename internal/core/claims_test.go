@@ -155,10 +155,11 @@ func TestClaimC1DelegationFreeParity(t *testing.T) {
 
 // TestClaimC2DelegateCostLinear asserts the paper's C2 (§4.2): the
 // normal-processing cost of delegate(tor, tee) is linear in the number of
-// objects delegated — one appended log record and one lock share per
-// object, zero device flushes, and independent of how many updates each
-// object carries.
+// objects delegated — one appended log record per DelegateAll, growing by
+// a few bytes and one lock share per object, zero device flushes, and
+// independent of how many updates each object carries.
 func TestClaimC2DelegateCostLinear(t *testing.T) {
+	bytesFor := make(map[int]int64)
 	for _, tc := range []struct {
 		objects, updatesPerObject int
 	}{
@@ -175,16 +176,17 @@ func TestClaimC2DelegateCostLinear(t *testing.T) {
 				mustUpdate(t, e, tor, wal.ObjectID(1+k), fmt.Sprintf("v%d-%d", k, u))
 			}
 		}
-		before := e.Metrics()
+		before, beforeBytes := e.Metrics(), logBytes(e)
 		if err := e.DelegateAll(tor, tee); err != nil {
 			t.Fatal(err)
 		}
 		d := e.Metrics().Sub(before)
+		bytes := logBytes(e) - beforeBytes
 
 		n := uint64(tc.objects)
-		if got := d.Counter("wal.appends"); got != n {
-			t.Errorf("%d objects × %d updates: delegation appended %d records, want %d (one per object)",
-				tc.objects, tc.updatesPerObject, got, n)
+		if got := d.Counter("wal.appends"); got != 1 {
+			t.Errorf("%d objects × %d updates: delegation appended %d records, want 1 (one per DelegateAll)",
+				tc.objects, tc.updatesPerObject, got)
 		}
 		if got := d.Counter("core.delegations"); got != n {
 			t.Errorf("%d objects: core.delegations delta = %d, want %d", tc.objects, got, n)
@@ -196,9 +198,28 @@ func TestClaimC2DelegateCostLinear(t *testing.T) {
 		if got := d.Counter("wal.flushes"); got != 0 {
 			t.Errorf("%d objects: delegation forced %d device flushes, want 0 (append-only cost)", tc.objects, got)
 		}
+		if prev, ok := bytesFor[tc.objects]; ok && prev != bytes {
+			t.Errorf("%d objects: %d log bytes with %d updates each, %d with another count", tc.objects, bytes, tc.updatesPerObject, prev)
+		}
+		bytesFor[tc.objects] = bytes
 		mustCommit(t, e, tee)
 		mustCommit(t, e, tor)
 	}
+	// Bytes grow by at most 10 per further object, where a delegate
+	// record per object would add a whole 61-byte record.
+	if slope := float64(bytesFor[8]-bytesFor[1]) / 7; slope > 10 {
+		t.Errorf("log bytes %v: %.2f B per further object, want ≤ 10", bytesFor, slope)
+	}
+}
+
+// logBytes is the size of e's live log segments: the difference across an
+// operation is the bytes it appended.
+func logBytes(e *Engine) int64 {
+	var n int64
+	for _, s := range e.Log().Segments() {
+		n += s.Bytes
+	}
+	return n
 }
 
 // TestClaimC3UndoVisitInvariant asserts the paper's C3 (§4.2): the

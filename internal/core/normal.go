@@ -198,13 +198,6 @@ func (e *Engine) Delegate(tor, tee wal.TxID, obj wal.ObjectID) error {
 	if err := e.writableLocked(); err != nil {
 		return err
 	}
-	return e.delegateLocked(tor, tee, obj)
-}
-
-// delegateLocked is Delegate's body; the caller holds the engine latch.
-// Factored out so DelegateAll can apply a whole batch under one latch
-// acquisition.
-func (e *Engine) delegateLocked(tor, tee wal.TxID, obj wal.ObjectID) error {
 	return e.delegateAsLocked(tor, tee, obj, wal.TypeDelegate, 0, 0)
 }
 
@@ -216,14 +209,7 @@ func (e *Engine) delegateLocked(tor, tee wal.TxID, obj wal.ObjectID) error {
 // transactions on this engine's log either way.
 func (e *Engine) delegateAsLocked(tor, tee wal.TxID, obj wal.ObjectID, typ wal.RecordType, gid uint64, peer uint32) error {
 	start := time.Now()
-	if tor == tee {
-		return fmt.Errorf("core: delegate(t%d, t%d): delegator and delegatee must differ", tor, tee)
-	}
-	torInfo, err := e.activeInfo(tor)
-	if err != nil {
-		return err
-	}
-	teeInfo, err := e.activeInfo(tee)
+	torInfo, teeInfo, err := e.delegatePairLocked(tor, tee)
 	if err != nil {
 		return err
 	}
@@ -231,33 +217,51 @@ func (e *Engine) delegateAsLocked(tor, tee wal.TxID, obj wal.ObjectID, typ wal.R
 	if !torInfo.obs.Has(obj) {
 		return fmt.Errorf("%w: t%d does not hold updates on object %d", ErrNotResponsible, tor, obj)
 	}
-	// PREPARE + WRITE DELEGATION LOG RECORD (§3.5 steps 2 and 4).
-	rec := &wal.Record{
-		Type:    typ,
-		TxID:    tor,
-		PrevLSN: torInfo.LastLSN,
-		Tor:     tor,
-		Tee:     tee,
-		TorPrev: torInfo.LastLSN,
-		TeePrev: teeInfo.LastLSN,
-		Object:  obj,
-		GID:     gid,
-		Shard:   peer,
+	return e.transferLocked(torInfo, teeInfo, &wal.Record{Type: typ, Object: obj, GID: gid, Shard: peer}, start)
+}
+
+// delegatePairLocked checks the preconditions every delegation shares:
+// two distinct transactions, both active.
+func (e *Engine) delegatePairLocked(tor, tee wal.TxID) (torInfo, teeInfo *record, err error) {
+	if tor == tee {
+		return nil, nil, fmt.Errorf("core: delegate(t%d, t%d): delegator and delegatee must differ", tor, tee)
 	}
+	if torInfo, err = e.activeInfo(tor); err != nil {
+		return nil, nil, err
+	}
+	if teeInfo, err = e.activeInfo(tee); err != nil {
+		return nil, nil, err
+	}
+	return torInfo, teeInfo, nil
+}
+
+// transferLocked is every delegation after its preconditions hold: it
+// writes rec — type and objects set by the caller — linked into both
+// backward chains, and moves responsibility for each of rec's objects
+// from torInfo to teeInfo.
+func (e *Engine) transferLocked(torInfo, teeInfo *record, rec *wal.Record, start time.Time) error {
+	tor, tee := torInfo.ID, teeInfo.ID
+	// PREPARE + WRITE DELEGATION LOG RECORD (§3.5 steps 2 and 4).
+	rec.TxID, rec.PrevLSN = tor, torInfo.LastLSN
+	rec.Tor, rec.Tee = tor, tee
+	rec.TorPrev, rec.TeePrev = torInfo.LastLSN, teeInfo.LastLSN
 	lsn, err := e.log.Append(rec)
 	if err != nil {
 		return err
 	}
-	// TRANSFER RESPONSIBILITY (§3.5 step 3).
-	torInfo.obs.DelegateTo(&teeInfo.obs, tor, obj)
-	// The delegatee inherits a hold on the delegator's lock so the
-	// delegated updates stay protected by their (new) responsible
-	// transaction; the delegator keeps its own hold and may continue to
-	// operate on the object (§2.1.2).  Third parties remain excluded
-	// until every holder terminates.
-	if _, held := e.locks.Holds(tor, obj); held {
-		if err := e.locks.Share(tor, tee, obj); err != nil {
-			return err
+	objs := rec.Delegated()
+	for _, obj := range objs {
+		// TRANSFER RESPONSIBILITY (§3.5 step 3).
+		torInfo.obs.DelegateTo(&teeInfo.obs, tor, obj)
+		// The delegatee inherits a hold on the delegator's lock so the
+		// delegated updates stay protected by their (new) responsible
+		// transaction; the delegator keeps its own hold and may continue
+		// to operate on the object (§2.1.2).  Third parties remain
+		// excluded until every holder terminates.
+		if _, held := e.locks.Holds(tor, obj); held {
+			if err := e.locks.Share(tor, tee, obj); err != nil {
+				return err
+			}
 		}
 	}
 	// The delegatee now owns updates that may rest on pre-durable data
@@ -266,21 +270,28 @@ func (e *Engine) delegateAsLocked(tor, tee wal.TxID, obj wal.ObjectID, typ wal.R
 	// The delegate record heads both backward chains.
 	torInfo.LastLSN = lsn
 	teeInfo.LastLSN = lsn
-	e.met.delegations.Inc()
+	e.met.delegations.Add(uint64(len(objs)))
 	e.met.delegateNs.Observe(time.Since(start))
 	if e.reg.HasEventHook() {
-		e.reg.Emit(obs.Event{Name: "txn.delegate", Tx: uint64(tor), LSN: uint64(lsn), Object: uint64(obj), Value: int64(tee)})
+		for _, obj := range objs {
+			e.reg.Emit(obs.Event{Name: "txn.delegate", Tx: uint64(tor), LSN: uint64(lsn), Object: uint64(obj), Value: int64(tee)})
+		}
 	}
 	return nil
 }
 
 // DelegateAll delegates every object in tor's Ob_List to tee — the
 // "delegate(t2, t1)" form used by join and nested-transaction commit
-// (§2.2).  The delegations are applied atomically with respect to other
-// engine operations.
+// (§2.2) — as one delegate-set record: one append, one tor/tee pair and
+// one pair of backward-chain heads for the whole set, with every object's
+// scopes moved and lock shared at its LSN.  Every precondition is checked
+// before the record is written, and the latch is held throughout, so the
+// delegation is atomic with respect to other engine operations.  An empty
+// Ob_List delegates nothing and appends nothing.
 func (e *Engine) DelegateAll(tor, tee wal.TxID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	start := time.Now()
 	if err := e.writableLocked(); err != nil {
 		return err
 	}
@@ -288,15 +299,15 @@ func (e *Engine) DelegateAll(tor, tee wal.TxID) error {
 	if r == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tor)
 	}
-	// The latch is held across the whole loop: no other operation — in
-	// particular no termination of tor or tee — can interleave between
-	// the per-object delegations.
-	for _, obj := range r.obs.Objects() {
-		if err := e.delegateLocked(tor, tee, obj); err != nil {
-			return err
-		}
+	if r.obs.Len() == 0 {
+		return nil
 	}
-	return nil
+	torInfo, teeInfo, err := e.delegatePairLocked(tor, tee)
+	if err != nil {
+		return err
+	}
+	// WELL-FORMED by construction: the set is tor's Ob_List, sorted.
+	return e.transferLocked(torInfo, teeInfo, &wal.Record{Type: wal.TypeDelegateSet, Objects: r.obs.Objects()}, start)
 }
 
 // Permit grants grantee access to holder's lock on obj without

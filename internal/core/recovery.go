@@ -228,12 +228,14 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 				r.LastLSN = rec.LSN
 			}
 		}
-	case wal.TypeDelegate, wal.TypeDelegateOut:
-		// The home-shard half of a cross-shard delegation transfers
-		// responsibility between two local transactions exactly like a
-		// plain delegate record; the gid/peer fields are audit trail.  The
-		// delegator has logged the delegated update already; the delegate
-		// record may be the delegatee's first.
+	case wal.TypeDelegate, wal.TypeDelegateSet, wal.TypeDelegateOut:
+		// A set record moves each of its objects exactly as one delegate
+		// record per object at its LSN would.  The home-shard half of a
+		// cross-shard delegation transfers responsibility between two
+		// local transactions exactly like a plain delegate record; the
+		// gid/peer fields are audit trail.  The delegator has logged the
+		// delegated updates already; the delegate record may be the
+		// delegatee's first.
 		if analyze {
 			tor := e.recs[rec.Tor]
 			if tor == nil {
@@ -241,7 +243,9 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 			}
 			tee := e.registerLocked(rec.Tee)
 			tee.LastLSN = rec.LSN
-			tor.obs.DelegateTo(&tee.obs, rec.Tor, rec.Object)
+			for _, obj := range rec.Delegated() {
+				tor.obs.DelegateTo(&tee.obs, rec.Tor, obj)
+			}
 			tor.LastLSN = rec.LSN
 			if rec.GID > e.maxGID {
 				e.maxGID = rec.GID

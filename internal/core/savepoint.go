@@ -186,7 +186,8 @@ func (e *Engine) ArchiveLog() (wal.LSN, error) {
 }
 
 // firstOf walks tx's backward chain to its first record — the one whose
-// back pointer (PrevLSN, or TeePrev where tx is the delegatee) is NilLSN;
+// back pointer (PrevLSN, or TeePrev where tx is the delegatee of a
+// delegate record of any form) is NilLSN;
 // in logs written before Begin became lazy, that is the begin record.
 // Used only by the archive bound, which is not on the hot path.
 func (e *Engine) firstOf(r *record) wal.LSN {
@@ -197,7 +198,7 @@ func (e *Engine) firstOf(r *record) wal.LSN {
 			return wal.NilLSN
 		}
 		prev := rec.PrevLSN
-		if (rec.Type == wal.TypeDelegate || rec.Type == wal.TypeDelegateOut) && rec.Tee == tx {
+		if rec.Tee == tx && rec.Delegated() != nil {
 			prev = rec.TeePrev
 		}
 		if prev == wal.NilLSN {

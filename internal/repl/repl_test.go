@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"testing"
@@ -315,5 +316,82 @@ func TestPromoteAfterStream(t *testing.T) {
 	}
 	if err := eng.Commit(tx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplicaLogByteIdenticalWithDelegateSets streams a workload whose
+// DelegateAlls write delegate-set records — dense and sparse sets, with
+// IDs whose gaps need uvarints of several widths — and checks the
+// replica's log stays a byte-identical prefix of the primary's: the
+// stream decodes and re-encodes every record, so the set record's
+// encoding must survive the round trip.
+func TestReplicaLogByteIdenticalWithDelegateSets(t *testing.T) {
+	p := newPrimaryEngine(t)
+	prim, err := NewPrimary(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewReplica(newFollowerEngine(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _ = startStream(t, prim, rep)
+
+	bill, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k <= i%5; k++ {
+			obj := wal.ObjectID(1 + i*7 + k<<(7*k))
+			if err := p.Update(tx, obj, []byte{byte(i), byte(k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.Increment(tx, 1<<40, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.DelegateAll(tx, bill); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Commit(bill); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, p, rep)
+
+	var sets int
+	for lsn := wal.LSN(1); lsn <= p.Log().Head(); lsn++ {
+		rec, err := p.Log().Get(lsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == wal.TypeDelegateSet {
+			sets++
+		}
+	}
+	if sets != 20 {
+		t.Fatalf("primary log holds %d delegate-set records, want 20", sets)
+	}
+	frames := func(l *wal.Log) []byte {
+		var out []byte
+		for _, shard := range l.RecordShards(1) {
+			out = append(out, shard...)
+		}
+		return out
+	}
+	pb, rb := frames(p.Log()), frames(rep.Engine().Log())
+	if len(rb) == 0 || !bytes.HasPrefix(pb, rb) {
+		t.Fatalf("replica log (%d bytes) is not a prefix of the primary's (%d bytes)", len(rb), len(pb))
+	}
+	if rep.Engine().Log().Head() != p.Log().FlushedLSN() {
+		t.Fatalf("replica head %d, primary flushed %d", rep.Engine().Log().Head(), p.Log().FlushedLSN())
 	}
 }

@@ -364,3 +364,24 @@ func TestLogRewriteStableVersusVolatile(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 stable rewrite, 3 appends", got)
 	}
 }
+
+// TestDelegateSetRecordRejected: the rewriting baselines never read a log
+// the ARIES/RH engine wrote, and delegate one object at a time, so a
+// delegate-set record in their log is corruption, not something to
+// interpret.  Recovery refuses it in both modes.
+func TestDelegateSetRecordRejected(t *testing.T) {
+	for _, mode := range []Mode{Eager, Lazy} {
+		e := newEng(t, mode)
+		t1 := begin(t, e)
+		t2 := begin(t, e)
+		update(t, e, t1, 1, "x")
+		e.Log().Append(&wal.Record{Type: wal.TypeDelegateSet, TxID: t1, Tor: t1, Tee: t2, Objects: []wal.ObjectID{1}})
+		e.Log().Flush(e.Log().Head())
+		if err := e.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Recover(); err == nil {
+			t.Fatalf("mode %v: recovery accepted a delegate-set record", mode)
+		}
+	}
+}

@@ -68,9 +68,9 @@ func (o *Oracle) Apply(a Action) error {
 			isDelta:     true,
 			delta:       a.Delta,
 		})
-	case ActDelegate:
+	case ActDelegate, ActDelegateAll:
 		for _, op := range o.ops {
-			if !op.dead && op.responsible == a.Tx && op.obj == a.Obj {
+			if !op.dead && op.responsible == a.Tx && (a.Kind == ActDelegateAll || op.obj == a.Obj) {
 				op.responsible = a.Tee
 			}
 		}

@@ -46,6 +46,13 @@ type Incrementer interface {
 	Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, error)
 }
 
+// AllDelegator is implemented by targets with DelegateAll (the ARIES/RH
+// engine); traces with delegate-all actions can only be replayed against
+// such targets.
+type AllDelegator interface {
+	DelegateAll(tor, tee wal.TxID) error
+}
+
 // PartialRollbacker is implemented by targets that support savepoints
 // (currently the ARIES/RH engine); traces with savepoint actions can only
 // be replayed against such targets.
@@ -97,6 +104,14 @@ func (r *Replayer) Step() (bool, error) {
 		}
 	case ActDelegate:
 		if err := r.target.Delegate(r.ids[a.Tx], r.ids[a.Tee], a.Obj); err != nil {
+			return false, fmt.Errorf("step %d %v: %w", r.pos-1, a.Kind, err)
+		}
+	case ActDelegateAll:
+		da, ok := r.target.(AllDelegator)
+		if !ok {
+			return false, fmt.Errorf("step %d: target does not support DelegateAll", r.pos-1)
+		}
+		if err := da.DelegateAll(r.ids[a.Tx], r.ids[a.Tee]); err != nil {
 			return false, fmt.Errorf("step %d %v: %w", r.pos-1, a.Kind, err)
 		}
 	case ActCommit:

@@ -6,8 +6,8 @@
 // It provides:
 //
 //   - a deterministic trace generator (histories of begin / update /
-//     delegate / commit / abort that respect locking and the delegation
-//     precondition);
+//     delegate / delegate-all / commit / abort that respect locking and
+//     the delegation precondition);
 //   - an independent oracle that computes the expected database state by
 //     direct application of the paper's semantics (no scopes, no clusters,
 //     no log — a deliberately different formulation from the engine's);
@@ -46,6 +46,10 @@ const (
 	// ActIncrement adds Delta to counter Obj through slot Tx (engines
 	// with commutative-increment support only).
 	ActIncrement
+	// ActDelegateAll delegates every object slot Tx is responsible for
+	// to slot Tee — the join and nested-commit form (engines with
+	// DelegateAll only).
+	ActDelegateAll
 )
 
 // String names the action kind.
@@ -67,6 +71,8 @@ func (k ActionKind) String() string {
 		return "rollback"
 	case ActIncrement:
 		return "increment"
+	case ActDelegateAll:
+		return "delegate-all"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -109,14 +115,24 @@ type Config struct {
 	// Only used with engines that support increments.
 	Counters      int
 	IncrementRate float64
+	// DelegateAllRate is the probability that a step delegates every
+	// object of one live transaction to another.  Only used with engines
+	// that support DelegateAll; at 0 the generator draws no number for
+	// it, so a config that leaves it unset yields the same trace.
+	DelegateAllRate float64
 }
 
 // genState tracks, per live transaction slot, what the generator may
 // legally do: the objects it may write (free or already held by it) and
 // the objects it is responsible for (delegation precondition).
 type genState struct {
-	live        map[int]bool
-	holders     map[wal.ObjectID]map[int]bool // lock co-holders
+	live    map[int]bool
+	holders map[wal.ObjectID]map[int]bool // lock co-holders
+	// maybe names holders the engine may have that holders does not: a
+	// delegate-all shares every object in the delegator's Ob_List, which
+	// after a rollback can be more or less than responsible tracks.  An
+	// object with a possible holder is written only by a certain one.
+	maybe       map[wal.ObjectID]map[int]bool
 	responsible map[int]map[wal.ObjectID]bool // slot → objects in its Ob_List
 	// hasSavepoint/sinceSavepoint track the single outstanding savepoint
 	// per slot and the objects whose responsibility was gained after it.
@@ -142,6 +158,7 @@ func Generate(cfg Config) []Action {
 	st := &genState{
 		live:           make(map[int]bool),
 		holders:        make(map[wal.ObjectID]map[int]bool),
+		maybe:          make(map[wal.ObjectID]map[int]bool),
 		responsible:    make(map[int]map[wal.ObjectID]bool),
 		hasSavepoint:   make(map[int]bool),
 		sinceSavepoint: make(map[int]map[wal.ObjectID]bool),
@@ -180,6 +197,9 @@ func Generate(cfg Config) []Action {
 		delete(st.hasSavepoint, slot)
 		delete(st.sinceSavepoint, slot)
 		for _, hs := range st.holders {
+			delete(hs, slot)
+		}
+		for _, hs := range st.maybe {
 			delete(hs, slot)
 		}
 	}
@@ -257,11 +277,48 @@ func Generate(cfg Config) []Action {
 				st.holders[obj] = make(map[int]bool)
 			}
 			st.holders[obj][tee] = true
+		case cfg.DelegateAllRate > 0 && r < cfg.SavepointRate+cfg.IncrementRate+cfg.TerminateRate+cfg.DelegationRate+cfg.DelegateAllRate:
+			// Delegate everything this slot is responsible for to
+			// another live slot.  The engine moves every object in the
+			// Ob_List and shares each one's lock.  The objects
+			// responsible tracks are certainly among them; any other
+			// lock the slot may hold may be shared too (a rollback
+			// forgets responsibility conservatively, and trims the
+			// Ob_List by LSN), so the delegatee becomes a possible
+			// holder of it.
+			if len(slots) < 2 {
+				continue
+			}
+			tee := slots[rng.Intn(len(slots))]
+			if tee == slot {
+				continue
+			}
+			trace = append(trace, Action{Kind: ActDelegateAll, Tx: slot, Tee: tee})
+			for obj, hs := range st.holders {
+				if hs[slot] || st.maybe[obj][slot] {
+					if st.maybe[obj] == nil {
+						st.maybe[obj] = make(map[int]bool)
+					}
+					st.maybe[obj][tee] = true
+				}
+			}
+			for obj := range st.responsible[slot] {
+				st.responsible[tee][obj] = true
+				if st.sinceSavepoint[tee] != nil {
+					st.sinceSavepoint[tee][obj] = true
+				}
+				if st.holders[obj] == nil {
+					st.holders[obj] = make(map[int]bool)
+				}
+				st.holders[obj][tee] = true
+			}
+			clear(st.responsible[slot])
+			clear(st.sinceSavepoint[slot])
 		default:
 			// Update an object this slot can lock without blocking.
 			obj := wal.ObjectID(rng.Intn(cfg.Objects) + 1)
-			if hs := st.holders[obj]; len(hs) > 0 && !hs[slot] {
-				continue // would block; skip
+			if hs := st.holders[obj]; (len(hs) > 0 || len(st.maybe[obj]) > 0) && !hs[slot] {
+				continue // would or might block; skip
 			}
 			val := []byte(fmt.Sprintf("s%d-t%d-o%d-%d", cfg.Seed, slot, obj, len(trace)))
 			trace = append(trace, Action{Kind: ActUpdate, Tx: slot, Obj: obj, Val: val})

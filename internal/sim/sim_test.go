@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"strconv"
@@ -576,5 +577,115 @@ func TestCrashDuringRecovery(t *testing.T) {
 				checkAgainstOracle(t, seed, target, oc, cfg)
 			}
 		}
+	}
+}
+
+// TestDelegateAllRateZeroKeepsTraces pins the generator's output for the
+// test default and the crash sweep's default workload to the digests they
+// had before ActDelegateAll existed: at DelegateAllRate 0 the generator
+// draws exactly the same numbers, so every existing trace — and every
+// deterministic sweep built on one — is unchanged.
+func TestDelegateAllRateZeroKeepsTraces(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{defaultCfg(7), 0x40a3329e1d23164e},
+		{Config{Seed: 1, Steps: 1500, Objects: 24, MaxActive: 6, DelegationRate: 0.25, TerminateRate: 0.18,
+			AbortFraction: 0.35, SavepointRate: 0.08, Counters: 4, IncrementRate: 0.06}, 0xb48f6a331fd8317d},
+	} {
+		h := fnv.New64a()
+		for _, a := range Generate(c.cfg) {
+			fmt.Fprintf(h, "%d %d %d %d %q %d\n", a.Kind, a.Tx, a.Tee, a.Obj, a.Val, a.Delta)
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("seed %d: trace digest %#x, want %#x", c.cfg.Seed, got, c.want)
+		}
+	}
+}
+
+// TestDelegateAllWorkloadMatchesOracle replays traces with delegate-all
+// actions beside single delegations, savepoints and counters, crashes
+// them (three times, with a checkpoint halfway) and settles the rest
+// without a crash; both must agree with the oracle, which moves every live
+// operation of the delegator.
+func TestDelegateAllWorkloadMatchesOracle(t *testing.T) {
+	var delegateAlls int
+	for seed := int64(0); seed < 15; seed++ {
+		cfg := defaultCfg(seed)
+		cfg.Steps = 200
+		cfg.Counters = 4
+		cfg.IncrementRate = 0.1
+		cfg.SavepointRate = 0.06
+		cfg.DelegateAllRate = 0.08
+		trace := Generate(cfg)
+		for _, a := range trace {
+			if a.Kind == ActDelegateAll {
+				delegateAlls++
+			}
+		}
+		cut := (len(trace) * 3) / 4
+		target := newCoreTarget(t)
+		rep := NewReplayer(target, trace)
+		oracle := NewOracle()
+		for _, a := range trace[:cut] {
+			if err := oracle.Apply(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rep.RunTo(cut / 2); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := target.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.RunTo(cut); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		losers := rep.LiveSlots()
+		for i := 0; i < 3; i++ {
+			if err := rep.CrashRecover(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		oracle.CrashRecover(losers)
+		checkAgainstOracle(t, seed, target, oracle, cfg)
+		checkCounters(t, seed, target, oracle, cfg)
+
+		// The same trace without a crash, settled by aborting stragglers.
+		target = newCoreTarget(t)
+		rep = NewReplayer(target, trace)
+		oracle = NewOracle()
+		for _, a := range trace {
+			if err := oracle.Apply(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rep.RunTo(-1); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, s := range rep.LiveSlots() {
+			if err := oracle.Apply(Action{Kind: ActAbort, Tx: s}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rep.AbortLive(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkAgainstOracle(t, seed, target, oracle, cfg)
+		checkCounters(t, seed, target, oracle, cfg)
+	}
+	if delegateAlls < 30 {
+		t.Fatalf("traces held %d delegate-all actions; the test proved little", delegateAlls)
+	}
+}
+
+// TestDelegateAllNeedsTarget checks a baseline without DelegateAll
+// refuses a delegate-all action instead of skipping it.
+func TestDelegateAllNeedsTarget(t *testing.T) {
+	target := newRewriteTarget(t, rewrite.Lazy)
+	rep := NewReplayer(target, []Action{{Kind: ActBegin, Tx: 0}, {Kind: ActBegin, Tx: 1}, {Kind: ActDelegateAll, Tx: 0, Tee: 1}})
+	if err := rep.RunTo(-1); err == nil {
+		t.Fatal("rewriting baseline replayed a delegate-all action")
 	}
 }

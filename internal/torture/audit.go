@@ -39,24 +39,27 @@ func (sr shadowResp) apply(rec *wal.Record) {
 			objs[rec.Object] = make(map[wal.LSN]bool)
 		}
 		objs[rec.Object][rec.LSN] = true
-	case wal.TypeDelegate:
-		// delegate(tor, tee, obj): everything tor is responsible for on
-		// obj — its own updates and any it received earlier — moves.
-		moved := sr[rec.Tor][rec.Object]
-		if len(moved) == 0 {
-			return
-		}
-		delete(sr[rec.Tor], rec.Object)
-		objs := sr[rec.Tee]
-		if objs == nil {
-			objs = make(map[wal.ObjectID]map[wal.LSN]bool)
-			sr[rec.Tee] = objs
-		}
-		if objs[rec.Object] == nil {
-			objs[rec.Object] = make(map[wal.LSN]bool)
-		}
-		for lsn := range moved {
-			objs[rec.Object][lsn] = true
+	case wal.TypeDelegate, wal.TypeDelegateSet:
+		// delegate(tor, tee, obj) for each delegated obj: everything tor
+		// is responsible for on obj — its own updates and any it
+		// received earlier — moves.
+		for _, obj := range rec.Delegated() {
+			moved := sr[rec.Tor][obj]
+			if len(moved) == 0 {
+				continue
+			}
+			delete(sr[rec.Tor], obj)
+			objs := sr[rec.Tee]
+			if objs == nil {
+				objs = make(map[wal.ObjectID]map[wal.LSN]bool)
+				sr[rec.Tee] = objs
+			}
+			if objs[obj] == nil {
+				objs[obj] = make(map[wal.LSN]bool)
+			}
+			for lsn := range moved {
+				objs[obj][lsn] = true
+			}
 		}
 	case wal.TypeCLR:
 		// The compensated update is dead; its owner (the transaction

@@ -94,6 +94,10 @@ type Config struct {
 	SavepointRate  float64
 	Counters       int
 	IncrementRate  float64
+	// DelegateAllRate is sim.Config's delegate-all knob.  Unlike the
+	// knobs above it has no default: at 0 the generator draws what it
+	// draws without the action, so every other sweep's trace stands.
+	DelegateAllRate float64
 	// PoolSize is the engine buffer-pool size.
 	PoolSize int
 	// MaxBoundaries caps the number of crash points swept (0 = all).
@@ -142,16 +146,17 @@ func (c Config) withDefaults() Config {
 
 func (c Config) simConfig() sim.Config {
 	return sim.Config{
-		Seed:           c.Seed,
-		Steps:          c.Steps,
-		Objects:        c.Objects,
-		MaxActive:      c.MaxActive,
-		DelegationRate: c.DelegationRate,
-		TerminateRate:  c.TerminateRate,
-		AbortFraction:  c.AbortFraction,
-		SavepointRate:  c.SavepointRate,
-		Counters:       c.Counters,
-		IncrementRate:  c.IncrementRate,
+		Seed:            c.Seed,
+		Steps:           c.Steps,
+		Objects:         c.Objects,
+		MaxActive:       c.MaxActive,
+		DelegationRate:  c.DelegationRate,
+		TerminateRate:   c.TerminateRate,
+		AbortFraction:   c.AbortFraction,
+		SavepointRate:   c.SavepointRate,
+		Counters:        c.Counters,
+		IncrementRate:   c.IncrementRate,
+		DelegateAllRate: c.DelegateAllRate,
 	}
 }
 
@@ -230,7 +235,7 @@ func durableTxns(recs []*wal.Record) int {
 		if rec.TxID != wal.NilTx {
 			seen[rec.TxID] = true
 		}
-		if rec.Type == wal.TypeDelegate || rec.Type == wal.TypeDelegateOut {
+		if rec.Delegated() != nil {
 			seen[rec.Tee] = true
 		}
 	}
@@ -322,17 +327,16 @@ func (o *logOracle) apply(rec *wal.Record) error {
 			o.values[rec.Object] = append([]byte(nil), rec.Before...)
 		}
 		delete(o.live[rec.TxID][rec.Object], rec.Compensates)
-	case wal.TypeDelegate, wal.TypeDelegateOut:
-		// Everything tor is responsible for on the object moves to tee.
+	case wal.TypeDelegate, wal.TypeDelegateSet, wal.TypeDelegateOut:
+		// Everything tor is responsible for on each object moves to tee.
 		// A delegate-out is the same local transfer — its gid/shard
 		// fields only describe the cross-shard acquirer.
-		moved := o.live[rec.Tor][rec.Object]
-		if len(moved) == 0 {
-			return nil
-		}
-		delete(o.live[rec.Tor], rec.Object)
-		for _, op := range moved {
-			o.addLive(rec.Tee, op)
+		for _, obj := range rec.Delegated() {
+			moved := o.live[rec.Tor][obj]
+			delete(o.live[rec.Tor], obj)
+			for _, op := range moved {
+				o.addLive(rec.Tee, op)
+			}
 		}
 	case wal.TypeDelegateIn:
 		// Bookkeeping on the acquirer's coordinator shard: no state.

@@ -79,6 +79,55 @@ func TestHealedForceSweep(t *testing.T) {
 	}
 }
 
+// TestDelegateAllCrashSweep runs the base sweep over a trace that also
+// delegates whole Ob_Lists: each DelegateAll is one delegate-set record,
+// so the freeze lands before and after set records, the torn tail cuts
+// through them, and analysis, the record-level oracle and the undo sweep
+// must all move every object of a set.
+func TestDelegateAllCrashSweep(t *testing.T) {
+	cfg := Config{Seed: 8, DelegateAllRate: 0.06}
+	if testing.Short() {
+		cfg.MaxBoundaries = 40
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("delegate-all sweep: %+v", res)
+	want := res.Boundaries
+	if cfg.MaxBoundaries > 0 && want > cfg.MaxBoundaries {
+		want = cfg.MaxBoundaries
+	}
+	if res.Crashes != want || res.TornCrashes == 0 || res.Winners == 0 || res.Losers == 0 || res.UndoVisits == 0 {
+		t.Fatalf("sweep did no useful work: %+v", res)
+	}
+	// The fault-free log must hold set records of more than one object,
+	// or the sweep exercised only the single-object form.
+	eng, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.NewReplayer(sim.CoreTarget{Engine: eng}, sim.Generate(cfg.withDefaults().simConfig())).RunTo(-1); err != nil {
+		t.Fatal(err)
+	}
+	var sets, multi int
+	if err := eng.Log().Scan(1, eng.Log().Head(), func(rec *wal.Record) (bool, error) {
+		if rec.Type == wal.TypeDelegateSet {
+			sets++
+			if len(rec.Objects) > 1 {
+				multi++
+			}
+		}
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("fault-free log: %d delegate-set records, %d of more than one object", sets, multi)
+	if sets < 20 || multi < 10 {
+		t.Fatalf("log holds %d delegate-set records (%d of several objects), want >= 20 (10)", sets, multi)
+	}
+}
+
 // TestSweepDeterminism pins the reproducibility contract: one seed fully
 // determines the sweep, so two runs must aggregate identically.
 func TestSweepDeterminism(t *testing.T) {
@@ -98,15 +147,19 @@ func TestSweepDeterminism(t *testing.T) {
 
 // TestScopeAudit checks the Ob_List reconstruction invariant over a full
 // trace: after every action, each live transaction's Op_List must equal
-// the responsibility set derived from the raw durable log bytes.
+// the responsibility set derived from the raw durable log bytes.  The
+// second trace also delegates whole Ob_Lists, so the audit reads
+// delegate-set records.
 func TestScopeAudit(t *testing.T) {
-	res, err := ScopeAudit(Config{Seed: 3, Steps: 350})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("audit: %+v", res)
-	if res.Checks == 0 || res.Records == 0 {
-		t.Fatalf("audit did no useful work: %+v", res)
+	for _, cfg := range []Config{{Seed: 3, Steps: 350}, {Seed: 3, Steps: 350, DelegateAllRate: 0.06}} {
+		res, err := ScopeAudit(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("audit: %+v", res)
+		if res.Checks == 0 || res.Records == 0 {
+			t.Fatalf("audit did no useful work: %+v", res)
+		}
 	}
 }
 

@@ -21,6 +21,18 @@ import (
 //
 // All integers are little-endian.  The frame is self-describing so a log can
 // be rescanned from byte 0 after a crash, and the CRC detects torn tails.
+//
+// A delegate record (Fig. 6) carries tor, tee, torBC, teeBC and one object
+// after the header.  A delegate-set record serves a whole delegate(tor,
+// tee) with one pair: its header's txid and prevLSN are tor and torBC, so
+// it stores only
+//
+//	u32 tee | u64 teeBC | uvarint count | count × uvarint object delta
+//
+// with the objects strictly ascending, the first delta from zero and each
+// later one from its predecessor (so every later delta is at least 1).
+// Every uvarint is minimal and the count is at least 1; the decoder
+// rejects anything else, so an accepted body re-encodes to the same bytes.
 
 // ErrCorrupt is returned when a record frame fails its checksum or is
 // structurally malformed.
@@ -39,6 +51,26 @@ func (e *recordEncoder) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *recordEncoder) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 func (e *recordEncoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *recordEncoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+
+func (e *recordEncoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+// objectSet writes a delegate set: its count, then each object as its
+// distance from the one before.
+func (e *recordEncoder) objectSet(objs []ObjectID) error {
+	if len(objs) == 0 {
+		return errors.New("wal: empty delegate set")
+	}
+	e.uvarint(uint64(len(objs)))
+	var prev ObjectID
+	for i, obj := range objs {
+		if i > 0 && obj <= prev {
+			return fmt.Errorf("wal: delegate set not strictly ascending at index %d", i)
+		}
+		e.uvarint(uint64(obj - prev))
+		prev = obj
+	}
+	return nil
+}
 
 func (e *recordEncoder) bytes16(p []byte) {
 	if len(p) > 0xFFFF {
@@ -99,6 +131,48 @@ func (d *recordDecoder) u64() uint64 {
 	return 0
 }
 
+// uvarint reads one minimal unsigned varint: a longer encoding of the
+// same value (a last byte of zero) is corrupt, because it would not
+// re-encode to the bytes it was read from.
+func (d *recordDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
+		d.err = ErrCorrupt
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// objectSet reads a delegate set written by recordEncoder.objectSet.  A
+// zero count, a count larger than the bytes left (each object takes at
+// least one), a repeated object and a sum past the top of the ID space
+// are all corrupt.
+func (d *recordDecoder) objectSet() []ObjectID {
+	n := d.uvarint()
+	if d.err != nil || n == 0 || n > uint64(len(d.buf)-d.off) {
+		d.err = ErrCorrupt
+		return nil
+	}
+	objs := make([]ObjectID, n)
+	var prev ObjectID
+	for i := range objs {
+		delta := ObjectID(d.uvarint())
+		obj := prev + delta
+		if i > 0 && (delta == 0 || obj < prev) {
+			d.err = ErrCorrupt
+		}
+		if d.err != nil {
+			return nil
+		}
+		objs[i], prev = obj, obj
+	}
+	return objs
+}
+
 // bytes16 and bytes32 copy a length-prefixed image; an empty one decodes
 // as nil.
 func (d *recordDecoder) bytes16() []byte { return append([]byte(nil), d.take(int(d.u16()))...) }
@@ -106,7 +180,7 @@ func (d *recordDecoder) bytes32() []byte { return append([]byte(nil), d.take(int
 
 // EncodeRecord serializes r into a framed, checksummed byte slice.
 func EncodeRecord(r *Record) ([]byte, error) {
-	return appendRecord(make([]byte, 0, frameHeaderSize+64+len(r.Before)+len(r.After)+len(r.Payload)), r)
+	return appendRecord(make([]byte, 0, frameHeaderSize+64+len(r.Before)+len(r.After)+len(r.Payload)+binary.MaxVarintLen64*len(r.Objects)), r)
 }
 
 // appendRecord appends r's frame to dst and returns the extended slice.
@@ -160,6 +234,13 @@ func appendRecord(dst []byte, r *Record) ([]byte, error) {
 		e.u64(uint64(r.Object))
 		e.u64(r.GID)
 		e.u32(r.Shard)
+	case TypeDelegateSet:
+		// tor and torBC are the header's txid and prevLSN.
+		e.u32(uint32(r.Tee))
+		e.u64(uint64(r.TeePrev))
+		if err := e.objectSet(r.Objects); err != nil {
+			return nil, err
+		}
 	case TypeCheckpointEnd:
 		e.bytes32(r.Payload)
 	default:
@@ -244,6 +325,11 @@ func DecodeRecord(p []byte) (*Record, int, error) {
 		r.Object = ObjectID(d.u64())
 		r.GID = d.u64()
 		r.Shard = d.u32()
+	case TypeDelegateSet:
+		r.Tor, r.TorPrev = r.TxID, r.PrevLSN
+		r.Tee = TxID(d.u32())
+		r.TeePrev = LSN(d.u64())
+		r.Objects = d.objectSet()
 	case TypeCheckpointEnd:
 		r.Payload = d.bytes32()
 	default:

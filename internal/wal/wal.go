@@ -106,6 +106,12 @@ const (
 	// and exists so the coordinator shard's log records that the global
 	// transaction took responsibility for an object homed elsewhere.
 	TypeDelegateIn
+	// TypeDelegateSet records delegate(tor, tee) over a set of objects —
+	// the join and nested-commit form of §2.2 — as one record: one
+	// tor/tee pair and one pair of backward-chain heads serve the whole
+	// set (Objects), which moves exactly as that many TypeDelegate
+	// records at the same LSN would move it.
+	TypeDelegateSet
 )
 
 // String returns the conventional short name of the record type.
@@ -137,6 +143,8 @@ func (t RecordType) String() string {
 		return "delegate-out"
 	case TypeDelegateIn:
 		return "delegate-in"
+	case TypeDelegateSet:
+		return "delegate-set"
 	default:
 		return fmt.Sprintf("invalid(%d)", uint8(t))
 	}
@@ -170,11 +178,18 @@ type Record struct {
 
 	// Delegate-record fields (Figure 6 of the paper).  Tor duplicates
 	// TxID; TorPrev and TeePrev are the backward-chain heads of the
-	// delegator and delegatee at the time of the delegation.
+	// delegator and delegatee at the time of the delegation.  A
+	// delegate-set record does not store Tor and TorPrev: its header's
+	// TxID and PrevLSN are them, and decoding fills both in.
 	Tor     TxID
 	Tee     TxID
 	TorPrev LSN
 	TeePrev LSN
+
+	// Objects is the delegated set of a delegate-set record, strictly
+	// ascending.  Read it, and a delegate record's Object, through
+	// Delegated.
+	Objects []ObjectID
 
 	// Payload carries opaque data for checkpoint-end records.
 	Payload []byte
@@ -199,8 +214,24 @@ type Record struct {
 // pass may need to roll back.
 func (r *Record) IsUndoable() bool { return r.Type == TypeUpdate || r.Type == TypeIncrement }
 
+// Delegated returns the objects whose responsibility the record moves
+// from Tor to Tee: the Object of a delegate or delegate-out record, the
+// Objects of a delegate-set record, and nil for every other type.  Every
+// reader of delegations goes through it, so one loop body serves both
+// forms.  The slice is not to be modified.
+func (r *Record) Delegated() []ObjectID {
+	switch r.Type {
+	case TypeDelegate, TypeDelegateOut:
+		return []ObjectID{r.Object}
+	case TypeDelegateSet:
+		return r.Objects
+	}
+	return nil
+}
+
 // String renders the record compactly, in the style of the paper's figures,
-// e.g. "102 update[t2, 7]" or "106 delegate(t1 -> t2, 7)".
+// e.g. "102 update[t2, 7]", "106 delegate(t1 -> t2, 7)" or
+// "107 delegate-set(t1 -> t2, [7 9])".
 func (r *Record) String() string {
 	switch r.Type {
 	case TypeUpdate:
@@ -211,6 +242,8 @@ func (r *Record) String() string {
 		return fmt.Sprintf("%d clr[t%d, %d undoNext=%d]", r.LSN, r.TxID, r.Object, r.UndoNextLSN)
 	case TypeDelegate:
 		return fmt.Sprintf("%d delegate(t%d -> t%d, %d)", r.LSN, r.Tor, r.Tee, r.Object)
+	case TypeDelegateSet:
+		return fmt.Sprintf("%d delegate-set(t%d -> t%d, %v)", r.LSN, r.Tor, r.Tee, r.Objects)
 	case TypePrepare:
 		return fmt.Sprintf("%d prepare[t%d, gid=%d coord=%d]", r.LSN, r.TxID, r.GID, r.Shard)
 	case TypeDelegateOut:
